@@ -3,11 +3,11 @@ minimum linear ordering problems over submodular set functions."""
 
 from .core import (
     EXACT_SOLVER_CAP,
+    CertificateError,
     ContractedOracle,
     Graph,
     GroundSet,
     ModularOracle,
-    ObjectiveValue,
     Ordering,
     ParseError,
     SetFunctionOracle,

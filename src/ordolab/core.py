@@ -1,16 +1,24 @@
 """Ground sets, orderings, set-function oracles, and the ordering objectives.
 
 Subsets of a ground set {0, ..., m-1} are represented as int bitmasks
-throughout the library.  All arithmetic is carried out exactly over the
-integers and :class:`fractions.Fraction`; there is no floating-point path,
-so bound comparisons in the solvers are decidable equalities.
+throughout the library.  Oracle values, bounds and certificates are exact
+(``int`` and :class:`fractions.Fraction`), so bound comparisons in the
+solvers are decidable equalities.  The exhaustive solvers work on one dense
+integer table per oracle (``SetFunctionOracle.dense_values``): the values
+times a common denominator, in a numpy integer array whose dtype is chosen
+from a bound on the values, with exact Python ints beyond int64.  The only
+floating-point arithmetic is the Fujishige-Wolfe search in ``sfm`` beyond
+the exact cap, whose output is re-evaluated exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
+
+import numpy as np
 
 #: Largest ground set the exhaustive (2^m) solvers accept by default.
 EXACT_SOLVER_CAP = 20
@@ -34,6 +42,49 @@ def mask_of(elements) -> int:
     return mask
 
 
+class CertificateError(AssertionError):
+    """An internal consistency check failed: a computed optimum, minimizer
+    lattice or breakpoint did not verify.  Distinct from the ValueErrors
+    raised for invalid input."""
+
+
+# ---------------------------------------------------------------------------
+# exact integer tables
+
+
+def int_dtype(bound: int) -> np.dtype:
+    """The narrowest numpy integer dtype holding every integer of magnitude
+    at most ``bound``; object (exact Python ints) beyond int64."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
+
+def max_abs(table: np.ndarray) -> int:
+    return int(abs(table).max()) if table.size else 0
+
+
+def narrowed(table: np.ndarray) -> np.ndarray:
+    """The same integers in the narrowest dtype that holds them."""
+    return table.astype(int_dtype(max_abs(table)), copy=False)
+
+
+def popcounts(m: int) -> np.ndarray:
+    """|S| for every bitmask S of an m-element ground, indexed by S."""
+    counts = np.zeros(1, dtype=np.int8)
+    for _ in range(m):
+        counts = np.concatenate([counts, counts + 1])
+    return counts
+
+
+def unscale(value, D: int):
+    """A table entry (or a sum of them) as an exact Python number: int when
+    D == 1, else Fraction."""
+    value = int(value)
+    return value if D == 1 else Fraction(value, D)
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """A set of m elements labelled 0..m-1.
@@ -52,9 +103,6 @@ class GroundSet:
     @property
     def full_mask(self) -> int:
         return (1 << self.m) - 1
-
-    def elements(self) -> range:
-        return range(self.m)
 
 
 @dataclass(frozen=True)
@@ -100,14 +148,6 @@ class Ordering:
     def position(self, element: int) -> int:
         return self.positions[element]
 
-    def prefix_mask(self, i: int) -> int:
-        """Bitmask of the first ``i`` elements."""
-        mask = 0
-        for e, p in enumerate(self.positions):
-            if p <= i:
-                mask |= 1 << e
-        return mask
-
     def prefix_masks(self) -> Iterator[int]:
         """The m nested prefix sets, smallest first."""
         mask = 0
@@ -126,14 +166,19 @@ class Ordering:
 class SetFunctionOracle:
     """Evaluation interface for f: 2^E -> Q with f(empty) = 0.
 
-    Oracles must be pure (same subset, same value) and are immutable after
-    construction, so they may be shared across threads.  ``dense_values``
-    memoises the full 2^m table for the enumeration-based solvers.
+    Values are exact ints or Fractions.  Oracles must be pure (same subset,
+    same value) and are immutable after construction apart from the
+    memoised table, so they may be shared across threads.  ``dense_values``
+    builds the one integer table that every enumeration-based solver reads;
+    subclasses with a faster way to fill all 2^m entries override
+    ``_scaled_table``.
     """
 
     def __init__(self, ground: GroundSet):
         self.ground = ground
-        self._dense: list | None = None
+        self._dense: np.ndarray | None = None
+        #: D, the common denominator of the dense table, once it is built
+        self.dense_denominator: int | None = None
 
     @property
     def m(self) -> int:
@@ -151,18 +196,36 @@ class SetFunctionOracle:
             raise ValueError("subset outside ground set")
         return self.evaluate(subset)
 
-    def dense_values(self, cap: int = EXACT_SOLVER_CAP) -> list:
-        """All 2^m values, indexed by bitmask.  Cached."""
+    def dense_values(self, cap: int = EXACT_SOLVER_CAP) -> np.ndarray:
+        """D * f(S) for all 2^m bitmasks S, as one integer array.  Cached.
+
+        D is the least common denominator of the values, kept as
+        ``dense_denominator`` (1 for integer-valued oracles).  The dtype is
+        the narrowest numpy integer type holding every entry, or object
+        (exact Python ints) when int64 could overflow.  Callers choose the
+        dtype of their own arithmetic the same way, from a bound computed
+        up front, so every dtype runs the same code.  A contraction of an oracle within the cap derives its table
+        from the base's table instead of calling the oracle.
+        """
         if self._dense is None:
             if self.m > min(cap, BITSET_CAP):
                 raise ValueError(
                     f"ground set of size {self.m} exceeds the exact cap "
                     f"({min(cap, BITSET_CAP)})"
                 )
-            self._dense = [self.evaluate(s) for s in range(1 << self.m)]
-            if self._dense[0] != 0:
+            D, table = self._scaled_table(cap)
+            if table[0] != 0:
                 raise ValueError("oracle is not normalized: f(empty) != 0")
+            self._dense, self.dense_denominator = table, D
         return self._dense
+
+    def _scaled_table(self, cap: int) -> tuple[int, np.ndarray]:
+        """(D, D * f over all bitmasks), D the least common denominator of
+        the values; one oracle call per subset."""
+        values = [self.evaluate(s) for s in range(1 << self.m)]
+        D = lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (D // v.denominator) for v in values]
+        return D, narrowed(np.array(ints, dtype=object))
 
 
 class ModularOracle(SetFunctionOracle):
@@ -205,22 +268,18 @@ class ContractedOracle(SetFunctionOracle):
     def evaluate(self, subset: int):
         return self.base(self.fixed_mask | self.embed(subset)) - self._offset
 
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """A solved objective with its ordering and problem tag."""
-
-    value: object
-    ordering: Ordering
-    kind: str
-
-    KINDS = ("mlop", "weighted-mlop", "mlvc", "msvc", "mla")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.value < 0:
-            raise ValueError("objective value must be nonnegative")
+    def _scaled_table(self, cap: int) -> tuple[int, np.ndarray]:
+        """Index remapping of the base's table when the base is within the
+        cap: entry S is base[U | embed(S)] - base[U]."""
+        if self.base.m > min(cap, BITSET_CAP):
+            return super()._scaled_table(cap)
+        base = self.base.dense_values(cap)
+        index = np.full(1, self.fixed_mask, dtype=np.int64)
+        for e in self.kept:
+            index = np.concatenate([index, index | (1 << e)])
+        table = base[index].astype(int_dtype(2 * max_abs(base)))
+        table -= table[0]
+        return self.base.dense_denominator, narrowed(table)
 
 
 def _check_ground(f: SetFunctionOracle, sigma: Ordering) -> None:
@@ -308,9 +367,6 @@ class Graph:
         if self.n and any(d != deg[0] for d in deg):
             return None
         return deg[0] if self.n else 0
-
-    def has_isolated_vertices(self) -> bool:
-        return any(d == 0 for d in self.degrees())
 
     def complement(self) -> "Graph":
         if not self.is_simple():

@@ -290,10 +290,6 @@ def tree_mlop(f: SetFunctionOracle, seed: int | None = None) -> tuple[GomoryHuTr
     return tree, tree.total_weight()
 
 
-def _tree_from_edges(n: int, edges) -> GomoryHuTree:
-    return GomoryHuTree(n, tuple((a, b, Fraction(1)) for a, b in edges))
-
-
 def matching_certificate(
     T1: GomoryHuTree, T2: GomoryHuTree
 ) -> list[tuple[int, int]]:

@@ -6,12 +6,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     Graph,
     GroundSet,
     ParseError,
     SetFunctionOracle,
     _nonblank_lines,
+    int_dtype,
     iter_bits,
     mask_of,
 )
@@ -74,8 +77,8 @@ class UniformMatroid(Matroid):
 class GraphicMatroid(Matroid):
     """Rank of an edge set = n - (components of the subgraph it spans).
 
-    The union-find structure is rebuilt per query; queries are
-    subset-valued, not incremental.
+    A single query rebuilds a union-find structure; the dense table is
+    filled in one batched pass instead (see ``_scaled_table``).
     """
 
     def __init__(self, graph: Graph):
@@ -99,6 +102,23 @@ class GraphicMatroid(Matroid):
                 parent[ru] = rv
                 rank += 1
         return rank
+
+    def _scaled_table(self, cap: int) -> tuple[int, np.ndarray]:
+        """All 2^m ranks, adding one edge at a time to every edge set built
+        so far: rank(S + e) = rank(S) + [e joins two components of S].
+        Row S of ``labels`` names each vertex's component in S by its
+        smallest vertex; the last edge's labels are never needed."""
+        vertices = sorted({v for edge in self.graph.edges for v in edge})
+        column = {v: i for i, v in enumerate(vertices)}
+        labels = np.arange(len(vertices), dtype=int_dtype(len(vertices)))[None, :]
+        rank = np.zeros(1, dtype=int_dtype(self.m))
+        for i, (u, v) in enumerate(self.graph.edges):
+            a, b = labels[:, column[u]], labels[:, column[v]]
+            rank = np.concatenate([rank, rank + (a != b)])
+            if i + 1 < self.m:
+                keep, drop = np.minimum(a, b)[:, None], np.maximum(a, b)[:, None]
+                labels = np.concatenate([labels, np.where(labels == drop, keep, labels)])
+        return 1, rank
 
 
 class VectorMatroid(Matroid):

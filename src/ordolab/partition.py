@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ContractedOracle, SetFunctionOracle
+from .core import CertificateError, ContractedOracle, SetFunctionOracle
 from .sfm import minimize_offset
 
 
@@ -118,7 +118,7 @@ def compute_principal_partition(f: SetFunctionOracle, **solver_kwargs) -> Princi
         if res.min_value == touched:
             # lam is the unique breakpoint between lo and hi
             if res.minimal_minimizer != lo or res.maximal_minimizer != hi:
-                raise ValueError(
+                raise CertificateError(
                     "breakpoint structure violated; oracle not submodular?"
                 )
             chain.append((lam, hi))

@@ -1,11 +1,15 @@
 """Submodular function minimization with a modular offset.
 
 ``minimize_offset`` finds min_X f(X) - lambda*|X| together with the two
-lattice-extreme minimizers.  Grounds up to the exact cap are solved by
-exhaustive enumeration; larger grounds go through a Fujishige-Wolfe
-minimum-norm-point solve in floating point, followed by level-set rounding
-at tolerance 1e-9, exact re-evaluation, a +/-1-element exchange check, and
-element-wise probes for the lattice endpoints.
+lattice-extreme minimizers.  Grounds up to the exact cap are solved by a
+vectorized scan of the oracle's dense integer table (D*f, see
+``SetFunctionOracle.dense_values``): for lambda = p/q it minimizes
+q*D*f(X) - p*D*|X| over all masks, exactly, and AND/OR-reduces the
+argmins to the lattice endpoints.  Larger grounds go through a
+Fujishige-Wolfe minimum-norm-point solve in floating point, followed by
+level-set rounding at tolerance 1e-9, exact re-evaluation, a
++/-1-element exchange check, and element-wise probes for the lattice
+endpoints.  A failed internal check raises ``CertificateError``.
 
 References for the min-norm-point route:
   Wolfe, "Finding the nearest point in a polytope", Math. Prog. 1976.
@@ -19,7 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import EXACT_SOLVER_CAP, ContractedOracle, SetFunctionOracle
+from .core import (
+    EXACT_SOLVER_CAP,
+    CertificateError,
+    ContractedOracle,
+    SetFunctionOracle,
+    int_dtype,
+    max_abs,
+    popcounts,
+)
 
 WOLFE_TOL = 1e-9
 
@@ -46,7 +58,8 @@ def minimize_offset(
     """Exact global minimum of f(X) - lam*|X| over all subsets.
 
     The caller is responsible for f being submodular; the lattice structure
-    of the minimizers is verified and a ValueError is raised if it fails.
+    of the minimizers is verified and a CertificateError is raised if it
+    fails.
     """
     lam = Fraction(lam)
     if method == "auto":
@@ -63,24 +76,21 @@ def _minimize_enumerate(f: SetFunctionOracle, lam: Fraction, enum_cap: int) -> S
         raise ValueError(
             f"ground set of size {f.m} exceeds the enumeration cap ({enum_cap})"
         )
-    vals = f.dense_values(cap=enum_cap)
-    # precompute lam * |S| per cardinality
-    lam_by_size = [lam * s for s in range(f.m + 1)]
-    best = vals[0]
-    lo = hi = 0
-    for S in range(1, 1 << f.m):
-        v = vals[S] - lam_by_size[S.bit_count()]
-        if v < best:
-            best = v
-            lo = hi = S
-        elif v == best:
-            lo &= S
-            hi |= S
-    lo_val = vals[lo] - lam_by_size[lo.bit_count()]
-    hi_val = vals[hi] - lam_by_size[hi.bit_count()]
-    if lo_val != best or hi_val != best:
-        raise ValueError("minimizers do not form a lattice: oracle not submodular?")
-    return SfmResult(best, lo, hi)
+    table = f.dense_values(cap=enum_cap)
+    D = f.dense_denominator
+    p, q = lam.numerator, lam.denominator
+    # q*D*(f(X) - lam*|X|) over all masks X; the bound also covers q and p*D
+    dtype = int_dtype(q * (max_abs(table) + 1) + abs(p) * D * (f.m + 1))
+    g = table.astype(dtype)
+    g *= q
+    g -= np.multiply(popcounts(f.m), p * D, dtype=dtype)
+    best = g.min()
+    argmins = np.flatnonzero(g == best)
+    lo = int(np.bitwise_and.reduce(argmins))
+    hi = int(np.bitwise_or.reduce(argmins))
+    if g[lo] != best or g[hi] != best:
+        raise CertificateError("minimizers do not form a lattice: oracle not submodular?")
+    return SfmResult(Fraction(int(best), q * D), lo, hi)
 
 
 def constrained_min(
@@ -261,14 +271,14 @@ def _minimize_wolfe(f: SetFunctionOracle, lam: Fraction) -> SfmResult:
     for e in range(m):
         forced_in = _offset_min_value(f, lam, 1 << e, 0)
         if forced_in < best:
-            raise ValueError("min-norm rounding missed the optimum")
+            raise CertificateError("min-norm rounding missed the optimum")
         if forced_in == best:
             hi |= 1 << e
         forced_out = _offset_min_value(f, lam, 0, 1 << e)
         if forced_out < best:
-            raise ValueError("min-norm rounding missed the optimum")
+            raise CertificateError("min-norm rounding missed the optimum")
         if forced_out > best:
             lo |= 1 << e
     if g(hi) != best or g(lo) != best:
-        raise ValueError("rounding failed to certify the minimizer lattice")
+        raise CertificateError("rounding failed to certify the minimizer lattice")
     return SfmResult(best, lo, hi)

@@ -14,15 +14,21 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core import (
     EXACT_SOLVER_CAP,
     Graph,
     Ordering,
     SetFunctionOracle,
     biconnected_components,
+    int_dtype,
     iter_bits,
     mask_of,
+    max_abs,
     mlop_objective,
+    popcounts,
+    unscale,
 )
 from .matroids import GraphicMatroid, Matroid, fundamental_circuit
 from .partition import (
@@ -56,28 +62,31 @@ def uniform_closed_form(k: int, m: int) -> int:
     return k * (k + 1) // 2 + k * (m - k)
 
 
-def _dp_tables(values: Sequence, m: int, costs: Sequence[int] | None):
-    """Shared subset-DP core: best(S) = charge(S) + min over last elements."""
-    size = 1 << m
-    best = [None] * size
-    choice = [0] * size
-    best[0] = 0
-    for S in range(1, size):
-        charge = values[S]
-        best_v = None
-        best_e = -1
-        rest = S
-        while rest:
-            low = rest & -rest
-            e = low.bit_length() - 1
-            rest ^= low
-            prev = best[S ^ low]
-            cand = prev + charge * costs[e] if costs is not None else prev + charge
-            if best_v is None or cand < best_v:
-                best_v = cand
-                best_e = e
-        best[S] = best_v
-        choice[S] = best_e
+def _dp_tables(table: np.ndarray, m: int, costs: Sequence[int] | None):
+    """Shared subset-DP core on an integer table, by popcount layers:
+    best(S) = min over e in S of best(S - e) + table[S] * cost(e), with
+    choice(S) the smallest such e (cost 1 when unweighted)."""
+    costs = costs or (1,) * m
+    # bounds every best(S) and candidate, and every cost
+    bound = m * (max_abs(table) + 1) * max(costs)
+    dtype = int_dtype(bound + 1)
+    best = np.zeros(1 << m, dtype=int_dtype(bound))
+    choice = np.zeros(1 << m, dtype=np.int8)
+    sizes = popcounts(m)
+    for k in range(1, m + 1):
+        layer = np.flatnonzero(sizes == k)
+        charge = table[layer].astype(dtype)
+        layer_best = np.full(len(layer), bound + 1, dtype=dtype)
+        layer_choice = np.zeros(len(layer), dtype=np.int8)
+        for e in range(m):
+            # ascending e with a strict < keeps the smallest minimizing e
+            holders = np.flatnonzero((layer >> e) & 1)
+            cand = best[layer[holders] ^ (1 << e)].astype(dtype) + charge[holders] * costs[e]
+            better = cand < layer_best[holders]
+            layer_best[holders[better]] = cand[better]
+            layer_choice[holders[better]] = e
+        best[layer] = layer_best
+        choice[layer] = layer_choice
     return best, choice
 
 
@@ -85,7 +94,7 @@ def _reconstruct(choice: Sequence[int], full: int) -> Ordering:
     seq_rev = []
     S = full
     while S:
-        e = choice[S]
+        e = int(choice[S])
         seq_rev.append(e)
         S ^= 1 << e
     return Ordering.from_sequence(tuple(reversed(seq_rev)))
@@ -102,9 +111,9 @@ def exact_mlop_dp(f: SetFunctionOracle, cap: int = EXACT_SOLVER_CAP):
         raise ValueError(f"ground set of size {m} exceeds the exact cap ({cap})")
     if m == 0:
         return 0, Ordering(())
-    values = f.dense_values(cap=cap)
-    best, choice = _dp_tables(values, m, None)
-    return best[f.full_mask], _reconstruct(choice, f.full_mask)
+    best, choice = _dp_tables(f.dense_values(cap=cap), m, None)
+    value = unscale(best[f.full_mask], f.dense_denominator)
+    return value, _reconstruct(choice, f.full_mask)
 
 
 def exact_weighted_mlop_dp(
@@ -121,9 +130,9 @@ def exact_weighted_mlop_dp(
             raise ValueError("costs must be strictly positive integers")
     if m == 0:
         return 0, Ordering(())
-    values = f.dense_values(cap=cap)
-    best, choice = _dp_tables(values, m, tuple(costs))
-    return best[f.full_mask], _reconstruct(choice, f.full_mask)
+    best, choice = _dp_tables(f.dense_values(cap=cap), m, tuple(costs))
+    value = unscale(best[f.full_mask], f.dense_denominator)
+    return value, _reconstruct(choice, f.full_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -207,37 +216,40 @@ def fixed_basis_objective(M: Matroid, basis_order: Sequence[int]) -> int:
     basis = mask_of(basis_order)
     if len(basis_order) != basis.bit_count():
         raise ValueError("basis ordering repeats an element")
+    return _ordered_cost(_circuit_supports(M, basis), basis_order)
+
+
+def _circuit_supports(M: Matroid, basis: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(e, basis elements of e's fundamental circuit) for every element e
+    outside the basis; a loop's support is empty."""
     if not M.is_basis(basis):
         raise ValueError("given set is not a basis")
+    return [
+        (e, tuple(b for b in iter_bits(fundamental_circuit(M, basis, e)) if b != e))
+        for e in range(M.m)
+        if not (basis >> e) & 1
+    ]
+
+
+def _ordered_cost(supports, basis_order: Sequence[int]) -> int:
     k = len(basis_order)
     pos = {b: i + 1 for i, b in enumerate(basis_order)}
-    total = k * (k + 1) // 2
-    for e in range(M.m):
-        if (basis >> e) & 1:
-            continue
-        circuit = fundamental_circuit(M, basis, e)
-        # loops have a singleton circuit and contribute rank 0
-        total += max((pos[b] for b in iter_bits(circuit) if b != e), default=0)
-    return total
+    # loops have a singleton circuit and contribute rank 0
+    return k * (k + 1) // 2 + sum(
+        max((pos[b] for b in support), default=0) for _, support in supports
+    )
 
 
 def fixed_basis_extension(M: Matroid, basis_order: Sequence[int]) -> Ordering:
     """The insertion extension: basis elements in order, each non-basis
     element placed right after the last basis element of its circuit."""
     basis_order = tuple(basis_order)
-    basis = mask_of(basis_order)
-    if not M.is_basis(basis):
-        raise ValueError("given set is not a basis")
     pos = {b: i for i, b in enumerate(basis_order)}
     head: list[int] = []  # loops go before every basis element
     buckets: list[list[int]] = [[] for _ in basis_order]
-    for e in range(M.m):
-        if (basis >> e) & 1:
-            continue
-        circuit = fundamental_circuit(M, basis, e)
-        slots = [pos[b] for b in iter_bits(circuit) if b != e]
-        if slots:
-            buckets[max(slots)].append(e)
+    for e, support in _circuit_supports(M, mask_of(basis_order)):
+        if support:
+            buckets[max(pos[b] for b in support)].append(e)
         else:
             head.append(e)
     sequence: list[int] = sorted(head)
@@ -250,12 +262,13 @@ def fixed_basis_extension(M: Matroid, basis_order: Sequence[int]) -> Ordering:
 def _search_bases(M: Matroid, bases: Sequence[int]):
     """Best (value, basis permutation) over the given bases; ties broken by
     the lexicographically smallest permutation, so chunked searches merge
-    deterministically."""
+    deterministically.  The circuits depend on the basis only, so they are
+    computed once per basis."""
     best = None
     for basis in bases:
-        elems = tuple(iter_bits(basis))
-        for perm in permutations(elems):
-            val = fixed_basis_objective(M, perm)
+        supports = _circuit_supports(M, basis)
+        for perm in permutations(iter_bits(basis)):
+            val = _ordered_cost(supports, perm)
             if best is None or (val, perm) < best:
                 best = (val, perm)
     return best

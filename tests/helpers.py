@@ -44,6 +44,26 @@ def brute_weighted_mlop(f, costs):
     return best
 
 
+def loop_dp(f, costs=None):
+    """Reference subset DP, one Python loop per subset: best(S) = min over
+    e in S of best(S - e) + f(S) * cost(e), taking the smallest such e.
+    Returns (optimum, ordering)."""
+    costs = costs or [1] * f.m
+    best = [0] * (1 << f.m)
+    choice = [0] * (1 << f.m)
+    for S in range(1, 1 << f.m):
+        charge = f(S)
+        best[S], choice[S] = min(
+            (best[S ^ (1 << e)] + charge * costs[e], e) for e in range(f.m) if (S >> e) & 1
+        )
+    seq = []
+    S = (1 << f.m) - 1
+    while S:
+        seq.append(choice[S])
+        S ^= 1 << choice[S]
+    return best[-1], Ordering.from_sequence(seq[::-1])
+
+
 def brute_min_offset(f, lam):
     """Scan all subsets of f(X) - lam*|X|; returns (min, list of argmins)."""
     lam = Fraction(lam)

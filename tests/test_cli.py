@@ -1,6 +1,6 @@
 import json
 
-from ordolab import cli
+from ordolab import CertificateError, cli
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 TB_TEXT = "4 4\n1 2\n2 3\n1 3\n3 4\n"
@@ -157,6 +157,17 @@ def test_parse_error_exit_code(tmp_path):
     report, code = run_cli(["solve", "--input", path])
     assert code == 2
     assert "line 2" in report["error"]
+
+
+def test_certificate_failure_exit_code(tmp_path, monkeypatch):
+    def failing(_matroid):
+        raise CertificateError("minimizers do not form a lattice")
+
+    monkeypatch.setattr(cli, "approx_monotone_mlop", failing)
+    path = write(tmp_path, "tb.graph", TB_TEXT)
+    report, code = run_cli(["approx", "--input", path])
+    assert code == 1
+    assert "lattice" in report["error"]
 
 
 def test_determinism_same_seed(tmp_path):

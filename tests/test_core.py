@@ -5,7 +5,6 @@ from ordolab import (
     Graph,
     GraphicMatroid,
     ModularOracle,
-    ObjectiveValue,
     Ordering,
     biconnected_components,
     format_graph,
@@ -142,15 +141,6 @@ def test_identical_prefix_chains_same_value():
     a = Ordering.from_sequence((0, 1, 2))
     b = Ordering.from_sequence((0, 1, 2))
     assert prefix_sum(M, a.sequence()) == prefix_sum(M, b.sequence())
-
-
-def test_objective_value_tags():
-    with pytest.raises(ValueError):
-        ObjectiveValue(1, Ordering.identity(2), "nope")
-    with pytest.raises(ValueError):
-        ObjectiveValue(-1, Ordering.identity(2), "mlop")
-    ok = ObjectiveValue(Fraction(5), Ordering.identity(2), "mlop")
-    assert ok.value == 5
 
 
 def test_graph_parse_roundtrip():

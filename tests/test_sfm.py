@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from ordolab import (
+    CertificateError,
     CutFunction,
     Graph,
     GraphicMatroid,
+    GroundSet,
     ModularOracle,
+    SetFunctionOracle,
     UniformMatroid,
     check_symmetry,
     constrained_min,
@@ -148,6 +151,22 @@ def test_st_min_cut_rejects_equal_endpoints():
     cut = CutFunction(path_graph(3))
     with pytest.raises(ValueError):
         st_min_cut(cut, 1, 1)
+
+
+class TwoSeparateMinima(SetFunctionOracle):
+    """f({0}) = f({1}) = -1, f = 0 elsewhere: not submodular, and the
+    intersection of the two minimizers is not a minimizer."""
+
+    def __init__(self):
+        super().__init__(GroundSet(2))
+
+    def evaluate(self, subset):
+        return -1 if subset in (0b01, 0b10) else 0
+
+
+def test_non_submodular_oracle_fails_the_lattice_certificate():
+    with pytest.raises(CertificateError):
+        minimize_offset(TwoSeparateMinima(), Fraction(0))
 
 
 def test_check_symmetry():
