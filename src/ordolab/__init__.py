@@ -78,7 +78,6 @@ from .reductions import (
     mlvc_to_weighted_graphic,
     regular_shift,
     solve_mlvc_via_apex,
-    solve_mlvc_via_unweighted,
     weighted_to_unweighted,
 )
 from .sfm import SfmResult, check_symmetry, constrained_min, minimize_offset, st_min_cut

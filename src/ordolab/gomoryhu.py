@@ -1,11 +1,12 @@
 """Gomory-Hu trees for symmetric submodular oracles, with the ordering
 bounds they induce.
 
-Construction uses Gusfield's scheme (no contraction), every edge of the
-result is then re-checked against the defining cut property by solving the
-corresponding s-t minimization from scratch; on any failure the classic
-contraction scheme is used instead.  Either way the returned tree satisfies
-the cut property exactly.
+Construction uses Gusfield's scheme (no contraction; Gusfield, SIAM J.
+Comput. 1990, and Queyranne 1998 for symmetric submodular functions).
+Every edge of the result is then re-checked against the defining cut
+property: the tree side of the edge must have the edge's weight, and the
+s-t minimization solved from scratch must have the same value.  A tree that
+fails raises ``CertificateError``; there is no second construction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Graph, GroundSet, Ordering, SetFunctionOracle, iter_bits, mask_of
+from .core import CertificateError, Graph, Ordering, SetFunctionOracle, mask_of
 from .matroids import CutFunction
 from .sfm import check_symmetry, st_min_cut
 from .solve import exact_mlop_dp
@@ -87,24 +88,24 @@ class GomoryHuTree:
         return mask_of(self.component_of(a, edge_index))
 
 
-def _verify_cut_property(f: SetFunctionOracle, tree: GomoryHuTree, **kwargs) -> bool:
+def _verify_cut_property(f: SetFunctionOracle, tree: GomoryHuTree) -> bool:
     for i, (s, t, w) in enumerate(tree.edges):
         side = tree.cut_side(i)
         if f(side) != w:
             return False
-        _, value = st_min_cut(f, s, t, **kwargs)
+        _, value = st_min_cut(f, s, t)
         if value != w:
             return False
     return True
 
 
-def _gusfield(f: SetFunctionOracle, order: Sequence[int], **kwargs) -> GomoryHuTree:
+def _gusfield(f: SetFunctionOracle, order: Sequence[int]) -> GomoryHuTree:
     root = order[0]
     pred = {v: root for v in order}
     weight: dict[int, Fraction] = {}
     for v in order[1:]:
         pv = pred[v]
-        side, value = st_min_cut(f, v, pv, **kwargs)
+        side, value = st_min_cut(f, v, pv)
         weight[v] = value
         for u in order:
             if u != v and u != root and pred[u] == pv and (side >> u) & 1:
@@ -119,106 +120,13 @@ def _gusfield(f: SetFunctionOracle, order: Sequence[int], **kwargs) -> GomoryHuT
     return GomoryHuTree(f.m, edges)
 
 
-class _MergedOracle(SetFunctionOracle):
-    """Oracle on supernodes: evaluate the base on the union of the groups."""
-
-    def __init__(self, base: SetFunctionOracle, groups: Sequence[int]):
-        self.base = base
-        self.groups = tuple(groups)
-        super().__init__(GroundSet(len(self.groups)))
-
-    def evaluate(self, subset: int):
-        mask = 0
-        for i in iter_bits(subset):
-            mask |= self.groups[i]
-        return self.base(mask)
-
-
-def _contraction_gh(f: SetFunctionOracle, **kwargs) -> GomoryHuTree:
-    """Classic Gomory-Hu: split supernodes with hanging subtrees contracted."""
-    n = f.m
-    supernodes: list[int] = [f.full_mask]
-    tree: list[tuple[int, int, Fraction]] = []  # (supernode idx, supernode idx, w)
-
-    while True:
-        target = next(
-            (i for i, s in enumerate(supernodes) if s.bit_count() >= 2), None
-        )
-        if target is None:
-            break
-        members = list(iter_bits(supernodes[target]))
-        s, t = members[0], members[1]
-
-        # hanging subtrees of the supernode tree at `target`
-        adj: dict[int, list[tuple[int, int]]] = {
-            i: [] for i in range(len(supernodes))
-        }
-        for idx, (a, b, _) in enumerate(tree):
-            adj[a].append((b, idx))
-            adj[b].append((a, idx))
-        subtree_mask: dict[int, int] = {}   # neighbor supernode -> union mask
-        subtree_nodes: dict[int, list[int]] = {}
-        for nb, _ in adj[target]:
-            seen = {target, nb}
-            stack = [nb]
-            nodes = [nb]
-            while stack:
-                u = stack.pop()
-                for w, _ in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-                        nodes.append(w)
-            subtree_nodes[nb] = nodes
-            subtree_mask[nb] = 0
-            for u in nodes:
-                subtree_mask[nb] |= supernodes[u]
-
-        groups = [1 << e for e in members]
-        hang = list(subtree_mask)
-        groups.extend(subtree_mask[nb] for nb in hang)
-        merged = _MergedOracle(f, groups)
-        side, value = st_min_cut(merged, 0, 1, **kwargs)
-
-        s_side = 0
-        for i in iter_bits(side):
-            if i < len(members):
-                s_side |= 1 << members[i]
-        t_side = supernodes[target] ^ s_side
-
-        new_index = len(supernodes)
-        supernodes[target] = s_side
-        supernodes.append(t_side)
-        rewired = []
-        for idx, (a, b, w) in enumerate(tree):
-            if a == target or b == target:
-                other = b if a == target else a
-                # find which hanging subtree `other` belongs to
-                for pos, nb in enumerate(hang):
-                    if other in subtree_nodes[nb]:
-                        on_s_side = (side >> (len(members) + pos)) & 1
-                        break
-                anchor = target if on_s_side else new_index
-                rewired.append((anchor, other, w))
-            else:
-                rewired.append((a, b, w))
-        rewired.append((target, new_index, value))
-        tree = rewired
-
-    position = {}
-    for idx, s in enumerate(supernodes):
-        position[idx] = next(iter_bits(s))
-    edges = tuple((position[a], position[b], w) for a, b, w in tree)
-    return GomoryHuTree(n, edges)
-
-
-def build_gh_tree(
-    f: SetFunctionOracle, seed: int | None = None, verify: bool = True, **kwargs
-) -> GomoryHuTree:
+def build_gh_tree(f: SetFunctionOracle, seed: int | None = None) -> GomoryHuTree:
     """Gomory-Hu tree of a symmetric oracle with f(empty) = f(all) = 0.
 
     ``seed`` shuffles the pivot order (distinct seeds generally give
-    distinct trees; their total weight is an invariant of f).
+    distinct trees; their total weight is an invariant of f).  Every edge
+    is verified against the cut property; a failure raises
+    CertificateError.
     """
     if f.m < 2:
         raise ValueError("need at least two ground elements")
@@ -227,11 +135,9 @@ def build_gh_tree(
     order = list(range(f.m))
     if seed is not None:
         random.Random(seed).shuffle(order)
-    tree = _gusfield(f, order, **kwargs)
-    if verify and not _verify_cut_property(f, tree, **kwargs):
-        tree = _contraction_gh(f, **kwargs)
-        if not _verify_cut_property(f, tree, **kwargs):
-            raise AssertionError("contraction construction violated the cut property")
+    tree = _gusfield(f, order)
+    if not _verify_cut_property(f, tree):
+        raise CertificateError("Gusfield tree violates the Gomory-Hu cut property")
     return tree
 
 

@@ -50,10 +50,6 @@ class SchedulingPoset:
     hypergraph: Hypergraph
 
     @property
-    def n_vertices(self) -> int:
-        return self.hypergraph.n
-
-    @property
     def n_jobs(self) -> int:
         return self.hypergraph.n + len(self.hypergraph.edges)
 

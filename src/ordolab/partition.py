@@ -85,7 +85,7 @@ def zero_set_contract(f: SetFunctionOracle) -> tuple[int, ContractedOracle]:
     return U, ContractedOracle(f, U, kept)
 
 
-def compute_principal_partition(f: SetFunctionOracle, **solver_kwargs) -> PrincipalPartition:
+def compute_principal_partition(f: SetFunctionOracle) -> PrincipalPartition:
     """The maximal-minimizer chain of f with its exact critical values.
 
     Requires f(S) = 0 iff S is empty (contract the zero set away first).
@@ -100,7 +100,7 @@ def compute_principal_partition(f: SetFunctionOracle, **solver_kwargs) -> Princi
     full = f.full_mask
     if f(full) == 0:
         return PrincipalPartition((0, full), (), trivial=True)
-    zero_set = minimize_offset(f, Fraction(0), **solver_kwargs).maximal_minimizer
+    zero_set = minimize_offset(f, Fraction(0)).maximal_minimizer
     if zero_set != 0:
         raise ValueError(
             "f vanishes on a nonempty set; apply zero_set_contract first"
@@ -113,7 +113,7 @@ def compute_principal_partition(f: SetFunctionOracle, **solver_kwargs) -> Princi
         if size_gap == 0:
             return
         lam = Fraction(f(hi) - f(lo), size_gap)
-        res = minimize_offset(f, lam, **solver_kwargs)
+        res = minimize_offset(f, lam)
         touched = f(lo) - lam * lo.bit_count()
         if res.min_value == touched:
             # lam is the unique breakpoint between lo and hi

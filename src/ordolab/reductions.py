@@ -19,7 +19,7 @@ from .core import (
     weighted_mlop_objective,
 )
 from .matroids import DualMatroid, GraphicMatroid, Matroid, duplicate
-from .solve import EXACT_SOLVER_CAP, exact_mlop_dp, exact_weighted_mlop_dp
+from .solve import EXACT_SOLVER_CAP, exact_weighted_mlop_dp
 
 
 @dataclass(frozen=True)
@@ -228,34 +228,3 @@ def solve_mlvc_via_apex(G: Graph, cap: int = EXACT_SOLVER_CAP):
         description="weighted apex optimum = MLVC optimum + k * C(n+1, 2)",
     )
     return pi, value, red, cert
-
-
-def solve_mlvc_via_unweighted(G: Graph, cap: int = EXACT_SOLVER_CAP):
-    """The fully composed chain MLVC -> weighted apex -> parallel expansion.
-
-    The expanded ground set has m + n + (k - 1) n elements, which exceeds
-    the default exact cap for every nonempty graph; pass an explicit cap to
-    force a run.  Exposed for completeness: the expansion argument is a
-    polynomiality device, not a practical solver.
-    """
-    red = mlvc_to_weighted_graphic(G)
-    matroid = GraphicMatroid(red.apex_graph)
-    N, groups = duplicate(matroid, list(red.costs))
-    opt, sigma_exp = exact_mlop_dp(N, cap=cap)
-    # contract the expanded ordering back to apex edges by first copies
-    first_copy_pos = {}
-    for e, group in enumerate(groups):
-        first_copy_pos[e] = min(sigma_exp.positions[c] for c in group)
-    order = sorted(first_copy_pos, key=first_copy_pos.get)
-    sigma = Ordering.from_sequence(order)
-    pi = red.recover_labeling(sigma)
-    value = mlvc_objective(G, pi)
-    cert = ReductionCertificate(
-        kind="mlvc-unweighted-chain",
-        source_value=Fraction(opt),
-        target_value=Fraction(value),
-        scale=Fraction(1),
-        shift=Fraction(red.base_offset),
-        description="expanded unweighted optimum = MLVC optimum + k * C(n+1, 2)",
-    )
-    return pi, value, cert

@@ -5,15 +5,24 @@ lattice-extreme minimizers.  Grounds up to the exact cap are solved by a
 vectorized scan of the oracle's dense integer table (D*f, see
 ``SetFunctionOracle.dense_values``): for lambda = p/q it minimizes
 q*D*f(X) - p*D*|X| over all masks, exactly, and AND/OR-reduces the
-argmins to the lattice endpoints.  Larger grounds go through a
-Fujishige-Wolfe minimum-norm-point solve in floating point, followed by
-level-set rounding at tolerance 1e-9, exact re-evaluation, a
-+/-1-element exchange check, and element-wise probes for the lattice
-endpoints.  A failed internal check raises ``CertificateError``.
+argmins to the lattice endpoints.  Larger grounds go through one
+Fujishige-Wolfe minimum-norm-point search in floating point that keeps the
+exact greedy vertex of every active point.  The search is finished in exact
+rationals from its final active set (usually already optimal, so one exact
+affine solve), giving a point x* that passes Wolfe's optimality test
+exactly.  x* is then certified: its coefficients are a convex combination,
+and x*(X) <= f(X) - lambda*|X| holds on every singleton and co-singleton X.
+For a submodular f, x* is the minimum-norm base, the minimum is the sum of
+its negative entries, and {x* < 0} and {x* <= 0} are the minimal and
+maximal minimizers; both are re-evaluated exactly.  A failed check raises
+``CertificateError``; there is no fallback.
 
 References for the min-norm-point route:
   Wolfe, "Finding the nearest point in a polytope", Math. Prog. 1976.
   Fujishige, Hayashi, Isotani, RIMS preprint 1571, 2006.
+  Fujishige, Submodular Functions and Optimization, 2nd ed. 2005, Thm 7.15.
+  Chakrabarty, Jain, Kothari, "Provable submodular function minimization
+  using Wolfe's algorithm", NeurIPS 2014.
 """
 
 from __future__ import annotations
@@ -57,9 +66,9 @@ def minimize_offset(
 ) -> SfmResult:
     """Exact global minimum of f(X) - lam*|X| over all subsets.
 
-    The caller is responsible for f being submodular; the lattice structure
-    of the minimizers is verified and a CertificateError is raised if it
-    fails.
+    The caller is responsible for f being submodular; both paths verify
+    their result (the lattice of minimizers, or the min-norm certificate)
+    and raise CertificateError if it fails.
     """
     lam = Fraction(lam)
     if method == "auto":
@@ -98,8 +107,6 @@ def constrained_min(
     lam: Fraction,
     include: int = 0,
     exclude: int = 0,
-    method: str = "auto",
-    enum_cap: int = EXACT_SOLVER_CAP,
 ) -> SfmResult:
     """Minimum of f(X) - lam*|X| over sets with include <= X <= E - exclude."""
     if include & exclude:
@@ -112,7 +119,7 @@ def constrained_min(
         value = f(0)
         return SfmResult(Fraction(value), 0, 0)
     g = ContractedOracle(f, include, free)
-    inner = minimize_offset(g, lam, method=method, enum_cap=enum_cap)
+    inner = minimize_offset(g, lam)
     offset = f(include) - lam * include.bit_count()
     return SfmResult(
         inner.min_value + offset,
@@ -121,12 +128,12 @@ def constrained_min(
     )
 
 
-def st_min_cut(f: SetFunctionOracle, s: int, t: int, **kwargs) -> tuple[int, Fraction]:
+def st_min_cut(f: SetFunctionOracle, s: int, t: int) -> tuple[int, Fraction]:
     """A minimum s-t cut of a symmetric oracle: X with s in X, t out of X,
     minimizing f(X).  Returns (cut set, value)."""
     if s == t:
         raise ValueError("s and t must differ")
-    res = constrained_min(f, Fraction(0), include=1 << s, exclude=1 << t, **kwargs)
+    res = constrained_min(f, Fraction(0), include=1 << s, exclude=1 << t)
     return res.minimal_minimizer, res.min_value
 
 
@@ -149,13 +156,6 @@ def check_symmetry(f: SetFunctionOracle, rng=None, samples: int = 16) -> bool:
 # Fujishige-Wolfe path (grounds beyond the enumeration cap)
 
 
-def _greedy_base_vertex(w: np.ndarray, marginals) -> np.ndarray:
-    """Linear optimization over the base polytope: order w ascending and take
-    marginal gains along that chain."""
-    order = np.argsort(w, kind="stable")
-    return marginals(order)
-
-
 def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = S.shape[0]
     M = S @ S.T
@@ -167,19 +167,30 @@ def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sol, S.T @ sol
 
 
-def _min_norm_point(n: int, marginals) -> np.ndarray:
-    """Wolfe's algorithm for the minimum-norm point of the base polytope."""
-    x = _greedy_base_vertex(np.zeros(n), marginals)
-    S = x.reshape((1, n))
+def _min_norm_point(n: int, greedy_vertex) -> tuple[list[list[Fraction]], np.ndarray]:
+    """Wolfe's algorithm for the minimum-norm point of the base polytope, in
+    floating point.  ``greedy_vertex(order)`` returns the exact vertex for
+    an ordering of the ground set.  Returns the exact vertices of the final
+    active set and their float coefficients."""
+
+    def vertex(w: np.ndarray) -> list[Fraction]:
+        # linear optimization over the base polytope: order w ascending
+        return greedy_vertex(np.argsort(w, kind="stable").tolist())
+
+    V = [vertex(np.zeros(n))]
+    S = np.array(V, dtype=float)
+    x = S[0]
     coeff = np.array([1.0])
     for _ in range(200 * (n + 1) ** 2):
-        q = _greedy_base_vertex(x, marginals)
+        exact_q = vertex(x)
+        q = np.array(exact_q, dtype=float)
         scale = max(float(np.max(np.abs(S))) ** 2, float(q @ q), 1.0)
         if float(x @ q) >= float(x @ x) - WOLFE_TOL * scale:
             break
         if np.any(np.all(np.abs(S - q) < WOLFE_TOL, axis=1)):
             break
         S = np.vstack([S, q])
+        V.append(exact_q)
         coeff = np.hstack([coeff, 0.0])
         while True:
             b, y = _affine_minimizer(S)
@@ -194,91 +205,111 @@ def _min_norm_point(n: int, marginals) -> np.ndarray:
             if not np.any(keep):
                 keep[int(np.argmax(coeff))] = True
             S = S[keep]
+            V = [v for v, k in zip(V, keep) if k]
             coeff = coeff[keep]
             coeff = coeff / coeff.sum()
             x = S.T @ coeff
-    return x
+    return V, coeff
 
 
-def _local_exchange_check(g, candidate: int, m: int) -> int:
-    """Greedy +/-1-element improvement of an exactly evaluated candidate."""
-    best = g(candidate)
-    improved = True
-    while improved:
-        improved = False
-        for e in range(m):
-            neighbor = candidate ^ (1 << e)
-            v = g(neighbor)
-            if v < best:
-                best, candidate = v, neighbor
-                improved = True
-    return candidate
+def _exact_affine_coefficients(V: list[list[Fraction]]) -> list[Fraction]:
+    """Coefficients c, summing to 1, of the point of least norm in the
+    affine hull of V: the exact solution of
+    [[0, 1^T], [1, V V^T]] (mu, c) = (1, 0), by Gauss-Jordan elimination.
+    The system is always consistent; free variables of a singular one are
+    set to 0, and the caller checks the coefficients it gets."""
+    k = len(V)
+    rows = [[Fraction(0)] + [Fraction(1)] * k + [Fraction(1)]]
+    for u in V:
+        rows.append([Fraction(1)] + [sum(a * b for a, b in zip(u, v)) for v in V] + [Fraction(0)])
+    pivots = []
+    for col in range(k + 1):
+        r = len(pivots)
+        pivot = next((i for i in range(r, k + 1) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        rows[r] = [a / lead for a in rows[r]]
+        for i in range(k + 1):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    sol = [Fraction(0)] * (k + 1)
+    for r, col in enumerate(pivots):
+        sol[col] = rows[r][-1]
+    return sol[1:]
 
 
-def _wolfe_value(f: SetFunctionOracle, lam: Fraction) -> Fraction:
-    """Minimum of f(X) - lam*|X| via min-norm point, rounded and exactly
-    re-evaluated.  Returns the value only."""
-    m = f.m
-
-    def g(S: int) -> Fraction:
-        return f(S) - lam * S.bit_count()
-
-    def marginals(order: np.ndarray) -> np.ndarray:
-        out = np.empty(m)
-        mask = 0
-        prev = Fraction(0)
-        for e in order:
-            mask |= 1 << int(e)
-            cur = g(mask)
-            out[int(e)] = float(cur - prev)
-            prev = cur
-        return out
-
-    x = _min_norm_point(m, marginals)
-    # level-set rounding: strictly-negative coordinates give the minimal
-    # minimizer candidate, nonpositive ones the maximal
-    cand_lo = sum(1 << e for e in range(m) if x[e] < -WOLFE_TOL)
-    cand_hi = sum(1 << e for e in range(m) if x[e] < WOLFE_TOL)
-    cand_lo = _local_exchange_check(g, cand_lo, m)
-    cand_hi = _local_exchange_check(g, cand_hi, m)
-    return min(g(cand_lo), g(cand_hi), g(0))
-
-
-def _offset_min_value(
-    f: SetFunctionOracle, lam: Fraction, include: int, exclude: int
-) -> Fraction:
-    """Constrained minimum value only (no lattice extraction, no recursion)."""
-    free = [e for e in range(f.m) if not ((include | exclude) >> e) & 1]
-    g = ContractedOracle(f, include, free)
-    offset = f(include) - lam * include.bit_count()
-    if g.m <= EXACT_SOLVER_CAP:
-        return _minimize_enumerate(g, lam, EXACT_SOLVER_CAP).min_value + offset
-    return _wolfe_value(g, lam) + offset
+def _exact_min_norm_point(V: list[list[Fraction]], coeff: np.ndarray, greedy_vertex):
+    """Wolfe's algorithm in exact arithmetic, started from the float search's
+    final active set, which is usually already optimal.  The float search
+    stops at a tolerance, so a point within it of the optimum gets the
+    remaining major cycles here.  Returns the coefficients c and the point
+    x = sum c_i V_i, with x.q >= x.x for the greedy vertex q at x."""
+    m = len(V[0])
+    c = [Fraction(float(a)) for a in coeff]
+    total = sum(c)
+    c = [a / total for a in c]
+    while True:
+        # minor cycles: toward the affine minimizer of V until it is convex
+        while True:
+            b = _exact_affine_coefficients(V)
+            if all(bi >= 0 for bi in b):
+                c = b
+                break
+            theta = min(ci / (ci - bi) for ci, bi in zip(c, b) if bi < 0)
+            c = [theta * bi + (1 - theta) * ci for ci, bi in zip(c, b)]
+            V = [v for v, ci in zip(V, c) if ci > 0]
+            c = [ci for ci in c if ci > 0]
+        x = [sum(ci * v[e] for ci, v in zip(c, V)) for e in range(m)]
+        q = greedy_vertex(sorted(range(m), key=x.__getitem__))
+        if sum(xe * qe for xe, qe in zip(x, q)) >= sum(xe * xe for xe in x):
+            return c, x
+        V = V + [q]
+        c = c + [Fraction(0)]
 
 
 def _minimize_wolfe(f: SetFunctionOracle, lam: Fraction) -> SfmResult:
+    """Float Wolfe search, finished and certified in exact arithmetic.
+
+    With h(X) = f(X) - lam*|X| - f(empty), the exact point x* passes Wolfe's
+    optimality test x*.q >= x*.x* at the greedy vertex q for x*, is checked
+    to be a convex combination of its active vertices, and to satisfy
+    x*(X) <= h(X) on the 2m sets {e} and E - e (a cheap necessary condition
+    of x* lying in the base polytope).  The minimum is then x*^-(E),
+    attained exactly by {x* < 0} and {x* <= 0}, which are re-evaluated."""
     m = f.m
+    g0 = f(0)
+    if m == 0:
+        return SfmResult(Fraction(g0), 0, 0)
 
-    def g(S: int) -> Fraction:
-        return f(S) - lam * S.bit_count()
+    def h(S: int) -> Fraction:
+        return f(S) - lam * S.bit_count() - g0
 
-    best = _wolfe_value(f, lam)
-    # element-wise probes: e belongs to the maximal minimizer iff forcing it
-    # in still attains the optimum, and to the minimal iff forcing it out
-    # does not
-    hi = 0
-    lo = 0
+    def greedy_vertex(order: list[int]) -> list[Fraction]:
+        out = [Fraction(0)] * m
+        mask = 0
+        prev = Fraction(0)
+        for e in order:
+            mask |= 1 << e
+            cur = h(mask)
+            out[e] = cur - prev
+            prev = cur
+        return out
+
+    c, x = _exact_min_norm_point(*_min_norm_point(m, greedy_vertex), greedy_vertex)
+    if any(ci < 0 for ci in c) or sum(c) != 1:
+        raise CertificateError("min-norm point is not a convex combination of its active set")
+    full = f.full_mask
+    total = sum(x)
     for e in range(m):
-        forced_in = _offset_min_value(f, lam, 1 << e, 0)
-        if forced_in < best:
-            raise CertificateError("min-norm rounding missed the optimum")
-        if forced_in == best:
-            hi |= 1 << e
-        forced_out = _offset_min_value(f, lam, 0, 1 << e)
-        if forced_out < best:
-            raise CertificateError("min-norm rounding missed the optimum")
-        if forced_out > best:
-            lo |= 1 << e
-    if g(hi) != best or g(lo) != best:
-        raise CertificateError("rounding failed to certify the minimizer lattice")
-    return SfmResult(best, lo, hi)
+        if x[e] > h(1 << e) or total - x[e] > h(full ^ (1 << e)):
+            raise CertificateError("min-norm point lies outside the base polytope: oracle not submodular?")
+    lo = sum(1 << e for e in range(m) if x[e] < 0)
+    hi = sum(1 << e for e in range(m) if x[e] <= 0)
+    value = sum(xe for xe in x if xe < 0)
+    if h(lo) != value or h(hi) != value:
+        raise CertificateError("min-norm level sets do not attain the minimum")
+    return SfmResult(Fraction(value + g0), lo, hi)

@@ -172,7 +172,7 @@ def pp_upper_bound(f: SetFunctionOracle, pp: PrincipalPartition) -> Fraction:
     return total
 
 
-def approx_monotone_mlop(f: SetFunctionOracle, **solver_kwargs):
+def approx_monotone_mlop(f: SetFunctionOracle):
     """Order the ground set along a linear extension of the principal
     partition of f (zero-set elements first), and certify the result.
 
@@ -186,7 +186,7 @@ def approx_monotone_mlop(f: SetFunctionOracle, **solver_kwargs):
         return order, BoundCertificate(zero, zero, Fraction(1), zero, trivial=True)
 
     U, f2 = zero_set_contract(f)
-    pp = compute_principal_partition(f2, **solver_kwargs)
+    pp = compute_principal_partition(f2)
     sequence = sorted(iter_bits(U))
     for cell in pp.cells():
         members = sorted(iter_bits(cell), key=lambda e: (f2(1 << e), e))

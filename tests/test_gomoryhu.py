@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ordolab import (
+    CertificateError,
     CutFunction,
     GomoryHuTree,
     Graph,
@@ -17,7 +18,8 @@ from ordolab import (
     st_min_cut,
     tree_mlop,
 )
-from ordolab.gomoryhu import _contraction_gh, _verify_cut_property
+from ordolab import cli, gomoryhu
+from ordolab.gomoryhu import _verify_cut_property
 
 from ordolab.instances import (
     complete_graph,
@@ -162,15 +164,22 @@ def test_tree_mlop_optimal_vs_enumeration():
         assert value == best
 
 
-def test_contraction_construction_agrees():
-    rng = random.Random(44)
-    for _ in range(5):
-        n = rng.randint(4, 6)
-        G = random_weighted_graph(n, rng.randint(n - 1, min(9, n * (n - 1) // 2)), rng)
-        f = CutFunction(G)
-        tree = _contraction_gh(f)
-        assert _verify_cut_property(f, tree)
-        assert tree.total_weight() == build_gh_tree(f).total_weight()
+def test_wrong_gusfield_weight_fails_the_certificate(tmp_path, monkeypatch):
+    gusfield = gomoryhu._gusfield
+
+    def one_weight_off(f, order):
+        tree = gusfield(f, order)
+        (a, b, w), *rest = tree.edges
+        return GomoryHuTree(tree.n, ((a, b, w + 1), *rest))
+
+    monkeypatch.setattr(gomoryhu, "_gusfield", one_weight_off)
+    with pytest.raises(CertificateError):
+        build_gh_tree(CutFunction(path_graph(4)))
+    path = tmp_path / "p4.graph"
+    path.write_text("4 3\n1 2\n2 3\n3 4\n")
+    report, code = cli.run(["ghtree", "--input", str(path)])
+    assert code == 1
+    assert "cut property" in report["error"]
 
 
 def test_weight_invariance():

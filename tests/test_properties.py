@@ -82,6 +82,13 @@ def test_minimize_offset_matches_brute_scan(f, lam):
 
 
 @PROPERTY
+@given(oracles, lambdas)
+def test_minimize_offset_wolfe_matches_brute_scan(f, lam):
+    # the certified min-norm path, empty grounds included
+    assert_matches_brute_scan(minimize_offset(f, lam, method="wolfe"), f, lam)
+
+
+@PROPERTY
 @given(oracles, lambdas, st.data())
 def test_constrained_min_matches_brute_scan(f, lam, data):
     labels = data.draw(st.lists(st.sampled_from("ixf"), min_size=f.m, max_size=f.m))

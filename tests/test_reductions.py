@@ -21,7 +21,6 @@ from ordolab import (
     msvc_objective,
     regular_shift,
     solve_mlvc_via_apex,
-    solve_mlvc_via_unweighted,
     weighted_to_unweighted,
 )
 from ordolab.reductions import ReductionCertificate
@@ -240,11 +239,6 @@ def test_apex_good_property_star_ranks_distinct():
         if e in red.star_edge_of:
             star_ranks[e] = matroid.rank(prefix)
     assert len(set(star_ranks.values())) == len(red.star_edge_of)
-
-
-def test_composed_chain_exceeds_default_cap():
-    with pytest.raises(ValueError):
-        solve_mlvc_via_unweighted(Graph(2, ((0, 1),)))
 
 
 def test_composed_chain_structure():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ordolab import (
@@ -19,6 +20,7 @@ from ordolab import (
 )
 
 from helpers import brute_min_offset
+from ordolab import sfm
 from ordolab.instances import path_graph, random_connected_graph, triangle_with_bridge
 
 PARALLEL3 = GraphicMatroid(Graph(2, ((0, 1), (0, 1), (0, 1))))
@@ -169,6 +171,13 @@ def test_non_submodular_oracle_fails_the_lattice_certificate():
         minimize_offset(TwoSeparateMinima(), Fraction(0))
 
 
+def test_non_submodular_oracle_fails_the_min_norm_certificate():
+    # the level sets of x* = 0 attain the value 0; only the base polytope
+    # check x*({e}) <= f({e}) = -1 exposes the oracle
+    with pytest.raises(CertificateError, match="base polytope"):
+        minimize_offset(TwoSeparateMinima(), Fraction(0), method="wolfe")
+
+
 def test_check_symmetry():
     assert check_symmetry(CutFunction(path_graph(4)))
     assert not check_symmetry(UniformMatroid(3, 2))
@@ -192,3 +201,14 @@ def test_auto_switches_to_wolfe_beyond_cap():
     res = minimize_offset(f, Fraction(1, 2), enum_cap=4)  # force the large-ground path
     assert res.min_value == 0
     assert res.minimal_minimizer == 0
+
+
+def test_exact_finish_completes_a_float_search_stopped_early(monkeypatch):
+    # a float search that stops at its first vertex leaves every major and
+    # minor cycle to the exact finish
+    monkeypatch.setattr(
+        sfm, "_min_norm_point", lambda n, vertex: ([vertex(list(range(n)))], np.ones(1))
+    )
+    f = GraphicMatroid(random_connected_graph(5, 8, random.Random(3)))
+    for lam in (Fraction(0), Fraction(1, 2), Fraction(4, 7), Fraction(1)):
+        assert minimize_offset(f, lam, method="wolfe") == minimize_offset(f, lam)
