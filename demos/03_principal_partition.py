@@ -2,8 +2,10 @@
 
 Sweeping lambda upward, the maximal minimizer jumps through a nested chain
 of sets; the jump points (critical values) are exact rationals equal to the
-growth ratio between consecutive chain sets.  The chain is the scaffolding
-for the ordering approximation in demo 04.
+growth ratio between consecutive chain sets.  All of it is read off one
+vector, the minimum-norm base x* of f: its distinct values are the critical
+values and its level sets {x* <= lambda} are the chain.  The chain is the
+scaffolding for the ordering approximation in demo 04.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from ordolab import (
     GraphicMatroid,
     compute_principal_partition,
     linearity_stats,
+    min_norm_base,
     minimize_offset,
     zero_set_contract,
 )
@@ -23,6 +26,12 @@ tb = GraphicMatroid(triangle_with_bridge())
 pp = compute_principal_partition(tb)
 print("chain sets:", [bin(s) for s in pp.sets])
 print("critical values:", pp.critical_values)
+
+# The minimum-norm base: 2/3 on the triangle, 1 on the bridge.
+x = min_norm_base(tb)
+print("x* =", tuple(str(v) for v in x))
+print("distinct values of x* are the critical values:",
+      tuple(sorted(set(x))) == pp.critical_values)
 
 # Watch the maximal minimizer jump at the critical values.
 for lam in (Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(1), Fraction(3, 2)):

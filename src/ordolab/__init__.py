@@ -24,7 +24,6 @@ from .core import (
 )
 from .gomoryhu import (
     GomoryHuTree,
-    all_trees,
     build_gh_tree,
     gh_lower_bound,
     gh_upper_bound,
@@ -60,7 +59,6 @@ from .mlvc import (
     mlvc_brute_optimum,
     parse_hypergraph,
     regular_lp_value,
-    sample_extension,
     solve_lp,
 )
 from .partition import (
@@ -80,7 +78,14 @@ from .reductions import (
     solve_mlvc_via_apex,
     weighted_to_unweighted,
 )
-from .sfm import SfmResult, check_symmetry, constrained_min, minimize_offset, st_min_cut
+from .sfm import (
+    SfmResult,
+    check_symmetry,
+    constrained_min,
+    min_norm_base,
+    minimize_offset,
+    st_min_cut,
+)
 from .solve import (
     BoundCertificate,
     approx_monotone_mlop,

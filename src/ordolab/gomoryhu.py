@@ -240,33 +240,3 @@ def gh_weight_invariance(f: SetFunctionOracle, runs: int, seed: int = 0) -> bool
         raise ValueError("need at least two runs")
     totals = {build_gh_tree(f, seed=seed + i).total_weight() for i in range(runs)}
     return len(totals) == 1
-
-
-def all_trees(n: int):
-    """All labeled trees on n vertices via Pruefer sequences (n^(n-2))."""
-    import heapq
-    from itertools import product
-
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(0, 1)]
-        return
-    for seq in product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        heap = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(heap)
-        for v in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((leaf, v))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(heap, v)
-        u = heapq.heappop(heap)
-        w = heapq.heappop(heap)
-        edges.append((u, w))
-        yield edges

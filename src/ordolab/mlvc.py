@@ -122,12 +122,6 @@ def _sample(poset: SchedulingPoset, rng: random.Random) -> list[int]:
     return schedule
 
 
-def sample_extension(H: Hypergraph, seed: int = 0) -> list[int]:
-    """One random linear extension: vertices in a uniform random order, each
-    edge scheduled immediately once complete, edge ties shuffled."""
-    return _sample(build_poset(H), random.Random(seed))
-
-
 def exact_pair_probability(poset: SchedulingPoset, a: int, b: int) -> Fraction | None:
     """P(job a is scheduled before job b) under the sampler, or None for
     comparable pairs.  For jobs with member sets A, B the probability is

@@ -3,8 +3,10 @@
 The principal partition of a monotone submodular f that is positive off the
 empty set is the nested chain of maximal minimizers of f(X) - lambda*|X| as
 lambda sweeps upward, with the critical values at which the minimizer jumps.
-Critical values are found by a discrete-Newton recursion over exact
-rationals, so no breakpoint can be missed.
+Both are read off the minimum-norm base x* of f (``sfm.min_norm_base``;
+certified for any oracle within the exact cap, relying on submodularity
+beyond it): the critical values are the distinct values of x*, and the
+chain sets are {x* <= lambda}, each checked tight, f(S) = x*(S).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CertificateError, ContractedOracle, SetFunctionOracle
-from .sfm import minimize_offset
+from .core import CertificateError, ContractedOracle, SetFunctionOracle, iter_bits
+from .sfm import min_norm_base, minimize_offset
 
 
 @dataclass(frozen=True)
@@ -31,9 +33,7 @@ class PrincipalPartition:
     trivial: bool = False
 
     def __post_init__(self):
-        if len(self.sets) < 2:
-            raise ValueError("partition chain needs at least the empty and full set")
-        if self.sets[0] != 0:
+        if not self.sets or self.sets[0] != 0:
             raise ValueError("chain must start at the empty set")
         for a, b in zip(self.sets, self.sets[1:]):
             if a & ~b or a == b:
@@ -89,49 +89,22 @@ def compute_principal_partition(f: SetFunctionOracle) -> PrincipalPartition:
     """The maximal-minimizer chain of f with its exact critical values.
 
     Requires f(S) = 0 iff S is empty (contract the zero set away first).
-    The identically-zero oracle yields the trivial two-set chain with no
-    critical values.
-    """
-    if f.m == 0:
-        raise ValueError("empty ground set")
+    An identically-zero oracle yields the trivial chain with no critical
+    values."""
     if f(0) != 0:
         raise ValueError("oracle is not normalized: f(empty) != 0")
-    m = f.m
     full = f.full_mask
     if f(full) == 0:
-        return PrincipalPartition((0, full), (), trivial=True)
-    zero_set = minimize_offset(f, Fraction(0)).maximal_minimizer
-    if zero_set != 0:
-        raise ValueError(
-            "f vanishes on a nonempty set; apply zero_set_contract first"
-        )
-
-    chain: list[tuple[Fraction, int]] = []
-
-    def refine(lo: int, hi: int) -> None:
-        size_gap = hi.bit_count() - lo.bit_count()
-        if size_gap == 0:
-            return
-        lam = Fraction(f(hi) - f(lo), size_gap)
-        res = minimize_offset(f, lam)
-        touched = f(lo) - lam * lo.bit_count()
-        if res.min_value == touched:
-            # lam is the unique breakpoint between lo and hi
-            if res.minimal_minimizer != lo or res.maximal_minimizer != hi:
-                raise CertificateError(
-                    "breakpoint structure violated; oracle not submodular?"
-                )
-            chain.append((lam, hi))
-        else:
-            mid = res.maximal_minimizer
-            refine(lo, mid)
-            refine(mid, hi)
-
-    refine(0, full)
-    chain.sort(key=lambda t: t[0])
-    sets = (0,) + tuple(S for _, S in chain)
-    lambdas = tuple(lam for lam, _ in chain)
-    return PrincipalPartition(sets, lambdas)
+        return PrincipalPartition((0, full) if full else (0,), (), trivial=True)
+    x = min_norm_base(f)
+    if min(x) <= 0:
+        raise ValueError("f vanishes on a nonempty set; apply zero_set_contract first")
+    lambdas = tuple(sorted(set(x)))
+    sets = tuple(sum(1 << e for e, xe in enumerate(x) if xe <= lam) for lam in lambdas)
+    for S in sets:
+        if f(S) != sum(x[e] for e in iter_bits(S)):
+            raise CertificateError("chain set of the min-norm base is not tight")
+    return PrincipalPartition((0,) + sets, lambdas)
 
 
 def linearity_stats(f: SetFunctionOracle) -> LinearityStats:

@@ -1,34 +1,39 @@
-"""Submodular function minimization with a modular offset.
+"""Submodular function minimization through the minimum-norm base.
 
-``minimize_offset`` finds min_X f(X) - lambda*|X| together with the two
-lattice-extreme minimizers.  Grounds up to the exact cap are solved by a
-vectorized scan of the oracle's dense integer table (D*f, see
-``SetFunctionOracle.dense_values``): for lambda = p/q it minimizes
-q*D*f(X) - p*D*|X| over all masks, exactly, and AND/OR-reduces the
-argmins to the lattice endpoints.  Larger grounds go through one
-Fujishige-Wolfe minimum-norm-point search in floating point that keeps the
-exact greedy vertex of every active point.  The search is finished in exact
-rationals from its final active set (usually already optimal, so one exact
-affine solve), giving a point x* that passes Wolfe's optimality test
-exactly.  x* is then certified: its coefficients are a convex combination,
-and x*(X) <= f(X) - lambda*|X| holds on every singleton and co-singleton X.
-For a submodular f, x* is the minimum-norm base, the minimum is the sum of
-its negative entries, and {x* < 0} and {x* <= 0} are the minimal and
-maximal minimizers; both are re-evaluated exactly.  A failed check raises
-``CertificateError``; there is no fallback.
+For a submodular f, the minimum-norm base x* of B(f - f(empty)) answers
+every minimization with a modular offset: min_X f(X) - lambda*|X| is
+f(empty) + sum_e min(x*_e - lambda, 0), attained by {x* < lambda} and
+{x* <= lambda}, the minimal and maximal minimizers.  ``min_norm_base``
+computes x* exactly and certifies it; ``minimize_offset`` reads one base
+and re-evaluates both level sets.
 
-References for the min-norm-point route:
-  Wolfe, "Finding the nearest point in a polytope", Math. Prog. 1976.
-  Fujishige, Hayashi, Isotani, RIMS preprint 1571, 2006.
-  Fujishige, Submodular Functions and Optimization, 2nd ed. 2005, Thm 7.15.
-  Chakrabarty, Jain, Kothari, "Provable submodular function minimization
-  using Wolfe's algorithm", NeurIPS 2014.
+Up to the exact cap, x* is read off the oracle's dense integer table D*f:
+the strict vertices of the lower convex hull of the per-size minima
+g(k) = min_{|X|=k} D*f(X) must have unique, nested argmins, and x* takes
+the hull slope on the cell where an element enters.  With x*(X) <= f(X)
+checked on all 2^m subsets, x* is the minimum-norm point of
+{x : x(X) <= f(X), x(E) = f(E)} with tight level sets, so every answer is
+exact for any oracle.  Beyond the cap, one Fujishige-Wolfe search in
+floating point keeps the exact greedy vertex of every active point and is
+finished in exact rationals, giving a point that passes Wolfe's optimality
+test exactly, is a convex combination of its active vertices, and
+satisfies x*(X) <= f(X) on the 2m singletons and co-singletons.  Beyond
+those sets it is the minimum-norm base only if f is submodular.  A failed
+check raises ``CertificateError``.
+
+References: Fujishige, Math. OR 1980 (lexicographically optimal base) and
+Submodular Functions and Optimization, 2nd ed. 2005, Thm 7.15; Nagano,
+Kawahara, Aihara, ICML 2011; Wolfe, Math. Prog. 1976; Chakrabarty, Jain,
+Kothari, NeurIPS 2014.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from math import comb, lcm
 
 import numpy as np
 
@@ -38,11 +43,13 @@ from .core import (
     ContractedOracle,
     SetFunctionOracle,
     int_dtype,
+    iter_bits,
     max_abs,
     popcounts,
 )
 
 WOLFE_TOL = 1e-9
+OUTSIDE_BASE_POLYTOPE = "min-norm base lies outside the base polytope: oracle not submodular?"
 
 
 @dataclass(frozen=True)
@@ -64,42 +71,82 @@ def minimize_offset(
     method: str = "auto",
     enum_cap: int = EXACT_SOLVER_CAP,
 ) -> SfmResult:
-    """Exact global minimum of f(X) - lam*|X| over all subsets.
-
-    The caller is responsible for f being submodular; both paths verify
-    their result (the lattice of minimizers, or the min-norm certificate)
-    and raise CertificateError if it fails.
-    """
+    """Exact global minimum of f(X) - lam*|X| over all subsets, read off the
+    minimum-norm base (``method`` and ``enum_cap`` as in ``min_norm_base``);
+    both level sets must attain it, else CertificateError."""
     lam = Fraction(lam)
+    x = min_norm_base(f, method, enum_cap)
+    value = f(0) + sum(min(xe - lam, 0) for xe in x)
+    lo = sum(1 << e for e, xe in enumerate(x) if xe < lam)
+    hi = sum(1 << e for e, xe in enumerate(x) if xe <= lam)
+    for S in (lo, hi):
+        if f(S) - lam * S.bit_count() != value:
+            raise CertificateError("min-norm level sets do not attain the minimum")
+    return SfmResult(Fraction(value), lo, hi)
+
+
+def min_norm_base(
+    f: SetFunctionOracle, method: str = "auto", enum_cap: int = EXACT_SOLVER_CAP
+) -> list[Fraction]:
+    """The exact minimum-norm base x* of B(f - f(empty)), certified, else
+    CertificateError.  ``"enumerate"`` reads it off the dense table (up to
+    ``enum_cap``; certified for any oracle), ``"wolfe"`` runs the
+    Fujishige-Wolfe search (the certificate relies on f being submodular),
+    and ``"auto"`` picks by ``enum_cap``."""
     if method == "auto":
         method = "enumerate" if f.m <= enum_cap else "wolfe"
     if method == "enumerate":
-        return _minimize_enumerate(f, lam, enum_cap)
+        return _table_base(f, enum_cap)
     if method == "wolfe":
-        return _minimize_wolfe(f, lam)
+        return _wolfe_base(f)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _minimize_enumerate(f: SetFunctionOracle, lam: Fraction, enum_cap: int) -> SfmResult:
-    if f.m > enum_cap:
-        raise ValueError(
-            f"ground set of size {f.m} exceeds the enumeration cap ({enum_cap})"
-        )
+@lru_cache(maxsize=4)
+def _size_order(m: int) -> tuple[np.ndarray, list[int]]:
+    """All m-bit masks by size, ascending within a size; block offsets."""
+    order = np.argsort(popcounts(m), kind="stable")
+    order.flags.writeable = False
+    return order, [0, *accumulate(comb(m, k) for k in range(m + 1))]
+
+
+def _table_base(f: SetFunctionOracle, enum_cap: int) -> list[Fraction]:
     table = f.dense_values(cap=enum_cap)
-    D = f.dense_denominator
-    p, q = lam.numerator, lam.denominator
-    # q*D*(f(X) - lam*|X|) over all masks X; the bound also covers q and p*D
-    dtype = int_dtype(q * (max_abs(table) + 1) + abs(p) * D * (f.m + 1))
-    g = table.astype(dtype)
-    g *= q
-    g -= np.multiply(popcounts(f.m), p * D, dtype=dtype)
-    best = g.min()
-    argmins = np.flatnonzero(g == best)
-    lo = int(np.bitwise_and.reduce(argmins))
-    hi = int(np.bitwise_or.reduce(argmins))
-    if g[lo] != best or g[hi] != best:
-        raise CertificateError("minimizers do not form a lattice: oracle not submodular?")
-    return SfmResult(Fraction(int(best), q * D), lo, hi)
+    D, m = f.dense_denominator, f.m
+    order, starts = _size_order(m)
+    by_size = table[order]
+    g = np.minimum.reduceat(by_size, starts[:-1]).tolist()
+    hull = [0]  # strict vertices of the lower convex hull of (k, g(k))
+    for k in range(1, m + 1):
+        while len(hull) > 1 and (
+            (hull[-1] - hull[-2]) * (g[k] - g[hull[-2]])
+            <= (g[hull[-1]] - g[hull[-2]]) * (k - hull[-2])
+        ):
+            hull.pop()
+        hull.append(k)
+    # x* takes the hull slope on the cell where an element enters the
+    # chain of argmins; L*D*x* is integral, L the lcm of the cell sizes
+    L = lcm(*(b - a for a, b in zip(hull, hull[1:])))
+    scaled = [0] * m
+    prev = 0
+    for a, b in zip(hull, hull[1:]):
+        hits = np.flatnonzero(by_size[starts[b]:starts[b + 1]] == g[b])
+        if len(hits) != 1:
+            raise CertificateError("minimizer of a hull size is not unique")
+        S = int(order[starts[b] + hits[0]])
+        if prev & ~S:
+            raise CertificateError("minimizers of the hull sizes do not nest")
+        for e in iter_bits(S & ~prev):
+            scaled[e] = (g[b] - g[a]) * (L // (b - a))
+        prev = S
+    # x*(X) <= f(X) on all 2^m subsets, as L*D*x*(X) <= L*D*f(X)
+    dtype = int_dtype(L * max_abs(table) + sum(map(abs, scaled)))
+    lhs = np.zeros(1 << m, dtype=dtype)
+    for e, w in enumerate(scaled):
+        np.add(lhs[: 1 << e], w, out=lhs[1 << e : 2 << e])
+    if np.any(lhs > np.multiply(table, L, dtype=dtype)):
+        raise CertificateError(OUTSIDE_BASE_POLYTOPE)
+    return [Fraction(w, L * D) for w in scaled]
 
 
 def constrained_min(
@@ -115,9 +162,6 @@ def constrained_min(
         raise ValueError("constraint sets outside ground set")
     lam = Fraction(lam)
     free = [e for e in range(f.m) if not ((include | exclude) >> e) & 1]
-    if not free and include == 0:
-        value = f(0)
-        return SfmResult(Fraction(value), 0, 0)
     g = ContractedOracle(f, include, free)
     inner = minimize_offset(g, lam)
     offset = f(include) - lam * include.bit_count()
@@ -271,32 +315,20 @@ def _exact_min_norm_point(V: list[list[Fraction]], coeff: np.ndarray, greedy_ver
         c = c + [Fraction(0)]
 
 
-def _minimize_wolfe(f: SetFunctionOracle, lam: Fraction) -> SfmResult:
-    """Float Wolfe search, finished and certified in exact arithmetic.
-
-    With h(X) = f(X) - lam*|X| - f(empty), the exact point x* passes Wolfe's
-    optimality test x*.q >= x*.x* at the greedy vertex q for x*, is checked
-    to be a convex combination of its active vertices, and to satisfy
-    x*(X) <= h(X) on the 2m sets {e} and E - e (a cheap necessary condition
-    of x* lying in the base polytope).  The minimum is then x*^-(E),
-    attained exactly by {x* < 0} and {x* <= 0}, which are re-evaluated."""
+def _wolfe_base(f: SetFunctionOracle) -> list[Fraction]:
+    """Float Wolfe search on h = f - f(empty), finished in exact arithmetic
+    and checked: a convex combination, and x*(X) <= h(X) on the 2m sets {e}
+    and E - e (a necessary condition of x* lying in the base polytope)."""
     m = f.m
-    g0 = f(0)
     if m == 0:
-        return SfmResult(Fraction(g0), 0, 0)
-
-    def h(S: int) -> Fraction:
-        return f(S) - lam * S.bit_count() - g0
+        return []
+    g0 = f(0)
 
     def greedy_vertex(order: list[int]) -> list[Fraction]:
+        values = [Fraction(g0), *map(f, accumulate(1 << e for e in order))]
         out = [Fraction(0)] * m
-        mask = 0
-        prev = Fraction(0)
-        for e in order:
-            mask |= 1 << e
-            cur = h(mask)
-            out[e] = cur - prev
-            prev = cur
+        for i, e in enumerate(order):
+            out[e] = values[i + 1] - values[i]
         return out
 
     c, x = _exact_min_norm_point(*_min_norm_point(m, greedy_vertex), greedy_vertex)
@@ -305,11 +337,6 @@ def _minimize_wolfe(f: SetFunctionOracle, lam: Fraction) -> SfmResult:
     full = f.full_mask
     total = sum(x)
     for e in range(m):
-        if x[e] > h(1 << e) or total - x[e] > h(full ^ (1 << e)):
-            raise CertificateError("min-norm point lies outside the base polytope: oracle not submodular?")
-    lo = sum(1 << e for e in range(m) if x[e] < 0)
-    hi = sum(1 << e for e in range(m) if x[e] <= 0)
-    value = sum(xe for xe in x if xe < 0)
-    if h(lo) != value or h(hi) != value:
-        raise CertificateError("min-norm level sets do not attain the minimum")
-    return SfmResult(Fraction(value + g0), lo, hi)
+        if x[e] > f(1 << e) - g0 or total - x[e] > f(full ^ (1 << e)) - g0:
+            raise CertificateError(OUTSIDE_BASE_POLYTOPE)
+    return x

@@ -1,13 +1,28 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent brute-force oracles used to pin expected values, and the
+test-only generators (labelled trees, sampled linear extensions).
 
 These deliberately avoid the library's solver code paths: optima come from
 enumerating every permutation or subset directly.
 """
 
+import heapq
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
-from ordolab import Ordering
+from ordolab import GroundSet, Ordering, SetFunctionOracle, build_poset
+from ordolab.mlvc import _sample
+
+
+class TableOracle(SetFunctionOracle):
+    """f given by its values on all 2^m subsets, in mask order."""
+
+    def __init__(self, values):
+        super().__init__(GroundSet(len(values).bit_length() - 1))
+        self.values = tuple(values)
+
+    def evaluate(self, subset):
+        return self.values[subset]
 
 
 def prefix_sum(f, seq):
@@ -96,3 +111,53 @@ def is_submodular(f, exhaustive_limit: int = 8, rng=None, samples: int = 2000):
         if f(S) + f(T) < f(S | T) + f(S & T):
             return False
     return True
+
+
+def brute_partition(f):
+    """The strict vertices of the lower convex hull of (|X|, f(X)) over all
+    subsets X: returns (chain sets, slopes), the set at each vertex being
+    its size's unique minimizer."""
+    m = f.m
+    best = [min(f(S) for S in range(1 << m) if S.bit_count() == k) for k in range(m + 1)]
+    k, sets, slopes = 0, [0], []
+    while k < m:
+        # steepest descent to the right; the farthest point on a tie
+        slope, k = min((Fraction(best[j] - best[k], j - k), -j) for j in range(k + 1, m + 1))
+        k = -k
+        [S] = [S for S in range(1 << m) if S.bit_count() == k and f(S) == best[k]]
+        sets.append(S)
+        slopes.append(slope)
+    return tuple(sets), tuple(slopes)
+
+
+def all_trees(n: int):
+    """All labeled trees on n vertices via Pruefer sequences (n^(n-2))."""
+    if n == 1:
+        yield []
+        return
+    if n == 2:
+        yield [(0, 1)]
+        return
+    for seq in product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        heap = [v for v in range(n) if degree[v] == 1]
+        heapq.heapify(heap)
+        for v in seq:
+            leaf = heapq.heappop(heap)
+            edges.append((leaf, v))
+            degree[v] -= 1
+            if degree[v] == 1:
+                heapq.heappush(heap, v)
+        u = heapq.heappop(heap)
+        w = heapq.heappop(heap)
+        edges.append((u, w))
+        yield edges
+
+
+def sample_extension(H, seed: int = 0) -> list[int]:
+    """One random linear extension: vertices in a uniform random order, each
+    edge scheduled immediately once complete, edge ties shuffled."""
+    return _sample(build_poset(H), random.Random(seed))

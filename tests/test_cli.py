@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ordolab import CertificateError, cli
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
@@ -69,6 +71,20 @@ def test_partition_report(tmp_path):
     results = report["results"]
     assert results["chain"] == [[], [1, 2, 3], [1, 2, 3, 4]]
     assert results["critical_values"] == ["2/3", 1]
+
+
+@pytest.mark.parametrize(
+    "text, zero_set",
+    [("2 2\n1 1\n2 2\n", [1, 2]), ("3 0\n", [])],
+    ids=["all-loops", "no-edges"],
+)
+def test_partition_of_an_edge_free_ground_is_trivial(tmp_path, text, zero_set):
+    path = write(tmp_path, "g.graph", text)
+    report, code = run_cli(["partition", "--input", path])
+    assert code == 0
+    assert report["results"] == {
+        "zero_set": zero_set, "chain": [[]], "critical_values": [], "trivial": True,
+    }
 
 
 def test_reduce_apex(tmp_path):

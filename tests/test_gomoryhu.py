@@ -8,7 +8,6 @@ from ordolab import (
     CutFunction,
     GomoryHuTree,
     Graph,
-    all_trees,
     build_gh_tree,
     exact_mlop_dp,
     gh_lower_bound,
@@ -20,6 +19,8 @@ from ordolab import (
 )
 from ordolab import cli, gomoryhu
 from ordolab.gomoryhu import _verify_cut_property
+
+from helpers import all_trees
 
 from ordolab.instances import (
     complete_graph,

@@ -16,12 +16,13 @@ from ordolab import (
     mlvc_brute_optimum,
     parse_hypergraph,
     regular_lp_value,
-    sample_extension,
     solve_lp,
 )
 from ordolab.core import ParseError
 from ordolab.mlvc import _sample
 from ordolab.simplex import LpInfeasible, simplex_minimize
+
+from helpers import sample_extension
 
 from ordolab.instances import complete_graph, cycle_graph, path_graph
 

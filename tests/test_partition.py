@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ordolab import (
+    CertificateError,
     Graph,
     GraphicMatroid,
     ModularOracle,
@@ -14,6 +15,8 @@ from ordolab import (
     zero_set_contract,
 )
 from ordolab.partition import PrincipalPartition
+
+from helpers import TableOracle
 
 from ordolab.instances import random_connected_graph, triangle_with_bridge
 
@@ -123,6 +126,12 @@ def test_critical_value_growth_formula():
             res = minimize_offset(f, lam)
             assert f(lo) - lam * lo.bit_count() == res.min_value
             assert f(hi) - lam * hi.bit_count() == res.min_value
+
+
+def test_partition_of_a_supermodular_oracle_fails_its_certificate():
+    # f({0}) = f({1}) = 1, f(E) = 3: the two minimizers of size 1 tie
+    with pytest.raises(CertificateError):
+        compute_principal_partition(TableOracle([0, 1, 1, 3]))
 
 
 def test_linearity_stats_uniform():

@@ -16,15 +16,18 @@ from ordolab import (
     Graph,
     GraphicMatroid,
     VectorMatroid,
+    compute_principal_partition,
     constrained_min,
     exact_mlop_dp,
     exact_weighted_mlop_dp,
+    min_norm_base,
     minimize_offset,
     mlop_objective,
     weighted_mlop_objective,
+    zero_set_contract,
 )
 
-from helpers import brute_min_offset, brute_mlop, brute_weighted_mlop, loop_dp
+from helpers import brute_min_offset, brute_mlop, brute_partition, brute_weighted_mlop, loop_dp
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -86,6 +89,24 @@ def test_minimize_offset_matches_brute_scan(f, lam):
 def test_minimize_offset_wolfe_matches_brute_scan(f, lam):
     # the certified min-norm path, empty grounds included
     assert_matches_brute_scan(minimize_offset(f, lam, method="wolfe"), f, lam)
+
+
+@PROPERTY
+@given(oracles)
+def test_min_norm_base_is_the_same_exact_base_on_both_paths(f):
+    x = min_norm_base(f, method="enumerate")
+    assert min_norm_base(f, method="wolfe") == x
+    assert sum(x) == f(f.full_mask)
+    for S in range(1 << f.m):
+        assert sum(x[e] for e in range(f.m) if (S >> e) & 1) <= f(S)
+
+
+@PROPERTY
+@given(st.one_of(multigraphs().map(GraphicMatroid), vector_matroids()))
+def test_principal_partition_matches_the_brute_force_hull(f):
+    _, g = zero_set_contract(f)
+    pp = compute_principal_partition(g)
+    assert (pp.sets, pp.critical_values) == brute_partition(g)
 
 
 @PROPERTY

@@ -19,7 +19,7 @@ from ordolab import (
     st_min_cut,
 )
 
-from helpers import brute_min_offset
+from helpers import TableOracle, brute_min_offset
 from ordolab import sfm
 from ordolab.instances import path_graph, random_connected_graph, triangle_with_bridge
 
@@ -176,6 +176,26 @@ def test_non_submodular_oracle_fails_the_min_norm_certificate():
     # check x*({e}) <= f({e}) = -1 exposes the oracle
     with pytest.raises(CertificateError, match="base polytope"):
         minimize_offset(TwoSeparateMinima(), Fraction(0), method="wolfe")
+
+
+@pytest.mark.parametrize("method", ["enumerate", "wolfe"])
+def test_monotone_non_submodular_table_fails_the_base_polytope_check(method):
+    # the per-size minima 0, 0, 0, 1 have unique nested argmins {}, {0, 1}
+    # and E, so the hull accepts the table; only x* = (0, 0, 1) exceeding
+    # f({2}) = 0 exposes it
+    f = TableOracle([0, 0, 0, 0, 0, 1, 1, 1])
+    with pytest.raises(CertificateError, match="base polytope"):
+        minimize_offset(f, Fraction(0), method=method)
+
+
+@pytest.mark.parametrize("method", ["enumerate", "wolfe"])
+def test_supermodular_oracle_fails_at_every_lambda(method):
+    # the base certifies the oracle as a whole, so even lambda = 0, where
+    # the empty set is the true minimizer, raises
+    f = TableOracle([0, 1, 1, 3])
+    for lam in (Fraction(0), Fraction(3, 2), Fraction(5)):
+        with pytest.raises(CertificateError):
+            minimize_offset(f, lam, method=method)
 
 
 def test_check_symmetry():
