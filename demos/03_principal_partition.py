@@ -17,7 +17,6 @@ from ordolab import (
     linearity_stats,
     min_norm_base,
     minimize_offset,
-    zero_set_contract,
 )
 from ordolab.instances import triangle_with_bridge
 
@@ -44,8 +43,10 @@ for lam in (Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(1), Fractio
 stats = linearity_stats(tb)
 print(f"\nsteepness = {stats.kappa}, linearity = {stats.linearity}, m = {stats.m}")
 
-# Elements of value zero (self-loops here) split off as a prefix.
+# Elements of value zero (self-loops here) have x* = 0: they form the
+# chain's first step, at lambda = 0, and lead every ordering built on it.
 loopy = GraphicMatroid(Graph(3, ((0, 0), (0, 1), (1, 2))))
-zero_set, rest = zero_set_contract(loopy)
-print(f"\nloop edge forms the zero set: {bin(zero_set)}; "
-      f"{rest.m} elements remain, f(rest) = {rest(rest.full_mask)}")
+pp0 = compute_principal_partition(loopy)
+print(f"\nwith a loop edge: x* = {tuple(str(v) for v in min_norm_base(loopy))}")
+print(f"loop edge forms the zero set: {bin(pp0.sets[1])} at lambda = {pp0.critical_values[0]}; "
+      f"chain sets {[bin(s) for s in pp0.sets]}")

@@ -66,7 +66,6 @@ from .partition import (
     PrincipalPartition,
     compute_principal_partition,
     linearity_stats,
-    zero_set_contract,
 )
 from .reductions import (
     ApexReduction,

@@ -17,10 +17,11 @@ from fractions import Fraction
 
 from . import acceptance
 from .core import (
+    CertificateError,
     Graph,
     Ordering,
-    ParseError,
     format_graph,
+    iter_bits,
     parse_graph,
 )
 from .gomoryhu import build_gh_tree, gh_lower_bound, gh_upper_bound
@@ -34,7 +35,7 @@ from .mlvc import (
     parse_hypergraph,
     solve_lp,
 )
-from .partition import compute_principal_partition, zero_set_contract
+from .partition import compute_principal_partition
 from .reductions import (
     mlvc_msvc_shift,
     mlvc_to_weighted_graphic,
@@ -136,17 +137,21 @@ def _cmd_approx(args):
 
 def _cmd_partition(args):
     _, matroid = _load_matroid(args)
-    zero_set, contracted = zero_set_contract(matroid)
-    pp = compute_principal_partition(contracted)
-    chain = []
-    for mask in pp.sets:
-        members = sorted(contracted.kept[e] + 1 for e in range(contracted.m) if (mask >> e) & 1)
-        chain.append(members)
+    pp = compute_principal_partition(matroid)
+    # the report lists the zero set (the step at lambda = 0) apart from the
+    # chain, which runs from the empty set to E - zero set
+    sets, values, zero_set = pp.sets, pp.critical_values, 0
+    if values and values[0] == 0:
+        sets, values, zero_set = sets[1:], values[1:], sets[1]
+
+    def members(mask):
+        return [e + 1 for e in iter_bits(mask)]
+
     return {
-        "zero_set": sorted(e + 1 for e in range(matroid.m) if (zero_set >> e) & 1),
-        "chain": chain,
-        "critical_values": [jsonable(lam) for lam in pp.critical_values],
-        "trivial": pp.trivial,
+        "zero_set": members(zero_set),
+        "chain": [members(S & ~zero_set) for S in sets],
+        "critical_values": [jsonable(lam) for lam in values],
+        "trivial": zero_set == matroid.full_mask,
     }
 
 
@@ -295,7 +300,7 @@ def _cmd_ghtree(args):
         results["runs"] = args.runs
         results["totals_equal"] = len(totals) == 1
         if not results["totals_equal"]:
-            raise AssertionError("Gomory-Hu total weight varied across runs")
+            raise CertificateError("Gomory-Hu total weight varied across runs")
     return results
 
 
@@ -402,9 +407,6 @@ def run(argv=None) -> tuple[dict, int]:
         report["results"] = args.fn(args)
         if args.command == "verify" and not report["results"]["all_passed"]:
             code = 1
-    except ParseError as exc:
-        report["error"] = str(exc)
-        code = 2
     except (ValueError, OSError) as exc:
         report["error"] = str(exc)
         code = 2

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     EXACT_SOLVER_CAP,
+    CertificateError,
     Graph,
     Ordering,
     SetFunctionOracle,
@@ -31,12 +32,7 @@ from .core import (
     unscale,
 )
 from .matroids import GraphicMatroid, Matroid, fundamental_circuit
-from .partition import (
-    PrincipalPartition,
-    compute_principal_partition,
-    linearity_stats,
-    zero_set_contract,
-)
+from .partition import PrincipalPartition, compute_principal_partition, linearity_stats
 
 
 @dataclass(frozen=True)
@@ -90,14 +86,23 @@ def _dp_tables(table: np.ndarray, m: int, costs: Sequence[int] | None):
     return best, choice
 
 
-def _reconstruct(choice: Sequence[int], full: int) -> Ordering:
+def _exact_dp(f: SetFunctionOracle, costs: tuple[int, ...] | None, cap: int):
+    """The subset DP on f's table and one optimal ordering read back from
+    its choices (unit costs when ``costs`` is None)."""
+    m = f.m
+    if m > cap:
+        raise ValueError(f"ground set of size {m} exceeds the exact cap ({cap})")
+    if m == 0:
+        return 0, Ordering(())
+    best, choice = _dp_tables(f.dense_values(cap=cap), m, costs)
     seq_rev = []
-    S = full
+    S = f.full_mask
     while S:
         e = int(choice[S])
         seq_rev.append(e)
         S ^= 1 << e
-    return Ordering.from_sequence(tuple(reversed(seq_rev)))
+    value = unscale(best[f.full_mask], f.dense_denominator)
+    return value, Ordering.from_sequence(tuple(reversed(seq_rev)))
 
 
 def exact_mlop_dp(f: SetFunctionOracle, cap: int = EXACT_SOLVER_CAP):
@@ -106,33 +111,19 @@ def exact_mlop_dp(f: SetFunctionOracle, cap: int = EXACT_SOLVER_CAP):
     Runs the dynamic program best(S) = f(S) + min over e in S of best(S - e)
     over all 2^m subsets; only feasible at desk scale.
     """
-    m = f.m
-    if m > cap:
-        raise ValueError(f"ground set of size {m} exceeds the exact cap ({cap})")
-    if m == 0:
-        return 0, Ordering(())
-    best, choice = _dp_tables(f.dense_values(cap=cap), m, None)
-    value = unscale(best[f.full_mask], f.dense_denominator)
-    return value, _reconstruct(choice, f.full_mask)
+    return _exact_dp(f, None, cap)
 
 
 def exact_weighted_mlop_dp(
     f: SetFunctionOracle, costs: Sequence[int], cap: int = EXACT_SOLVER_CAP
 ):
     """Exact optimum of the cost-weighted prefix objective."""
-    m = f.m
-    if m > cap:
-        raise ValueError(f"ground set of size {m} exceeds the exact cap ({cap})")
-    if len(costs) != m:
+    if len(costs) != f.m:
         raise ValueError("cost vector length does not match ground set")
     for c in costs:
         if not isinstance(c, int) or c <= 0:
             raise ValueError("costs must be strictly positive integers")
-    if m == 0:
-        return 0, Ordering(())
-    best, choice = _dp_tables(f.dense_values(cap=cap), m, tuple(costs))
-    value = unscale(best[f.full_mask], f.dense_denominator)
-    return value, _reconstruct(choice, f.full_mask)
+    return _exact_dp(f, tuple(costs), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +165,8 @@ def pp_upper_bound(f: SetFunctionOracle, pp: PrincipalPartition) -> Fraction:
 
 def approx_monotone_mlop(f: SetFunctionOracle):
     """Order the ground set along a linear extension of the principal
-    partition of f (zero-set elements first), and certify the result.
+    partition of f (its zero set is the first cell), and certify the
+    result.
 
     Returns (ordering, BoundCertificate).  The achieved objective is at most
     guarantee = 2 - (1 + linearity)/(1 + m) times the exact optimum.
@@ -185,17 +177,15 @@ def approx_monotone_mlop(f: SetFunctionOracle):
         zero = Fraction(0)
         return order, BoundCertificate(zero, zero, Fraction(1), zero, trivial=True)
 
-    U, f2 = zero_set_contract(f)
-    pp = compute_principal_partition(f2)
-    sequence = sorted(iter_bits(U))
+    pp = compute_principal_partition(f)
+    sequence = []
     for cell in pp.cells():
-        members = sorted(iter_bits(cell), key=lambda e: (f2(1 << e), e))
-        sequence.extend(f2.kept[e] for e in members)
+        sequence.extend(sorted(iter_bits(cell), key=lambda e: (f(1 << e), e)))
     sigma = Ordering.from_sequence(sequence)
 
     achieved = Fraction(mlop_objective(f, sigma))
-    lower = pp_lower_bound(f2, pp)
-    upper = pp_upper_bound(f2, pp)
+    lower = pp_lower_bound(f, pp)
+    upper = pp_upper_bound(f, pp)
     stats = linearity_stats(f)
     guarantee = 2 - Fraction(1 + stats.linearity, 1 + m)
     return sigma, BoundCertificate(lower, upper, guarantee, achieved)
@@ -307,7 +297,7 @@ def small_basis_exact(
     sigma = fixed_basis_extension(M, best_order)
     check = mlop_objective(M, sigma)
     if check != best_val:
-        raise AssertionError("insertion extension does not achieve the stated cost")
+        raise CertificateError("insertion extension does not achieve the stated cost")
     return best_val, sigma
 
 

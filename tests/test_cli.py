@@ -2,13 +2,18 @@ import json
 
 import pytest
 
-from ordolab import CertificateError, cli
+from ordolab import CertificateError, cli, sfm
+from ordolab.gomoryhu import GomoryHuTree
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 TB_TEXT = "4 4\n1 2\n2 3\n1 3\n3 4\n"
 K2_TEXT = "2 1\n1 2\n"
 MATRIX_TEXT = "2 3\n1 0 1\n0 1 1\n"
 HYPER_TEXT = "3 1\n1 2 3\n"
+# a loop beside the triangle with a bridge
+MIXED_TEXT = "4 5\n1 1\n1 2\n2 3\n1 3\n3 4\n"
+# a loop, a 21-cycle and a bridge: 23 edges, beyond the exact cap
+LARGE_TEXT = "22 23\n1 1\n" + "".join(f"{i} {i % 21 + 1}\n" for i in range(1, 22)) + "21 22\n"
 
 
 def run_cli(argv):
@@ -71,6 +76,45 @@ def test_partition_report(tmp_path):
     results = report["results"]
     assert results["chain"] == [[], [1, 2, 3], [1, 2, 3, 4]]
     assert results["critical_values"] == ["2/3", 1]
+
+
+def test_approx_report_on_a_mixed_zero_set(tmp_path):
+    path = write(tmp_path, "mixed.graph", MIXED_TEXT)
+    report, code = run_cli(["approx", "--input", path])
+    assert code == 0
+    assert report["results"] == {
+        "value": 8, "ordering": [1, 2, 3, 4, 5], "lower": 7, "upper": 8,
+        "guarantee": "4/3", "trivial": False,
+    }
+
+
+def test_partition_report_on_a_mixed_zero_set(tmp_path):
+    path = write(tmp_path, "mixed.graph", MIXED_TEXT)
+    report, code = run_cli(["partition", "--input", path])
+    assert code == 0
+    assert report["results"] == {
+        "zero_set": [1], "chain": [[], [2, 3, 4], [2, 3, 4, 5]],
+        "critical_values": ["2/3", 1], "trivial": False,
+    }
+
+
+@pytest.mark.parametrize("command", ["approx", "partition"])
+@pytest.mark.parametrize(
+    "text, path",
+    [(MIXED_TEXT, "_table_base"), (LARGE_TEXT, "_wolfe_base")],
+    ids=["enumerate", "wolfe"],
+)
+def test_one_min_norm_base_per_call(tmp_path, monkeypatch, command, text, path):
+    bases = []
+    for name in ("_table_base", "_wolfe_base"):
+        def counted(*args, _name=name, _base=getattr(sfm, name)):
+            bases.append(_name)
+            return _base(*args)
+
+        monkeypatch.setattr(sfm, name, counted)
+    report, code = run_cli([command, "--input", write(tmp_path, "g.graph", text)])
+    assert code == 0
+    assert bases == [path]
 
 
 @pytest.mark.parametrize(
@@ -184,6 +228,22 @@ def test_certificate_failure_exit_code(tmp_path, monkeypatch):
     report, code = run_cli(["approx", "--input", path])
     assert code == 1
     assert "lattice" in report["error"]
+
+
+def test_varying_gomory_hu_weight_exits_1(tmp_path, monkeypatch):
+    build = cli.build_gh_tree
+
+    def shifted(cut, seed):
+        # every re-run's tree reports one more unit of weight per seed
+        tree = build(cut, seed=seed)
+        edges = tuple((u, v, w + seed) for u, v, w in tree.edges)
+        return GomoryHuTree(tree.n, edges)
+
+    monkeypatch.setattr(cli, "build_gh_tree", shifted)
+    path = write(tmp_path, "k3.graph", K3_TEXT)
+    report, code = run_cli(["ghtree", "--input", path, "--runs", "2"])
+    assert code == 1
+    assert "varied across runs" in report["error"]
 
 
 def test_determinism_same_seed(tmp_path):

@@ -12,7 +12,6 @@ from ordolab import (
     compute_principal_partition,
     linearity_stats,
     minimize_offset,
-    zero_set_contract,
 )
 from ordolab.partition import PrincipalPartition
 
@@ -23,25 +22,15 @@ from ordolab.instances import random_connected_graph, triangle_with_bridge
 TB = GraphicMatroid(triangle_with_bridge())
 
 
-def test_zero_set_with_self_loop():
+def test_partition_loop_edge_is_the_zero_step():
     loopy = GraphicMatroid(Graph(3, ((0, 0), (0, 1), (1, 2))))
-    U, f2 = zero_set_contract(loopy)
-    assert U == 0b001  # the loop edge
-    assert f2.m == 2
-    assert f2(0b11) == 2
+    pp = compute_principal_partition(loopy)
+    assert pp.sets == (0, 0b001, 0b111)  # the loop edge, then the two bridges
+    assert pp.critical_values == (Fraction(0), Fraction(1))
 
 
-def test_zero_set_strictly_positive_singletons():
-    U, f2 = zero_set_contract(TB)
-    assert U == 0
-    assert [f2(1 << e) for e in range(4)] == [1, 1, 1, 1]
-
-
-def test_zero_set_of_zero_function():
-    zero = ModularOracle([0, 0, 0])
-    U, f2 = zero_set_contract(zero)
-    assert U == 0b111
-    assert f2.m == 0
+def test_partition_of_a_loopless_graph_has_no_zero_step():
+    assert compute_principal_partition(TB).critical_values[0] > 0
 
 
 def test_partition_modular():
@@ -63,17 +52,19 @@ def test_partition_triangle_bridge():
     assert pp.critical_values == (Fraction(2, 3), Fraction(1))
 
 
-def test_partition_requires_positive_off_empty():
-    loopy = GraphicMatroid(Graph(2, ((0, 0), (0, 1))))
-    with pytest.raises(ValueError):
-        compute_principal_partition(loopy)
+def test_partition_rejects_a_negative_value():
+    # modular with weights (-1, 1): submodular, so its base is certified
+    with pytest.raises(ValueError, match="negative"):
+        compute_principal_partition(TableOracle([0, -1, 1, 0]))
 
 
 def test_partition_trivial_function():
-    pp = compute_principal_partition(ModularOracle([0, 0]))
-    assert pp.trivial
-    assert pp.sets == (0, 0b11)
-    assert pp.critical_values == ()
+    for m in (2, 3):
+        pp = compute_principal_partition(ModularOracle([0] * m))
+        assert pp.sets == (0, (1 << m) - 1)
+        assert pp.critical_values == (Fraction(0),)
+    pp = compute_principal_partition(ModularOracle([]))
+    assert pp.sets == (0,) and pp.critical_values == ()
 
 
 def test_partition_validation():

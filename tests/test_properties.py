@@ -24,7 +24,6 @@ from ordolab import (
     minimize_offset,
     mlop_objective,
     weighted_mlop_objective,
-    zero_set_contract,
 )
 
 from helpers import brute_min_offset, brute_mlop, brute_partition, brute_weighted_mlop, loop_dp
@@ -104,9 +103,8 @@ def test_min_norm_base_is_the_same_exact_base_on_both_paths(f):
 @PROPERTY
 @given(st.one_of(multigraphs().map(GraphicMatroid), vector_matroids()))
 def test_principal_partition_matches_the_brute_force_hull(f):
-    _, g = zero_set_contract(f)
-    pp = compute_principal_partition(g)
-    assert (pp.sets, pp.critical_values) == brute_partition(g)
+    pp = compute_principal_partition(f)
+    assert (pp.sets, pp.critical_values) == brute_partition(f)
 
 
 @PROPERTY

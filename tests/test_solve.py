@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from ordolab import (
+    CertificateError,
     Graph,
     GraphicMatroid,
     ModularOracle,
@@ -27,6 +28,7 @@ from ordolab import (
     uniform_closed_form,
     weighted_mlop_objective,
 )
+from ordolab import solve
 
 from helpers import brute_mlop, brute_weighted_mlop
 from ordolab.instances import (
@@ -256,6 +258,13 @@ def test_small_basis_matches_dp():
         value, sigma = small_basis_exact(M)
         assert value == exact_mlop_dp(M)[0]
         assert mlop_objective(M, sigma) == value
+
+
+def test_small_basis_checks_the_insertion_extension(monkeypatch):
+    cost = solve._ordered_cost
+    monkeypatch.setattr(solve, "_ordered_cost", lambda supports, order: cost(supports, order) - 1)
+    with pytest.raises(CertificateError, match="insertion extension"):
+        small_basis_exact(TB)
 
 
 def test_small_basis_u13():
