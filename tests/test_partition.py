@@ -58,11 +58,17 @@ def test_partition_rejects_a_negative_value():
         compute_principal_partition(TableOracle([0, -1, 1, 0]))
 
 
+def test_zero_set_of_zero_function():
+    # the zero function's zero set is the whole ground: one lambda = 0 step
+    pp = compute_principal_partition(ModularOracle([0, 0, 0]))
+    assert pp.sets == (0, 0b111)
+    assert pp.critical_values == (Fraction(0),)
+
+
 def test_partition_trivial_function():
-    for m in (2, 3):
-        pp = compute_principal_partition(ModularOracle([0] * m))
-        assert pp.sets == (0, (1 << m) - 1)
-        assert pp.critical_values == (Fraction(0),)
+    pp = compute_principal_partition(ModularOracle([0, 0]))
+    assert pp.sets == (0, 0b11)
+    assert pp.critical_values == (Fraction(0),)
     pp = compute_principal_partition(ModularOracle([]))
     assert pp.sets == (0,) and pp.critical_values == ()
 
