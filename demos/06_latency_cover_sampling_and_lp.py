@@ -4,9 +4,9 @@ Viewing vertices as unit jobs and edges as zero-length weighted jobs that
 must wait for their endpoints, a uniformly random vertex schedule (edges
 inserted the moment they complete) inverts every incomparable job pair with
 probability at least 1/(1 + max edge size).  Best-of-N over this sampler is
-a strong heuristic, and the exact-rational LP relaxation pins down the
-fractional baseline: d n (n+1)/4 on d-regular graphs, with a 4/3 gap on
-cliques.
+a strong heuristic, and the LP relaxation, solved in floats and certified
+in exact rationals, pins down the fractional baseline: d n (n+1)/4 on
+d-regular graphs, with a 4/3 gap on cliques.
 """
 
 from ordolab import (
@@ -37,7 +37,7 @@ for G, name in ((cycle_graph(4), "C4"), (cycle_graph(5), "C5")):
     _, value = best_of_n(G, 500, seed=0)
     print(f"{name}: best of 500 samples = {value}, optimum = {mlvc_brute_optimum(G)}")
 
-# The LP relaxation, solved by exact rational simplex.
+# The LP relaxation: a float simplex, its optimum certified exactly.
 model = build_lp(cycle_graph(4))
 print(f"\nC4 relaxation: {model.num_vars} variables, "
       f"{model.num_constraints} constraints, optimum = {solve_lp(model)}")

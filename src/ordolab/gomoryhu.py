@@ -229,7 +229,7 @@ def matching_certificate(
         if augment(left, set()):
             matched += 1
     if matched != n_edges:
-        raise AssertionError("separation graph has no perfect matching")
+        raise CertificateError("separation graph has no perfect matching")
     return [(match_of_right[r], r) for r in range(n_edges)]
 
 

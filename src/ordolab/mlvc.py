@@ -323,12 +323,15 @@ def build_lp(G: Graph) -> LpModel:
     )
 
 
-#: Largest model the dense exact solver accepts.
+#: Largest model the dense tableau solver accepts.
 LP_SOLVER_VAR_CAP = 200
 
 
 def solve_lp(model: LpModel, var_cap: int = LP_SOLVER_VAR_CAP) -> Fraction:
-    """Exact LP optimum by rational simplex.  For a d-regular graph on n
+    """Exact LP optimum, certified.  A float simplex finds the optimal
+    basis; its primal point and row duals, rounded to rationals (or solved
+    exactly from the basis when rounding fails), must pass an exact
+    primal-dual check, else CertificateError.  For a d-regular graph on n
     vertices the value is d n (n + 1) / 4."""
     if model.num_vars > var_cap:
         raise ValueError(

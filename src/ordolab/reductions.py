@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    CertificateError,
     Graph,
     Ordering,
     mla_objective,
@@ -36,7 +37,7 @@ class ReductionCertificate:
 
     def __post_init__(self):
         if not self.holds():
-            raise AssertionError(
+            raise CertificateError(
                 f"{self.kind}: certificate identity violated "
                 f"({self.source_value} != {self.scale} * {self.target_value} "
                 f"+ {self.shift})"

@@ -1,15 +1,37 @@
-"""Exact rational primal simplex (two-phase, Bland's rule).
+"""Certified linear programming: a float simplex search, checked exactly.
 
-Dense tableau over fractions.Fraction.  Bland's smallest-index pivot rule
-rules out cycling, so termination is unconditional; everything is exact, so
-optimal values can be asserted as equalities.  Meant for desk-scale models
-(a few hundred variables).
+``simplex_minimize`` minimizes c.x subject to linear rows and x >= 0.
+
+1. Search.  A two-phase Bland tableau in float64 numpy (slack, surplus and
+   artificial columns; one outer-product row update per pivot) ends in a
+   final basis and a verdict: optimal, infeasible or unbounded.
+2. Candidate.  The vectors behind the verdict are read off the final
+   tableau and rounded to rationals with ``Fraction.limit_denominator``:
+   the primal point, the row duals (the reduced costs of each row's unit
+   column), or the improving ray.
+3. Certificate.  The candidate is checked in exact Fractions over the
+   sparse rows.  An optimum needs a primal-dual pair: x >= 0 satisfying
+   every row, duals y with the sign each sense requires, A^T y <= c and
+   c.x = b.y.  Infeasibility needs a Farkas vector: sign-feasible y with
+   A^T y <= 0 and b.y > 0.  Unboundedness needs a feasible point and a ray
+   d >= 0 with A d compatible with every sense and c.d < 0.
+4. Recovery.  If the rounded candidate fails, the final basis is solved
+   exactly (B x_B = b, B^T y = c_B, B w = a_q) and that candidate is
+   checked instead.  If it fails too, ``CertificateError`` is raised.
+
+Every value, ``LpInfeasible`` and ``LpUnbounded`` returned or raised is
+therefore backed by an exact check; no pivot is taken in Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
+
+from .core import CertificateError
 
 
 class LpInfeasible(Exception):
@@ -20,6 +42,15 @@ class LpUnbounded(Exception):
     pass
 
 
+#: zero tolerance of the float search; the exact check decides correctness
+TOL = 1e-9
+#: largest denominator of a rounded candidate; larger ones are recovered
+#: from the final basis
+ROUND_DENOMINATOR = 10**6
+
+FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
+
+
 def simplex_minimize(
     objective: Sequence[Fraction],
     rows: Sequence[tuple[Sequence[Fraction], str, Fraction]],
@@ -27,133 +58,295 @@ def simplex_minimize(
     """Minimize objective . x subject to the rows and x >= 0.
 
     Each row is (coefficients, sense, rhs) with sense one of '<=', '>=',
-    '=='.  Returns (optimal value, primal solution).
+    '=='.  Returns (optimal value, primal solution), both exact and
+    certified by an exact dual solution.  Raises LpInfeasible or
+    LpUnbounded with a checked certificate, or CertificateError when no
+    certificate checks.
     """
-    n = len(objective)
-    c = [Fraction(v) for v in objective]
-
-    # normalize to nonnegative right-hand sides
-    norm = []
-    for coeffs, sense, rhs in rows:
-        coeffs = [Fraction(v) for v in coeffs]
-        rhs = Fraction(rhs)
-        if len(coeffs) != n:
-            raise ValueError("row length does not match objective")
-        if rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        norm.append((coeffs, sense, rhs))
-
-    m = len(norm)
-    n_slack = sum(1 for _, s, _ in norm if s == "<=")
-    n_surplus = sum(1 for _, s, _ in norm if s == ">=")
-    n_art = sum(1 for _, s, _ in norm if s in (">=", "=="))
-    total = n + n_slack + n_surplus + n_art
-
-    tableau = [[Fraction(0)] * (total + 1) for _ in range(m)]
-    basis = [0] * m
-    slack_at = n
-    surplus_at = n + n_slack
-    art_at = n + n_slack + n_surplus
-    artificial_cols = []
-    for i, (coeffs, sense, rhs) in enumerate(norm):
-        row = tableau[i]
-        for j, v in enumerate(coeffs):
-            row[j] = v
-        row[total] = rhs
-        if sense == "<=":
-            row[slack_at] = Fraction(1)
-            basis[i] = slack_at
-            slack_at += 1
-        else:
-            if sense == ">=":
-                row[surplus_at] = Fraction(-1)
-                surplus_at += 1
-            row[art_at] = Fraction(1)
-            basis[i] = art_at
-            artificial_cols.append(art_at)
-            art_at += 1
-
-    def pivot(rows_, cost, pr, pc):
-        piv = rows_[pr][pc]
-        rows_[pr] = [v / piv for v in rows_[pr]]
-        prow = rows_[pr]
-        for r in range(len(rows_)):
-            if r != pr and rows_[r][pc]:
-                factor = rows_[r][pc]
-                rows_[r] = [a - factor * b for a, b in zip(rows_[r], prow)]
-        if cost[pc]:
-            factor = cost[pc]
-            cost[:] = [a - factor * b for a, b in zip(cost, prow)]
-        basis[pr] = pc
-
-    def run_phase(cost, allowed):
-        # cost holds reduced costs; entry total is the negated objective
-        while True:
-            enter = next(
-                (j for j in range(total) if allowed[j] and cost[j] < 0), None
+    lp = _Lp(objective, rows)
+    T, basis = lp.tableau()
+    if lp.first_art < lp.total:
+        _run_phase(T, basis, 1, np.ones(lp.total, dtype=bool))
+        if -T[-1, -1] > TOL:
+            _certify(
+                lambda y: _is_farkas(lp, y),
+                lambda: (lp.rounded_duals(T, 1),),
+                lambda: (lp.exact_duals(basis, 1),),
+                "infeasibility",
             )
-            if enter is None:
-                return
-            ratio = None
-            leave = None
-            for i in range(m):
-                a = tableau[i][enter]
-                if a > 0:
-                    r = tableau[i][total] / a
-                    if ratio is None or r < ratio or (
-                        r == ratio and basis[i] < basis[leave]
-                    ):
-                        ratio = r
-                        leave = i
-            if leave is None:
-                raise LpUnbounded("objective unbounded below")
-            pivot(tableau, cost, leave, enter)
-
-    allowed = [True] * total
-
-    # phase 1: drive the artificials to zero
-    if artificial_cols:
-        art_set = set(artificial_cols)
-        cost1 = [Fraction(0)] * (total + 1)
-        for j in art_set:
-            cost1[j] = Fraction(1)
-        for i in range(m):
-            if basis[i] in art_set:
-                cost1 = [a - b for a, b in zip(cost1, tableau[i])]
-        run_phase(cost1, allowed)
-        if -cost1[total] > 0:
             raise LpInfeasible("constraints are inconsistent")
-        for i in range(m):
-            if basis[i] in art_set:
-                # basic artificial at value zero: pivot it out if possible
-                enter = next(
-                    (
-                        j
-                        for j in range(total)
-                        if j not in art_set and tableau[i][j] != 0
-                    ),
-                    None,
-                )
-                if enter is not None:
-                    pivot(tableau, cost1, i, enter)
-        for j in art_set:
-            allowed[j] = False
+        # a basic artificial at zero leaves on any other nonzero entry
+        for i, k in enumerate(basis):
+            if k >= lp.first_art:
+                nonzero = np.flatnonzero(np.abs(T[i, : lp.first_art]) > TOL)
+                if nonzero.size:
+                    _pivot(T, basis, i, int(nonzero[0]))
+    allowed = np.arange(lp.total) < lp.first_art
+    enter = _run_phase(T, basis, 2, allowed)
+    if enter is not None:
+        _certify(
+            lambda x, d: _is_feasible(lp, x, lp.rhs) and _is_ray(lp, d),
+            lambda: (lp.rounded_point(T, basis), lp.rounded_ray(T, basis, enter)),
+            lambda: (lp.exact_point(basis), lp.exact_ray(basis, enter)),
+            "unboundedness",
+        )
+        raise LpUnbounded("objective unbounded below")
+    x, _ = _certify(
+        lambda x, y: _is_optimal(lp, x, y),
+        lambda: (lp.rounded_point(T, basis), lp.rounded_duals(T, 2)),
+        lambda: (lp.exact_point(basis), lp.exact_duals(basis, 2)),
+        "optimality",
+    )
+    return _dot(lp.c, x), x
 
-    # phase 2
-    cost2 = [Fraction(0)] * (total + 1)
-    for j in range(n):
-        cost2[j] = c[j]
-    for i in range(m):
-        if cost2[basis[i]]:
-            factor = cost2[basis[i]]
-            cost2 = [a - factor * b for a, b in zip(cost2, tableau[i])]
-    run_phase(cost2, allowed)
 
-    solution = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            solution[basis[i]] = tableau[i][total]
-    value = sum(cj * xj for cj, xj in zip(c, solution))
-    return value, solution
+# ---------------------------------------------------------------------------
+# the float search
+
+
+def _run_phase(T: np.ndarray, basis: list[int], phase: int, allowed: np.ndarray) -> int | None:
+    """Bland pivots on the cost row T[-phase] (phase 2's costs sit in row
+    -2, phase 1's in row -1) until no allowed column has a negative reduced
+    cost.  Returns None at the optimum, or the entering column of an
+    improving ray."""
+    m = len(basis)
+    cost = T[-phase, :-1]
+    while True:
+        candidates = np.flatnonzero((cost < -TOL) & allowed)
+        if not candidates.size:
+            return None
+        enter = int(candidates[0])
+        column = T[:m, enter]
+        rows = np.flatnonzero(column > TOL)
+        if not rows.size:
+            return enter
+        ratios = T[rows, -1] / column[rows]
+        tied = rows[ratios <= ratios.min() + TOL]
+        leave = min(tied.tolist(), key=basis.__getitem__)
+        _pivot(T, basis, leave, enter)
+
+
+def _pivot(T: np.ndarray, basis: list[int], leave: int, enter: int) -> None:
+    T[leave] /= T[leave, enter]
+    column = T[:, enter].copy()
+    column[leave] = 0.0
+    rows = np.flatnonzero(column)  # the rows this pivot changes
+    T[rows] -= np.outer(column[rows], T[leave])
+    T[:, enter] = 0.0
+    T[leave, enter] = 1.0
+    basis[leave] = enter
+
+
+# ---------------------------------------------------------------------------
+# the model, its candidates and their exact checks
+
+
+class _Lp:
+    """The rows normalized to b >= 0, kept sparse and exact, and the column
+    layout of the tableau: structural columns, then one slack per '<=' row,
+    one surplus per '>=' row, one artificial per '>=' or '==' row."""
+
+    def __init__(self, objective, rows):
+        self.c = [Fraction(v) for v in objective]
+        self.n = n = len(self.c)
+        self.rows: list[tuple[list[tuple[int, Fraction]], str]] = []
+        self.rhs: list[Fraction] = []
+        for coeffs, sense, rhs in rows:
+            if len(coeffs) != n:
+                raise ValueError("row length does not match objective")
+            terms = [(j, Fraction(v)) for j, v in enumerate(coeffs) if v]
+            rhs = Fraction(rhs)
+            if rhs < 0:
+                terms = [(j, -v) for j, v in terms]
+                rhs = -rhs
+                sense = FLIPPED[sense]
+            self.rows.append((terms, sense))
+            self.rhs.append(rhs)
+        senses = [sense for _, sense in self.rows]
+        slack = [(i, 1) for i, s in enumerate(senses) if s == "<="]
+        surplus = [(i, -1) for i, s in enumerate(senses) if s == ">="]
+        art = [(i, 1) for i, s in enumerate(senses) if s != "<="]
+        #: (row, sign) of each column from n on
+        self.aux = slack + surplus + art
+        self.first_art = n + len(slack) + len(surplus)
+        self.total = self.first_art + len(art)
+        self.unit = [0] * len(self.rows)
+        for k, (i, _) in enumerate(slack):
+            self.unit[i] = n + k
+        for k, (i, _) in enumerate(art):
+            self.unit[i] = self.first_art + k
+
+    def tableau(self) -> tuple[np.ndarray, list[int]]:
+        """Constraint rows, then the phase-2 and phase-1 reduced costs; the
+        last column holds b (and minus each phase's objective)."""
+        m, n = len(self.rows), self.n
+        T = np.zeros((m + 2, self.total + 1))
+        for i, ((terms, _), rhs) in enumerate(zip(self.rows, self.rhs)):
+            for j, v in terms:
+                T[i, j] = float(v)
+            T[i, -1] = float(rhs)
+        for k, (i, sign) in enumerate(self.aux):
+            T[i, n + k] = sign
+        T[m, :n] = [float(v) for v in self.c]
+        art_rows = [i for i, k in enumerate(self.unit) if k >= self.first_art]
+        T[m + 1, self.first_art : self.total] = 1.0
+        T[m + 1] -= T[art_rows].sum(axis=0)
+        return T, list(self.unit)
+
+    def _cost(self, k: int, phase: int) -> Fraction:
+        """Column k's cost in the given phase."""
+        if phase == 1:
+            return Fraction(int(k >= self.first_art))
+        return self.c[k] if k < self.n else Fraction(0)
+
+    def _structural(self, basis: list[int], values) -> list[Fraction]:
+        x = [Fraction(0)] * self.n
+        for k, v in zip(basis, values):
+            if k < self.n:
+                x[k] = v
+        return x
+
+    # rounded candidates, read off the final tableau
+
+    def rounded_point(self, T, basis):
+        return self._structural(basis, map(_rational, T[: len(basis), -1].tolist()))
+
+    def rounded_duals(self, T, phase):
+        reduced = T[-phase].tolist()
+        return [self._cost(k, phase) - _rational(reduced[k]) for k in self.unit]
+
+    def rounded_ray(self, T, basis, enter):
+        return self._ray(basis, enter, map(_rational, T[: len(basis), enter].tolist()))
+
+    # exact candidates, solved from the final basis
+
+    @cached_property
+    def _columns(self) -> list[dict[int, Fraction]]:
+        columns = [{} for _ in range(self.n)]
+        for i, (terms, _) in enumerate(self.rows):
+            for j, v in terms:
+                columns[j][i] = v
+        return columns + [{i: Fraction(sign)} for i, sign in self.aux]
+
+    def _basis_rows(self, basis) -> list[dict[int, Fraction]]:
+        """B by rows: entry (i, p) is row i of basis column p."""
+        B = [{} for _ in basis]
+        for p, k in enumerate(basis):
+            for i, v in self._columns[k].items():
+                B[i][p] = v
+        return B
+
+    def exact_point(self, basis):
+        x_B = _solve(self._basis_rows(basis), self.rhs)
+        return None if x_B is None else self._structural(basis, x_B)
+
+    def exact_duals(self, basis, phase):
+        return _solve([self._columns[k] for k in basis], [self._cost(k, phase) for k in basis])
+
+    def exact_ray(self, basis, enter):
+        a = self._columns[enter]
+        w = _solve(self._basis_rows(basis), [a.get(i, Fraction(0)) for i in range(len(basis))])
+        return None if w is None else self._ray(basis, enter, w)
+
+    def _ray(self, basis, enter, w):
+        """The edge direction raising column ``enter`` from the basis, given
+        w = B^-1 a_enter (the basic variables fall by w)."""
+        d = self._structural(basis, (-v for v in w))
+        if enter < self.n:
+            d[enter] = Fraction(1)
+        return d
+
+
+def _certify(check, rounded, exact, verdict: str):
+    """The rounded candidate if it passes ``check``, else the exact one from
+    the final basis; CertificateError if neither does."""
+    candidate = rounded()
+    if check(*candidate):
+        return candidate
+    candidate = exact()
+    if None not in candidate and check(*candidate):
+        return candidate
+    raise CertificateError(f"simplex {verdict} failed its exact certificate")
+
+
+def _rational(v: float) -> Fraction:
+    return Fraction(v).limit_denominator(ROUND_DENOMINATOR)
+
+
+def _solve(rows: list[dict[int, Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
+    """The exact solution z of M z = rhs for a square M given by sparse
+    rows (Gauss-Jordan in Fractions), or None if M is singular."""
+    rows = [dict(r) for r in rows]
+    rhs = [Fraction(v) for v in rhs]
+    size = len(rows)
+    free = set(range(size))
+    pivot_of = [0] * size
+    for col in range(size):
+        p = min((i for i in free if rows[i].get(col)), default=None)
+        if p is None:
+            return None
+        free.discard(p)
+        pivot_of[col] = p
+        scale = rows[p][col]
+        prow = {j: v / scale for j, v in rows[p].items()}
+        rows[p] = prow
+        rhs[p] /= scale
+        for i, row in enumerate(rows):
+            factor = row.get(col)
+            if factor and i != p:
+                for j, v in prow.items():
+                    value = row.get(j, 0) - factor * v
+                    if value:
+                        row[j] = value
+                    else:
+                        row.pop(j, None)
+                rhs[i] -= factor * rhs[p]
+    return [rhs[pivot_of[col]] for col in range(size)]
+
+
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
+def _holds(lhs: Fraction, sense: str, rhs: Fraction) -> bool:
+    if sense == "<=":
+        return lhs <= rhs
+    if sense == ">=":
+        return lhs >= rhs
+    return lhs == rhs
+
+
+def _is_feasible(lp: _Lp, x: list[Fraction], rhs: Sequence[Fraction]) -> bool:
+    """x >= 0 and every row of A x against ``rhs`` holds in its sense."""
+    return all(v >= 0 for v in x) and all(
+        _holds(sum((v * x[j] for j, v in terms if x[j]), Fraction(0)), sense, b)
+        for (terms, sense), b in zip(lp.rows, rhs)
+    )
+
+
+def _is_dual_feasible(lp: _Lp, y: list[Fraction], c: Sequence[Fraction]) -> bool:
+    """y has each row's sign (<= 0 on '<=', >= 0 on '>=') and A^T y <= c."""
+    aty = [Fraction(0)] * lp.n
+    for (terms, sense), yi in zip(lp.rows, y):
+        if sense == "<=" and yi > 0 or sense == ">=" and yi < 0:
+            return False
+        if yi:
+            for j, v in terms:
+                aty[j] += v * yi
+    return all(a <= cj for a, cj in zip(aty, c))
+
+
+def _is_optimal(lp: _Lp, x, y) -> bool:
+    return (
+        _is_feasible(lp, x, lp.rhs)
+        and _is_dual_feasible(lp, y, lp.c)
+        and _dot(lp.c, x) == _dot(lp.rhs, y)
+    )
+
+
+def _is_farkas(lp: _Lp, y) -> bool:
+    return _is_dual_feasible(lp, y, [Fraction(0)] * lp.n) and _dot(lp.rhs, y) > 0
+
+
+def _is_ray(lp: _Lp, d) -> bool:
+    return _is_feasible(lp, d, [Fraction(0)] * len(lp.rows)) and _dot(lp.c, d) < 0

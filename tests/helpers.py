@@ -8,7 +8,7 @@ enumerating every permutation or subset directly.
 import heapq
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from ordolab import GroundSet, Ordering, SetFunctionOracle, build_poset
 from ordolab.mlvc import _sample
@@ -92,6 +92,58 @@ def brute_min_offset(f, lam):
         elif v == best:
             argmins.append(S)
     return best, argmins
+
+
+def _solve_square(system, rhs):
+    """The unique solution of a square Fraction system, or None."""
+    size = len(system)
+    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(system, rhs)]
+    for col in range(size):
+        p = next((r for r in range(col, size) if aug[r][col]), None)
+        if p is None:
+            return None
+        aug[col], aug[p] = aug[p], aug[col]
+        for r in range(size):
+            if r != col and aug[r][col]:
+                factor = aug[r][col] / aug[col][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][size] / aug[r][r] for r in range(size)]
+
+
+def _vertices(rows, n):
+    """Every vertex of {x >= 0 : rows}: the feasible points where n linearly
+    independent constraints (rows or bounds x_j >= 0) are tight."""
+    bounds = [([int(j == k) for k in range(n)], ">=", 0) for j in range(n)]
+    constraints = list(rows) + bounds
+    holds = {"<=": lambda a, b: a <= b, ">=": lambda a, b: a >= b, "==": lambda a, b: a == b}
+    found = set()
+    for chosen in combinations(constraints, n):
+        x = _solve_square([c for c, _, _ in chosen], [b for _, _, b in chosen])
+        if x is not None and all(
+            holds[sense](sum(a * v for a, v in zip(coeffs, x)), rhs) for coeffs, sense, rhs in constraints
+        ):
+            found.add(tuple(x))
+    return found
+
+
+def brute_lp(objective, rows):
+    """min objective . x subject to rows and x >= 0 by vertex enumeration:
+    ("infeasible", None), ("unbounded", None) or ("optimal", value).  The
+    region is pointed, so it is empty exactly when it has no vertex, and
+    the objective is unbounded exactly when some vertex of the recession
+    cone's slice {d >= 0 : A d against 0, sum d = 1} improves it."""
+    n = len(objective)
+
+    def cost(x):
+        return sum(Fraction(c) * v for c, v in zip(objective, x))
+
+    points = _vertices(rows, n)
+    if not points:
+        return "infeasible", None
+    cone = [(coeffs, sense, 0) for coeffs, sense, _ in rows] + [([1] * n, "==", 1)]
+    if any(cost(d) < 0 for d in _vertices(cone, n)):
+        return "unbounded", None
+    return "optimal", min(map(cost, points))
 
 
 def is_submodular(f, exhaustive_limit: int = 8, rng=None, samples: int = 2000):

@@ -216,6 +216,13 @@ def test_matching_random_pairs():
             assert right in T2.path_edges(a, b)
 
 
+def test_matching_failure_raises_certificate_error(monkeypatch):
+    T = tree_of(3, [(0, 1), (1, 2)])
+    monkeypatch.setattr(GomoryHuTree, "path_edges", lambda self, a, b: [])
+    with pytest.raises(CertificateError, match="no perfect matching"):
+        matching_certificate(T, T)
+
+
 def test_all_trees_cayley_counts():
     assert len(list(all_trees(3))) == 3
     assert len(list(all_trees(4))) == 16

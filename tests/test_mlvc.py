@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ordolab import (
+    CertificateError,
     Graph,
     Hypergraph,
     balance_check,
@@ -18,16 +19,18 @@ from ordolab import (
     regular_lp_value,
     solve_lp,
 )
+from ordolab import cli, simplex
 from ordolab.core import ParseError
 from ordolab.mlvc import _sample
-from ordolab.simplex import LpInfeasible, simplex_minimize
+from ordolab.simplex import LpInfeasible, LpUnbounded, simplex_minimize
 
 from helpers import sample_extension
 
-from ordolab.instances import complete_graph, cycle_graph, path_graph
+from ordolab.instances import complete_bipartite, complete_graph, cycle_graph, path_graph
 
 K2 = Graph(2, ((0, 1),))
 K3 = complete_graph(3)
+PRISM = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)))
 
 
 def test_build_poset_k2():
@@ -171,6 +174,10 @@ def test_lp_constraint_counts():
         (complete_graph(4), 3, 4),
         (cycle_graph(5), 2, 5),
         (cycle_graph(6), 2, 6),
+        (complete_bipartite(3, 3), 3, 6),
+        (PRISM, 3, 6),
+        (cycle_graph(7), 2, 7),
+        (cycle_graph(8), 2, 8),
     ],
 )
 def test_lp_regular_closed_form(graph, d, n):
@@ -232,6 +239,58 @@ def test_simplex_known_optimum():
     )
     assert value == Fraction(14, 5)
     assert x + 2 * y >= 4 and 3 * x + y >= 6
+
+
+def test_simplex_unbounded():
+    # min -x  s.t.  x >= 1
+    with pytest.raises(LpUnbounded):
+        simplex_minimize([Fraction(-1)], [([Fraction(1)], ">=", Fraction(1))])
+
+
+def test_simplex_recovers_a_large_denominator(monkeypatch):
+    # the optimum 1/1234567 has a denominator beyond the rounding bound, so
+    # only the exact solve of the final basis certifies it
+    assert 1234567 > simplex.ROUND_DENOMINATOR
+    solve = simplex._solve
+    solves = []
+
+    def counted(rows, rhs):
+        solves.append(rows)
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(simplex, "_solve", counted)
+    value, x = simplex_minimize([Fraction(1)], [([Fraction(1234567)], ">=", Fraction(1))])
+    assert value == Fraction(1, 1234567) and x == [Fraction(1, 1234567)]
+    assert solves
+
+
+def stop_after_phase_one(monkeypatch):
+    """Make the float search return the feasible basis phase 1 ends in."""
+    run_phase = simplex._run_phase
+
+    def phase_one_only(T, basis, phase, allowed):
+        return None if phase == 2 else run_phase(T, basis, phase, allowed)
+
+    monkeypatch.setattr(simplex, "_run_phase", phase_one_only)
+
+
+def test_simplex_fails_closed_on_a_non_optimal_basis(monkeypatch):
+    # min -x  s.t.  x >= 1, x <= 3: phase 1 stops at x = 1, the optimum is 3
+    stop_after_phase_one(monkeypatch)
+    with pytest.raises(CertificateError):
+        simplex_minimize(
+            [Fraction(-1)],
+            [([Fraction(1)], ">=", Fraction(1)), ([Fraction(1)], "<=", Fraction(3))],
+        )
+
+
+def test_mlvc_lp_exits_1_without_a_certificate(tmp_path, monkeypatch):
+    path = tmp_path / "c4.graph"
+    path.write_text("4 4\n1 2\n2 3\n3 4\n4 1\n")
+    stop_after_phase_one(monkeypatch)
+    report, code = cli.run(["mlvc", "--lp", "--input", str(path)])
+    assert code == 1
+    assert "optimality failed its exact certificate" in report["error"]
 
 
 def test_hypergraph_parse():

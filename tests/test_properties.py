@@ -1,8 +1,9 @@
-"""Property tests: the table-based solvers against brute force.
+"""Property tests: the table-based solvers and the certified simplex
+against brute force.
 
 Random graphic (with loops and parallel edges), vector and
-Fraction-weighted cut oracles, plus contractions of them, checked against
-the enumerations in ``helpers``.
+Fraction-weighted cut oracles, plus contractions of them, and small random
+LPs, checked against the enumerations in ``helpers``.
 """
 
 from fractions import Fraction
@@ -26,7 +27,9 @@ from ordolab import (
     weighted_mlop_objective,
 )
 
-from helpers import brute_min_offset, brute_mlop, brute_partition, brute_weighted_mlop, loop_dp
+from ordolab.simplex import LpInfeasible, LpUnbounded, simplex_minimize
+
+from helpers import brute_lp, brute_min_offset, brute_mlop, brute_partition, brute_weighted_mlop, loop_dp
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -62,6 +65,19 @@ oracles = st.one_of(
     vector_matroids(),
     weighted_cuts(),
 )
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(1, 4))
+    coeff = st.integers(-3, 3).map(Fraction)
+    objective = [draw(coeff) for _ in range(n)]
+    rows = [
+        ([draw(coeff) for _ in range(n)], draw(st.sampled_from(("<=", ">=", "=="))), draw(coeff))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return objective, rows
+
 
 lambdas = st.builds(Fraction, st.integers(-3, 12), st.integers(1, 6))
 
@@ -177,3 +193,19 @@ def test_large_coprime_denominators_take_the_object_path():
     assert value == brute_mlop(f)[0] == mlop_objective(f, sigma)
     costs = [3, 1, 2, 5]
     assert exact_weighted_mlop_dp(f, costs)[0] == brute_weighted_mlop(f, costs)
+
+
+@PROPERTY
+@given(small_lps())
+def test_simplex_matches_vertex_enumeration(lp):
+    objective, rows = lp
+    verdict, optimum = brute_lp(objective, rows)
+    try:
+        value, x = simplex_minimize(objective, rows)
+    except LpInfeasible:
+        assert verdict == "infeasible"
+    except LpUnbounded:
+        assert verdict == "unbounded"
+    else:
+        assert (verdict, value) == ("optimal", optimum)
+        assert sum(c * v for c, v in zip(objective, x)) == value

@@ -23,6 +23,7 @@ from ordolab import (
     solve_mlvc_via_apex,
     weighted_to_unweighted,
 )
+from ordolab.core import CertificateError
 from ordolab.reductions import ReductionCertificate
 
 from helpers import brute_mlop, brute_weighted_mlop
@@ -37,6 +38,11 @@ from ordolab.instances import (
 def test_certificate_rejects_false_identity():
     with pytest.raises(AssertionError):
         ReductionCertificate("bogus", Fraction(1), Fraction(1), Fraction(1), Fraction(1))
+
+
+def test_violated_certificate_raises_certificate_error():
+    with pytest.raises(CertificateError, match="identity violated"):
+        ReductionCertificate("bogus", Fraction(3), Fraction(1), Fraction(2), Fraction(0))
 
 
 def test_shift_k2():
