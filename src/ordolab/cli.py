@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import acceptance
 from .core import (
@@ -325,7 +326,9 @@ def _cmd_verify(args):
     return payload
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ordolab",
         description="Linear ordering problems over submodular set functions: "

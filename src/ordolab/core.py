@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterator, Sequence
+from math import gcd, lcm
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -83,6 +83,62 @@ def unscale(value, D: int):
     D == 1, else Fraction."""
     value = int(value)
     return value if D == 1 else Fraction(value, D)
+
+
+# ---------------------------------------------------------------------------
+# exact linear systems
+
+_RHS = -1  # the key of the right-hand side in a row of ``solve_exact``
+
+
+def solve_exact(
+    rows: Sequence[Mapping[int, Fraction]], rhs: Sequence[Fraction]
+) -> list[Fraction] | None:
+    """A solution z of the square system M z = rhs, exact, with M given by
+    sparse rows (column -> value); None if the system is inconsistent.
+    Free variables of a singular M are set to 0.
+
+    Each row is scaled to integers.  Gauss-Jordan elimination pivots on the
+    lowest-index free row with a nonzero in the column, updates only the
+    rows with a nonzero there, and divides each updated row by the gcd of
+    its entries.
+    """
+    work = []
+    for row, b in zip(rows, rhs):
+        row = [(j, Fraction(v)) for j, v in (*row.items(), (_RHS, b))]
+        scale = lcm(*(v.denominator for _, v in row))
+        work.append(_primitive({j: v.numerator * (scale // v.denominator) for j, v in row}))
+    free = set(range(len(work)))
+    pivots = []
+    for col in range(len(work)):
+        p = min((i for i in free if col in work[i]), default=None)
+        if p is None:
+            continue
+        free.remove(p)
+        pivots.append((col, p))
+        prow, lead = work[p], work[p][col]
+        for i, row in enumerate(work):
+            if col in row and i != p:
+                g = gcd(lead, row[col])
+                s, t = lead // g, row[col] // g
+                new = {j: s * v for j, v in row.items()}
+                for j, v in prow.items():
+                    new[j] = new.get(j, 0) - t * v
+                work[i] = _primitive(new)
+    # a row left without a pivot has no nonzero coefficient: 0 = its rhs
+    if any(work[i] for i in free):
+        return None
+    z = [Fraction(0)] * len(work)
+    for col, p in pivots:
+        z[col] = Fraction(work[p].get(_RHS, 0), work[p][col])
+    return z
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The nonzero entries of an integer row, divided by their gcd."""
+    row = {j: v for j, v in row.items() if v}
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 @dataclass(frozen=True)

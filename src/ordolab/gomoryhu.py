@@ -130,7 +130,7 @@ def build_gh_tree(f: SetFunctionOracle, seed: int | None = None) -> GomoryHuTree
     """
     if f.m < 2:
         raise ValueError("need at least two ground elements")
-    if not check_symmetry(f, random.Random(0)):
+    if not check_symmetry(f):
         raise ValueError("oracle is not symmetric with f(empty) = f(all) = 0")
     order = list(range(f.m))
     if seed is not None:

@@ -263,10 +263,10 @@ class LpModel:
 
     graph: Graph
     var_names: list[str]
-    u_index: dict
-    x_index: dict
     objective: list[Fraction]
-    rows: list[tuple[list[Fraction], str, Fraction]]
+    #: (terms, sense, rhs), terms as (column, coefficient) pairs in
+    #: ascending column order
+    rows: list[tuple[list[tuple[int, Fraction]], str, Fraction]]
     row_names: list[str]
 
     @property
@@ -279,48 +279,21 @@ class LpModel:
 
 
 def build_lp(G: Graph) -> LpModel:
-    n = G.n
-    var_names: list[str] = []
-    u_index: dict = {}
-    x_index: dict = {}
-    for ei in range(G.m):
-        for t in range(1, n + 1):
-            u_index[(ei, t)] = len(var_names)
-            var_names.append(f"u_e{ei}_t{t}")
-    for v in range(n):
-        for t in range(1, n + 1):
-            x_index[(v, t)] = len(var_names)
-            var_names.append(f"x_v{v}_t{t}")
-    nv = len(var_names)
-    objective = [Fraction(0)] * nv
-    for key in u_index:
-        objective[u_index[key]] = Fraction(1)
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    row_names: list[str] = []
-    for t in range(1, n + 1):
-        coeffs = [Fraction(0)] * nv
-        for v in range(n):
-            coeffs[x_index[(v, t)]] = Fraction(1)
-        rows.append((coeffs, "<=", Fraction(1)))
-        row_names.append(f"pack_t{t}")
+    n, one = G.n, Fraction(1)
+    steps = range(1, n + 1)
+    var_names = [f"u_e{ei}_t{t}" for ei in range(G.m) for t in steps]
+    first_x = len(var_names)  # u[e, t] is column e n + t - 1, x[v, t] is first_x + v n + t - 1
+    var_names += [f"x_v{v}_t{t}" for v in range(n) for t in steps]
+    rows = [([(first_x + v * n + t - 1, one) for v in range(n)], "<=", one) for t in steps]
+    row_names = [f"pack_t{t}" for t in steps]
     for ei, (a, b) in enumerate(G.edges):
         for v in (a, b):
-            for t in range(1, n + 1):
-                coeffs = [Fraction(0)] * nv
-                coeffs[u_index[(ei, t)]] = Fraction(1)
-                for tp in range(1, t):
-                    coeffs[x_index[(v, tp)]] = Fraction(1)
-                rows.append((coeffs, ">=", Fraction(1)))
+            for t in steps:
+                x_before = [(first_x + v * n + tp - 1, one) for tp in range(1, t)]
+                rows.append(([(ei * n + t - 1, one)] + x_before, ">=", one))
                 row_names.append(f"cover_e{ei}_v{v}_t{t}")
-    return LpModel(
-        graph=G,
-        var_names=var_names,
-        u_index=u_index,
-        x_index=x_index,
-        objective=objective,
-        rows=rows,
-        row_names=row_names,
-    )
+    objective = [one] * first_x + [Fraction(0)] * (n * n)
+    return LpModel(graph=G, var_names=var_names, objective=objective, rows=rows, row_names=row_names)
 
 
 #: Largest model the dense tableau solver accepts.
@@ -361,8 +334,8 @@ def emit_lp(model: LpModel) -> str:
     lines.append(" obj: " + " ".join(obj_terms).lstrip("+ "))
     lines.append("Subject To")
     sense_text = {"<=": "<=", ">=": ">=", "==": "="}
-    for name, (coeffs, sense, rhs) in zip(model.row_names, model.rows):
-        terms = [term(c, v) for c, v in zip(coeffs, model.var_names) if c]
+    for name, (row_terms, sense, rhs) in zip(model.row_names, model.rows):
+        terms = [term(c, model.var_names[j]) for j, c in row_terms]
         body = " ".join(terms).lstrip("+ ")
         lines.append(f" {name}: {body} {sense_text[sense]} {rhs}")
     lines.append("Bounds")

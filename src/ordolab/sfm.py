@@ -14,10 +14,11 @@ the hull slope on the cell where an element enters.  With x*(X) <= f(X)
 checked on all 2^m subsets, x* is the minimum-norm point of
 {x : x(X) <= f(X), x(E) = f(E)} with tight level sets, so every answer is
 exact for any oracle.  Beyond the cap, one Fujishige-Wolfe search in
-floating point keeps the exact greedy vertex of every active point and is
-finished in exact rationals, giving a point that passes Wolfe's optimality
-test exactly, is a convex combination of its active vertices, and
-satisfies x*(X) <= f(X) on the 2m singletons and co-singletons.  Beyond
+floating point keeps the exact greedy vertex of every active point, and
+Wolfe's cycles finish it exactly, each affine minimizer solved from its
+bordered Gram system by ``core.solve_exact``.  The point passes Wolfe's
+optimality test exactly, is a convex combination of its active vertices,
+and satisfies x*(X) <= f(X) on the 2m singletons and co-singletons.  Beyond
 those sets it is the minimum-norm base only if f is submodular.  A failed
 check raises ``CertificateError``.
 
@@ -29,6 +30,7 @@ Kothari, NeurIPS 2014.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,9 +48,12 @@ from .core import (
     iter_bits,
     max_abs,
     popcounts,
+    solve_exact,
 )
 
 WOLFE_TOL = 1e-9
+#: random subsets ``check_symmetry`` compares with their complements
+SYMMETRY_SAMPLES = 16
 OUTSIDE_BASE_POLYTOPE = "min-norm base lies outside the base polytope: oracle not submodular?"
 
 
@@ -181,15 +186,14 @@ def st_min_cut(f: SetFunctionOracle, s: int, t: int) -> tuple[int, Fraction]:
     return res.minimal_minimizer, res.min_value
 
 
-def check_symmetry(f: SetFunctionOracle, rng=None, samples: int = 16) -> bool:
-    """Spot-check f(S) == f(complement) plus f(empty) == f(full) == 0."""
-    import random
-
+def check_symmetry(f: SetFunctionOracle) -> bool:
+    """Spot-check f(S) == f(complement) on SYMMETRY_SAMPLES subsets drawn
+    with a fixed seed, plus f(empty) == f(full) == 0."""
     full = f.full_mask
     if f(0) != 0 or f(full) != 0:
         return False
-    rng = rng or random.Random(0)
-    for _ in range(samples):
+    rng = random.Random(0)
+    for _ in range(SYMMETRY_SAMPLES):
         S = rng.randrange(1 << f.m)
         if f(S) != f(full ^ S):
             return False
@@ -256,36 +260,6 @@ def _min_norm_point(n: int, greedy_vertex) -> tuple[list[list[Fraction]], np.nda
     return V, coeff
 
 
-def _exact_affine_coefficients(V: list[list[Fraction]]) -> list[Fraction]:
-    """Coefficients c, summing to 1, of the point of least norm in the
-    affine hull of V: the exact solution of
-    [[0, 1^T], [1, V V^T]] (mu, c) = (1, 0), by Gauss-Jordan elimination.
-    The system is always consistent; free variables of a singular one are
-    set to 0, and the caller checks the coefficients it gets."""
-    k = len(V)
-    rows = [[Fraction(0)] + [Fraction(1)] * k + [Fraction(1)]]
-    for u in V:
-        rows.append([Fraction(1)] + [sum(a * b for a, b in zip(u, v)) for v in V] + [Fraction(0)])
-    pivots = []
-    for col in range(k + 1):
-        r = len(pivots)
-        pivot = next((i for i in range(r, k + 1) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        rows[r] = [a / lead for a in rows[r]]
-        for i in range(k + 1):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-    sol = [Fraction(0)] * (k + 1)
-    for r, col in enumerate(pivots):
-        sol[col] = rows[r][-1]
-    return sol[1:]
-
-
 def _exact_min_norm_point(V: list[list[Fraction]], coeff: np.ndarray, greedy_vertex):
     """Wolfe's algorithm in exact arithmetic, started from the float search's
     final active set, which is usually already optimal.  The float search
@@ -299,7 +273,14 @@ def _exact_min_norm_point(V: list[list[Fraction]], coeff: np.ndarray, greedy_ver
     while True:
         # minor cycles: toward the affine minimizer of V until it is convex
         while True:
-            b = _exact_affine_coefficients(V)
+            # the point of least norm in the affine hull of V is sum b_i V_i
+            # for a solution (mu, b) of [[0, 1^T], [1, V V^T]] (mu, b) = (1, 0),
+            # a system that is always consistent
+            k = len(V)
+            bordered = [dict.fromkeys(range(1, k + 1), 1)] + [
+                {0: 1, **{j: sum(ue * ve for ue, ve in zip(u, v)) for j, v in enumerate(V, 1)}} for u in V
+            ]
+            b = solve_exact(bordered, [1] + [0] * k)[1:]
             if all(bi >= 0 for bi in b):
                 c = b
                 break

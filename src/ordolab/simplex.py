@@ -16,8 +16,11 @@
    A^T y <= 0 and b.y > 0.  Unboundedness needs a feasible point and a ray
    d >= 0 with A d compatible with every sense and c.d < 0.
 4. Recovery.  If the rounded candidate fails, the final basis is solved
-   exactly (B x_B = b, B^T y = c_B, B w = a_q) and that candidate is
-   checked instead.  If it fails too, ``CertificateError`` is raised.
+   exactly by ``core.solve_exact``, the integer Gauss-Jordan solver that
+   also finishes the Wolfe search in ``sfm`` (B x_B = b, B^T y = c_B,
+   B w = a_q; a singular B gets its free variables set to 0).  That
+   candidate is checked instead.  If it fails too, or a system is
+   inconsistent, ``CertificateError`` is raised.
 
 Every value, ``LpInfeasible`` and ``LpUnbounded`` returned or raised is
 therefore backed by an exact check; no pivot is taken in Fractions.
@@ -31,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CertificateError
+from .core import CertificateError, solve_exact
 
 
 class LpInfeasible(Exception):
@@ -53,15 +56,15 @@ FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
 
 def simplex_minimize(
     objective: Sequence[Fraction],
-    rows: Sequence[tuple[Sequence[Fraction], str, Fraction]],
+    rows: Sequence[tuple[Sequence[tuple[int, Fraction]], str, Fraction]],
 ) -> tuple[Fraction, list[Fraction]]:
     """Minimize objective . x subject to the rows and x >= 0.
 
-    Each row is (coefficients, sense, rhs) with sense one of '<=', '>=',
-    '=='.  Returns (optimal value, primal solution), both exact and
-    certified by an exact dual solution.  Raises LpInfeasible or
-    LpUnbounded with a checked certificate, or CertificateError when no
-    certificate checks.
+    Each row is (terms, sense, rhs): terms are (column, coefficient) pairs
+    and sense is one of '<=', '>=', '=='.  Returns (optimal value, primal
+    solution), both exact and certified by an exact dual solution.  Raises
+    LpInfeasible or LpUnbounded with a checked certificate, or
+    CertificateError when no certificate checks.
     """
     lp = _Lp(objective, rows)
     T, basis = lp.tableau()
@@ -151,10 +154,10 @@ class _Lp:
         self.n = n = len(self.c)
         self.rows: list[tuple[list[tuple[int, Fraction]], str]] = []
         self.rhs: list[Fraction] = []
-        for coeffs, sense, rhs in rows:
-            if len(coeffs) != n:
-                raise ValueError("row length does not match objective")
-            terms = [(j, Fraction(v)) for j, v in enumerate(coeffs) if v]
+        for terms, sense, rhs in rows:
+            if any(not 0 <= j < n for j, _ in terms):
+                raise ValueError("term column outside the objective")
+            terms = [(j, Fraction(v)) for j, v in terms if v]
             rhs = Fraction(rhs)
             if rhs < 0:
                 terms = [(j, -v) for j, v in terms]
@@ -237,15 +240,15 @@ class _Lp:
         return B
 
     def exact_point(self, basis):
-        x_B = _solve(self._basis_rows(basis), self.rhs)
+        x_B = solve_exact(self._basis_rows(basis), self.rhs)
         return None if x_B is None else self._structural(basis, x_B)
 
     def exact_duals(self, basis, phase):
-        return _solve([self._columns[k] for k in basis], [self._cost(k, phase) for k in basis])
+        return solve_exact([self._columns[k] for k in basis], [self._cost(k, phase) for k in basis])
 
     def exact_ray(self, basis, enter):
         a = self._columns[enter]
-        w = _solve(self._basis_rows(basis), [a.get(i, Fraction(0)) for i in range(len(basis))])
+        w = solve_exact(self._basis_rows(basis), [a.get(i, Fraction(0)) for i in range(len(basis))])
         return None if w is None else self._ray(basis, enter, w)
 
     def _ray(self, basis, enter, w):
@@ -271,37 +274,6 @@ def _certify(check, rounded, exact, verdict: str):
 
 def _rational(v: float) -> Fraction:
     return Fraction(v).limit_denominator(ROUND_DENOMINATOR)
-
-
-def _solve(rows: list[dict[int, Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """The exact solution z of M z = rhs for a square M given by sparse
-    rows (Gauss-Jordan in Fractions), or None if M is singular."""
-    rows = [dict(r) for r in rows]
-    rhs = [Fraction(v) for v in rhs]
-    size = len(rows)
-    free = set(range(size))
-    pivot_of = [0] * size
-    for col in range(size):
-        p = min((i for i in free if rows[i].get(col)), default=None)
-        if p is None:
-            return None
-        free.discard(p)
-        pivot_of[col] = p
-        scale = rows[p][col]
-        prow = {j: v / scale for j, v in rows[p].items()}
-        rows[p] = prow
-        rhs[p] /= scale
-        for i, row in enumerate(rows):
-            factor = row.get(col)
-            if factor and i != p:
-                for j, v in prow.items():
-                    value = row.get(j, 0) - factor * v
-                    if value:
-                        row[j] = value
-                    else:
-                        row.pop(j, None)
-                rhs[i] -= factor * rhs[p]
-    return [rhs[pivot_of[col]] for col in range(size)]
 
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

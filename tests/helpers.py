@@ -94,6 +94,13 @@ def brute_min_offset(f, lam):
     return best, argmins
 
 
+def sparse_rows(rows):
+    """Dense (coefficients, sense, rhs) rows as simplex_minimize takes them:
+    (terms, sense, rhs), terms the (column, coefficient) pairs of the
+    nonzero coefficients."""
+    return [([(j, v) for j, v in enumerate(coeffs) if v], sense, rhs) for coeffs, sense, rhs in rows]
+
+
 def _solve_square(system, rhs):
     """The unique solution of a square Fraction system, or None."""
     size = len(system)

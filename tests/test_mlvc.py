@@ -24,7 +24,7 @@ from ordolab.core import ParseError
 from ordolab.mlvc import _sample
 from ordolab.simplex import LpInfeasible, LpUnbounded, simplex_minimize
 
-from helpers import sample_extension
+from helpers import sample_extension, sparse_rows
 
 from ordolab.instances import complete_bipartite, complete_graph, cycle_graph, path_graph
 
@@ -224,7 +224,7 @@ def test_simplex_infeasible():
     with pytest.raises(LpInfeasible):
         simplex_minimize(
             [Fraction(1)],
-            [([Fraction(1)], "<=", Fraction(1)), ([Fraction(1)], ">=", Fraction(2))],
+            sparse_rows([([Fraction(1)], "<=", Fraction(1)), ([Fraction(1)], ">=", Fraction(2))]),
         )
 
 
@@ -232,10 +232,10 @@ def test_simplex_known_optimum():
     # min x + y  s.t.  x + 2y >= 4, 3x + y >= 6
     value, (x, y) = simplex_minimize(
         [Fraction(1), Fraction(1)],
-        [
+        sparse_rows([
             ([Fraction(1), Fraction(2)], ">=", Fraction(4)),
             ([Fraction(3), Fraction(1)], ">=", Fraction(6)),
-        ],
+        ]),
     )
     assert value == Fraction(14, 5)
     assert x + 2 * y >= 4 and 3 * x + y >= 6
@@ -244,22 +244,27 @@ def test_simplex_known_optimum():
 def test_simplex_unbounded():
     # min -x  s.t.  x >= 1
     with pytest.raises(LpUnbounded):
-        simplex_minimize([Fraction(-1)], [([Fraction(1)], ">=", Fraction(1))])
+        simplex_minimize([Fraction(-1)], sparse_rows([([Fraction(1)], ">=", Fraction(1))]))
+
+
+def test_simplex_rejects_a_column_outside_the_objective():
+    with pytest.raises(ValueError):
+        simplex_minimize([Fraction(1)], [([(1, Fraction(1))], ">=", Fraction(1))])
 
 
 def test_simplex_recovers_a_large_denominator(monkeypatch):
     # the optimum 1/1234567 has a denominator beyond the rounding bound, so
     # only the exact solve of the final basis certifies it
     assert 1234567 > simplex.ROUND_DENOMINATOR
-    solve = simplex._solve
+    solve = simplex.solve_exact
     solves = []
 
     def counted(rows, rhs):
         solves.append(rows)
         return solve(rows, rhs)
 
-    monkeypatch.setattr(simplex, "_solve", counted)
-    value, x = simplex_minimize([Fraction(1)], [([Fraction(1234567)], ">=", Fraction(1))])
+    monkeypatch.setattr(simplex, "solve_exact", counted)
+    value, x = simplex_minimize([Fraction(1)], sparse_rows([([Fraction(1234567)], ">=", Fraction(1))]))
     assert value == Fraction(1, 1234567) and x == [Fraction(1, 1234567)]
     assert solves
 
@@ -280,7 +285,7 @@ def test_simplex_fails_closed_on_a_non_optimal_basis(monkeypatch):
     with pytest.raises(CertificateError):
         simplex_minimize(
             [Fraction(-1)],
-            [([Fraction(1)], ">=", Fraction(1)), ([Fraction(1)], "<=", Fraction(3))],
+            sparse_rows([([Fraction(1)], ">=", Fraction(1)), ([Fraction(1)], "<=", Fraction(3))]),
         )
 
 

@@ -1,14 +1,15 @@
-"""Property tests: the table-based solvers and the certified simplex
-against brute force.
+"""Property tests: the table-based solvers, the certified simplex and the
+exact linear solver against brute force.
 
 Random graphic (with loops and parallel edges), vector and
-Fraction-weighted cut oracles, plus contractions of them, and small random
-LPs, checked against the enumerations in ``helpers``.
+Fraction-weighted cut oracles, plus contractions of them, small random LPs
+and square linear systems, checked against the enumerations and the
+reference solver in ``helpers``.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ordolab import (
@@ -27,9 +28,19 @@ from ordolab import (
     weighted_mlop_objective,
 )
 
+from ordolab.core import solve_exact
 from ordolab.simplex import LpInfeasible, LpUnbounded, simplex_minimize
 
-from helpers import brute_lp, brute_min_offset, brute_mlop, brute_partition, brute_weighted_mlop, loop_dp
+from helpers import (
+    _solve_square,
+    brute_lp,
+    brute_min_offset,
+    brute_mlop,
+    brute_partition,
+    brute_weighted_mlop,
+    loop_dp,
+    sparse_rows,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -77,6 +88,32 @@ def small_lps(draw):
         for _ in range(draw(st.integers(1, 4)))
     ]
     return objective, rows
+
+
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def square_systems(draw):
+    """A square Fraction matrix of size 1-5 and a vector of that size."""
+    n = draw(st.integers(1, 5))
+    return [[draw(fractions) for _ in range(n)] for _ in range(n)], [draw(fractions) for _ in range(n)]
+
+
+@st.composite
+def singular_systems(draw):
+    """(M, j, z0) with row j of M replaced by a combination of the other
+    rows (a duplicate when one weight is 1 and the others 0; the zero row
+    when n = 1), so M is singular."""
+    M, z0 = draw(square_systems())
+    j = draw(st.integers(0, len(M) - 1))
+    weights = [draw(fractions) for _ in M]
+    M[j] = [sum(w * M[i][c] for i, w in enumerate(weights) if i != j) for c in range(len(M))]
+    return M, j, z0
+
+
+def times(M, z):
+    return [sum(a * b for a, b in zip(row, z)) for row in M]
 
 
 lambdas = st.builds(Fraction, st.integers(-3, 12), st.integers(1, 6))
@@ -201,7 +238,7 @@ def test_simplex_matches_vertex_enumeration(lp):
     objective, rows = lp
     verdict, optimum = brute_lp(objective, rows)
     try:
-        value, x = simplex_minimize(objective, rows)
+        value, x = simplex_minimize(objective, sparse_rows(rows))
     except LpInfeasible:
         assert verdict == "infeasible"
     except LpUnbounded:
@@ -209,3 +246,30 @@ def test_simplex_matches_vertex_enumeration(lp):
     else:
         assert (verdict, value) == ("optimal", optimum)
         assert sum(c * v for c, v in zip(objective, x)) == value
+
+
+@PROPERTY
+@given(square_systems())
+def test_solve_exact_matches_the_square_reference(system):
+    M, rhs = system
+    reference = _solve_square(M, rhs)
+    assume(reference is not None)
+    assert solve_exact([dict(enumerate(row)) for row in M], rhs) == reference
+
+
+@PROPERTY
+@given(singular_systems())
+def test_solve_exact_solves_a_singular_consistent_system(system):
+    M, _, z0 = system
+    rhs = times(M, z0)
+    z = solve_exact([dict(enumerate(row)) for row in M], rhs)
+    assert z is not None and times(M, z) == rhs
+
+
+@PROPERTY
+@given(singular_systems(), fractions.filter(bool))
+def test_solve_exact_rejects_an_inconsistent_system(system, delta):
+    M, j, z0 = system
+    rhs = times(M, z0)
+    rhs[j] += delta
+    assert solve_exact([dict(enumerate(row)) for row in M], rhs) is None
