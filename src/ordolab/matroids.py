@@ -4,6 +4,7 @@ extensions, and the symmetric cut function of a weighted graph."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, prod
 from typing import Sequence
 
 import numpy as np
@@ -121,11 +122,19 @@ class GraphicMatroid(Matroid):
         return 1, rank
 
 
-class VectorMatroid(Matroid):
-    """Column matroid of an integer matrix.
+#: most column sets whose annihilators ``VectorMatroid._scaled_table`` holds
+#: at once
+ANNIHILATOR_BLOCK = 1 << 14
 
-    Rank is computed exactly over the rationals by fraction-free (Bareiss)
-    elimination; pass ``prime`` to rank over GF(prime) instead.
+
+class VectorMatroid(Matroid):
+    """Column matroid of an integer matrix, ranked exactly over the
+    rationals, or over GF(prime) when ``prime`` is given.
+
+    The dense table is filled in one batched pass that adds one column at a
+    time to every column set built so far (see ``_scaled_table``); a single
+    query runs fraction-free (Bareiss) elimination, or elimination mod
+    ``prime``.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], prime: int | None = None):
@@ -148,6 +157,83 @@ class VectorMatroid(Matroid):
         if self.prime is not None:
             return _rank_mod(mat, self.prime)
         return _rank_bareiss(mat)
+
+    def _scaled_table(self, cap: int) -> tuple[int, np.ndarray]:
+        """All 2^m ranks from one k x k integer matrix N_S per column set S,
+        whose nonzero rows span the annihilator {y : y.a_j = 0, j in S};
+        N_empty = I.  Adding a column v to S raises the rank exactly when
+        w = N_S v is nonzero; then, with p the first index where w_p != 0,
+        N_{S+v} = w_p N_S - w (x) N_S[p], whose row p is zero.  Over the
+        rationals each row is divided by the gcd of its entries, so every
+        nonzero row is the primitive vector of a line spanned by r x r
+        minors of the matrix, at most the Hadamard bound H in magnitude;
+        over GF(prime) the rows are reduced mod prime instead.
+
+        The low columns are built in one batch of states; each block of
+        those is then extended over the remaining columns and fills its
+        columns of the (2^high, 2^low) table, so at most about
+        ``ANNIHILATOR_BLOCK`` states are held at once."""
+        k, m, prime = len(self.rows), self.m, self.prime
+        cols = [[row[j] for row in self.rows] for j in range(m)]
+        if prime is None:
+            # each column norm rounded up to an integer above it, so H >= 1
+            norms = sorted((isqrt(sum(x * x for x in c)) + 1 for c in cols), reverse=True)
+            H = prod(norms[:k])
+            bound = 2 * k * max((abs(x) for c in cols for x in c), default=0) * H * H
+        else:
+            cols = [[x % prime for x in c] for c in cols]
+            bound = (k + 2) * prime * prime
+        dtype = int_dtype(bound)
+        cols = np.array(cols, dtype=dtype).reshape(m, k)
+        rank_dtype = int_dtype(m)
+
+        def extend(N, rank, vectors, keep_last):
+            for i, v in enumerate(vectors):
+                w = N @ v
+                if prime is not None:
+                    w %= prime
+                grows = (w != 0).any(axis=1)
+                rank = np.concatenate([rank, rank + grows])
+                if i + 1 < len(vectors) or keep_last:
+                    N = _adjoin(N, w, grows, prime)
+            return N, rank
+
+        block_bits = ANNIHILATOR_BLOCK.bit_length() - 1
+        low = min(m, block_bits)
+        high = m - low
+        N, rank = extend(
+            np.eye(k, dtype=dtype)[None], np.zeros(1, dtype=rank_dtype), cols[:low], high > 0
+        )
+        if not high:
+            return 1, rank
+        table = np.empty((1 << high, 1 << low), dtype=rank_dtype)
+        width = max(1, ANNIHILATOR_BLOCK >> high)
+        for start in range(0, 1 << low, width):
+            stop = start + width
+            _, ranks = extend(N[start:stop], rank[start:stop], cols[low:], False)
+            table[:, start:stop] = ranks.reshape(1 << high, -1)
+        return 1, table.reshape(-1)
+
+
+def _adjoin(N: np.ndarray, w: np.ndarray, grows: np.ndarray, prime: int | None) -> np.ndarray:
+    """The annihilator matrices of every set S, then of every S + v, for a
+    column v with w = N v: N_{S+v} = w_p N_S - w (x) N_S[p] where w != 0, p
+    its first nonzero index, rows divided by their gcds or reduced mod
+    ``prime``; N_{S+v} = N_S where w = 0."""
+    out = np.concatenate([N, N])
+    index = np.flatnonzero(grows)
+    N, w = N[index], w[index]
+    rows = np.arange(len(index))
+    p = np.argmax(w != 0, axis=1)
+    new = w[rows, p][:, None, None] * N - w[:, :, None] * N[rows, p][:, None, :]
+    if prime is not None:
+        new %= prime
+    else:
+        g = np.gcd.reduce(new, axis=2)
+        g[g == 0] = 1
+        new //= g[:, :, None]
+    out[len(grows) + index] = new
+    return out
 
 
 def _rank_bareiss(mat: list[list[int]]) -> int:

@@ -9,10 +9,13 @@ linear extension of the poset is exactly a feasible cover schedule.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .core import Graph, Ordering, ParseError, _nonblank_lines, mlvc_objective
 from .simplex import simplex_minimize
@@ -149,20 +152,28 @@ class BalanceReport:
     flagged: tuple[tuple[int, int], ...]
 
 
+def largest_float_below(q: Fraction) -> float:
+    """The largest float strictly below q, so that a float x is below q
+    exactly when x <= largest_float_below(q)."""
+    below = float(q)
+    return math.nextafter(below, -math.inf) if below >= q else below
+
+
 def _count_inversions(H: Hypergraph, trials: int, seed: int) -> dict:
+    """For every incomparable pair (a, b), the number of sampled schedules
+    that put a before b; one numpy pass over the pairs per trial."""
     poset = build_poset(H)
     pairs = poset.incomparable_pairs()
-    counts = {p: 0 for p in pairs}
+    first = np.array([a for a, _ in pairs], dtype=np.intp)
+    second = np.array([b for _, b in pairs], dtype=np.intp)
+    hits = np.zeros(len(pairs), dtype=np.int64)
+    slot = np.empty(poset.n_jobs, dtype=np.intp)
+    position = np.arange(poset.n_jobs)
     rng = random.Random(seed)
     for _ in range(trials):
-        schedule = _sample(poset, rng)
-        slot = [0] * poset.n_jobs
-        for i, job in enumerate(schedule):
-            slot[job] = i
-        for a, b in pairs:
-            if slot[a] < slot[b]:
-                counts[(a, b)] += 1
-    return counts
+        slot[_sample(poset, rng)] = position
+        hits += slot[first] < slot[second]
+    return dict(zip(pairs, hits.tolist()))
 
 
 def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> BalanceReport:
@@ -192,6 +203,7 @@ def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> B
     else:
         counts = _count_inversions(H, trials, seed)
     floor = Fraction(1, 1 + H.max_edge_size)
+    below = largest_float_below(floor)
     probabilities = {p: counts[p] / trials for p in pairs}
     flagged = []
     worst_pair = None
@@ -199,7 +211,7 @@ def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> B
     for a, b in pairs:
         for p, pair in ((probabilities[(a, b)], (a, b)), (1 - probabilities[(a, b)], (b, a))):
             sigma = (p * (1 - p) / trials) ** 0.5
-            if p + 3 * sigma < floor:
+            if p + 3 * sigma <= below:
                 flagged.append(pair)
             if worst_p is None or p < worst_p:
                 worst_p = p

@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
+from operator import mul
 
 import numpy as np
 
@@ -270,30 +271,41 @@ def _exact_min_norm_point(V: list[list[Fraction]], coeff: np.ndarray, greedy_ver
     c = [Fraction(float(a)) for a in coeff]
     total = sum(c)
     c = [a / total for a in c]
+    # each active vertex V_i also as the integer vector U_i = d_i V_i
+    d, U = (list(t) for t in zip(*map(_integer_vector, V)))
     while True:
         # minor cycles: toward the affine minimizer of V until it is convex
         while True:
             # the point of least norm in the affine hull of V is sum b_i V_i
             # for a solution (mu, b) of [[0, 1^T], [1, V V^T]] (mu, b) = (1, 0),
-            # a system that is always consistent
+            # a system that is always consistent; in beta_j = b_j / d_j its
+            # rows are integer: sum d_j beta_j = 1, d_i mu + sum U_i.U_j beta_j = 0
             k = len(V)
-            bordered = [dict.fromkeys(range(1, k + 1), 1)] + [
-                {0: 1, **{j: sum(ue * ve for ue, ve in zip(u, v)) for j, v in enumerate(V, 1)}} for u in V
+            bordered = [dict(enumerate(d, 1))] + [
+                {0: di, **{j: sum(map(mul, u, w)) for j, w in enumerate(U, 1)}} for di, u in zip(d, U)
             ]
-            b = solve_exact(bordered, [1] + [0] * k)[1:]
+            beta = solve_exact(bordered, [1] + [0] * k)[1:]
+            b = [dj * bj for dj, bj in zip(d, beta)]
             if all(bi >= 0 for bi in b):
                 c = b
                 break
             theta = min(ci / (ci - bi) for ci, bi in zip(c, b) if bi < 0)
             c = [theta * bi + (1 - theta) * ci for ci, bi in zip(c, b)]
-            V = [v for v, ci in zip(V, c) if ci > 0]
+            V, U, d = ([t for t, ci in zip(seq, c) if ci > 0] for seq in (V, U, d))
             c = [ci for ci in c if ci > 0]
         x = [sum(ci * v[e] for ci, v in zip(c, V)) for e in range(m)]
         q = greedy_vertex(sorted(range(m), key=x.__getitem__))
         if sum(xe * qe for xe, qe in zip(x, q)) >= sum(xe * xe for xe in x):
             return c, x
-        V = V + [q]
+        dq, uq = _integer_vector(q)
+        V, U, d = V + [q], U + [uq], d + [dq]
         c = c + [Fraction(0)]
+
+
+def _integer_vector(v: list[Fraction]) -> tuple[int, list[int]]:
+    """(d, d v), d the least common denominator of v's entries."""
+    d = lcm(*(ve.denominator for ve in v))
+    return d, [ve.numerator * (d // ve.denominator) for ve in v]
 
 
 def _wolfe_base(f: SetFunctionOracle) -> list[Fraction]:

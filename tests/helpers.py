@@ -216,6 +216,25 @@ def all_trees(n: int):
         yield edges
 
 
+def count_inversions_by_pairs(H, trials: int, seed: int) -> dict:
+    """Reference inversion count, one Python loop over the pairs per trial:
+    for every incomparable pair (a, b), the number of sampled schedules
+    that put a before b, drawing the same samples as the library."""
+    poset = build_poset(H)
+    pairs = poset.incomparable_pairs()
+    counts = {p: 0 for p in pairs}
+    rng = random.Random(seed)
+    for _ in range(trials):
+        schedule = _sample(poset, rng)
+        slot = [0] * poset.n_jobs
+        for i, job in enumerate(schedule):
+            slot[job] = i
+        for a, b in pairs:
+            if slot[a] < slot[b]:
+                counts[(a, b)] += 1
+    return counts
+
+
 def sample_extension(H, seed: int = 0) -> list[int]:
     """One random linear extension: vertices in a uniform random order, each
     edge scheduled immediately once complete, edge ties shuffled."""

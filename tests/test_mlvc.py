@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from ordolab import (
 )
 from ordolab import cli, simplex
 from ordolab.core import ParseError
-from ordolab.mlvc import _sample
+from ordolab.mlvc import _sample, largest_float_below
 from ordolab.simplex import LpInfeasible, LpUnbounded, simplex_minimize
 
 from helpers import sample_extension, sparse_rows
@@ -128,6 +129,17 @@ def test_balance_check_k4():
         exact = float(exact_pair_probability(poset, a, b))
         sigma = (exact * (1 - exact) / report.trials) ** 0.5
         assert abs(emp - exact) <= 5 * sigma
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_float_threshold_matches_the_exact_floor(k):
+    floor = Fraction(1, 1 + k)
+    below = largest_float_below(floor)
+    assert below < floor
+    nearest = float(floor)
+    for x in (nearest, math.nextafter(nearest, 0), math.nextafter(nearest, 1),
+              below, math.nextafter(below, 0), math.nextafter(below, 1)):
+        assert (x <= below) == (x < floor)
 
 
 def test_balance_check_parallel_jobs_deterministic():

@@ -4,11 +4,15 @@ exact linear solver against brute force.
 Random graphic (with loops and parallel edges), vector and
 Fraction-weighted cut oracles, plus contractions of them, small random LPs
 and square linear systems, checked against the enumerations and the
-reference solver in ``helpers``.
+reference solver in ``helpers``; the batched vector-matroid table against
+single rank queries, and the inversion counts of the balance check against
+the reference pair loop.
 """
 
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +21,7 @@ from ordolab import (
     CutFunction,
     Graph,
     GraphicMatroid,
+    Hypergraph,
     VectorMatroid,
     compute_principal_partition,
     constrained_min,
@@ -28,7 +33,9 @@ from ordolab import (
     weighted_mlop_objective,
 )
 
+from ordolab import matroids
 from ordolab.core import solve_exact
+from ordolab.mlvc import _count_inversions
 from ordolab.simplex import LpInfeasible, LpUnbounded, simplex_minimize
 
 from helpers import (
@@ -38,6 +45,7 @@ from helpers import (
     brute_mlop,
     brute_partition,
     brute_weighted_mlop,
+    count_inversions_by_pairs,
     loop_dp,
     sparse_rows,
 )
@@ -213,6 +221,41 @@ def test_batched_graphic_table_matches_evaluate(G):
     f = GraphicMatroid(G)
     assert list(f.dense_values()) == [f.evaluate(S) for S in range(1 << f.m)]
     assert f.dense_denominator == 1
+
+
+@st.composite
+def table_matroids(draw):
+    """Rational or GF(p) vector matroids, m = 0-8, k = 1-5, entries small
+    or up to 10^12 (beyond int64 once multiplied out: the object path)."""
+    m = draw(st.integers(0, 8))
+    k = draw(st.integers(1, 5))
+    bound = draw(st.sampled_from((3, 10**12)))
+    prime = draw(st.sampled_from((None, 2, 3, 7, 2**61 - 1)))
+    entry = st.integers(-bound, bound)
+    return VectorMatroid([draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(k)], prime)
+
+
+@pytest.mark.parametrize("block", [matroids.ANNIHILATOR_BLOCK, 16], ids=["one-block", "many-blocks"])
+@PROPERTY
+@given(table_matroids())
+def test_batched_vector_table_matches_evaluate(block, f):
+    with mock.patch.object(matroids, "ANNIHILATOR_BLOCK", block):
+        table = f.dense_values()
+    assert list(table) == [f.evaluate(S) for S in range(1 << f.m)]
+    assert f.dense_denominator == 1
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(1, 6))
+    edge = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n)
+    return Hypergraph(n, tuple(draw(st.lists(edge, max_size=6))))
+
+
+@PROPERTY
+@given(hypergraphs(), st.integers(1, 30), st.integers(0, 2**32))
+def test_inversion_counts_match_the_pair_loop(H, trials, seed):
+    assert _count_inversions(H, trials, seed) == count_inversions_by_pairs(H, trials, seed)
 
 
 def test_large_coprime_denominators_take_the_object_path():
