@@ -16,7 +16,6 @@ import time
 from fractions import Fraction
 from functools import cache
 
-from . import acceptance
 from .core import (
     CertificateError,
     Graph,
@@ -306,6 +305,10 @@ def _cmd_ghtree(args):
 
 
 def _cmd_verify(args):
+    # imported here: the suite and its instance generators are needed by
+    # this command only, and every other command's start-up would pay them
+    from . import acceptance
+
     if args.criterion is not None:
         results = [acceptance.run_criterion(args.criterion)]
     else:

@@ -227,7 +227,8 @@ class SetFunctionOracle:
     memoised table, so they may be shared across threads.  ``dense_values``
     builds the one integer table that every enumeration-based solver reads;
     subclasses with a faster way to fill all 2^m entries override
-    ``_scaled_table``.
+    ``_scaled_table``, and those with a faster exact s-t cut (the max-flow
+    of a graph's cut function) override ``_st_min_cut``.
     """
 
     def __init__(self, ground: GroundSet):
@@ -282,6 +283,15 @@ class SetFunctionOracle:
         D = lcm(*(v.denominator for v in values))
         ints = [v.numerator * (D // v.denominator) for v in values]
         return D, narrowed(np.array(ints, dtype=object))
+
+    def _st_min_cut(self, s: int, t: int) -> tuple[int, Fraction]:
+        """(X, f(X)) for the smallest X minimizing f over the sets with s in
+        X and t out of X, by submodular minimization of the contraction;
+        subclasses with an exact combinatorial way override it."""
+        from .sfm import constrained_min  # sfm builds on this module
+
+        res = constrained_min(self, Fraction(0), include=1 << s, exclude=1 << t)
+        return res.minimal_minimizer, res.min_value
 
 
 class ModularOracle(SetFunctionOracle):

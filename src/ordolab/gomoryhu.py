@@ -2,11 +2,17 @@
 bounds they induce.
 
 Construction uses Gusfield's scheme (no contraction; Gusfield, SIAM J.
-Comput. 1990, and Queyranne 1998 for symmetric submodular functions).
-Every edge of the result is then re-checked against the defining cut
-property: the tree side of the edge must have the edge's weight, and the
-s-t minimization solved from scratch must have the same value.  A tree that
-fails raises ``CertificateError``; there is no second construction.
+Comput. 1990, and Queyranne 1998 for symmetric submodular functions), one
+``sfm.st_min_cut`` per vertex: for a graph's cut function an exact integer
+maximum flow (Dinic 1970), checked before use, and for any other symmetric
+oracle a submodular minimization.  Every edge of the result is then
+re-checked against the defining cut property: the tree side of the edge
+must have the edge's weight w, and the minimum cut between its endpoints
+must be at least w.  The second half is read from the certified cut values
+Gusfield computed: a chain of solved vertex pairs, each of value at least
+w, joins the endpoints.  Only an edge without such a chain is cut again.
+A tree that fails raises ``CertificateError``; there is no second
+construction.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import CertificateError, Graph, Ordering, SetFunctionOracle, mask_of
 from .matroids import CutFunction
@@ -88,25 +94,49 @@ class GomoryHuTree:
         return mask_of(self.component_of(a, edge_index))
 
 
-def _verify_cut_property(f: SetFunctionOracle, tree: GomoryHuTree) -> bool:
+def _verify_cut_property(
+    f: SetFunctionOracle, tree: GomoryHuTree, solved: Mapping[frozenset[int], Fraction] | None = None
+) -> bool:
+    """Every tree edge (s, t, w): its tree side X has f(X) = w, so the
+    minimum s-t cut value is at most w, and it is at least w.  The lower
+    bound is read from ``solved`` (certified minimum cut values by vertex
+    pair): a chain of solved pairs from s to t whose values are all at
+    least w proves it, because every set holding s and not t separates
+    some consecutive pair of the chain.  Only an edge that no chain
+    reaches is solved again."""
+    adjacency: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in range(tree.n)}
+    for pair, value in (solved or {}).items():
+        a, b = pair
+        adjacency[a].append((b, value))
+        adjacency[b].append((a, value))
     for i, (s, t, w) in enumerate(tree.edges):
-        side = tree.cut_side(i)
-        if f(side) != w:
+        if f(tree.cut_side(i)) != w:
             return False
-        _, value = st_min_cut(f, s, t)
-        if value != w:
+        reached, stack = {s}, [s]
+        while stack and t not in reached:
+            for u, value in adjacency[stack.pop()]:
+                if value >= w and u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+        if t not in reached and st_min_cut(f, s, t)[1] != w:
             return False
     return True
 
 
-def _gusfield(f: SetFunctionOracle, order: Sequence[int]) -> GomoryHuTree:
+def _gusfield(
+    f: SetFunctionOracle, order: Sequence[int]
+) -> tuple[GomoryHuTree, dict[frozenset[int], Fraction]]:
+    """The tree, and the minimum cut value of every vertex pair whose s-t
+    cut it solved.  Predecessor swaps and reassignments can put a weight on
+    a tree edge whose endpoints were never cut against each other."""
     root = order[0]
     pred = {v: root for v in order}
     weight: dict[int, Fraction] = {}
+    solved: dict[frozenset[int], Fraction] = {}
     for v in order[1:]:
         pv = pred[v]
         side, value = st_min_cut(f, v, pv)
-        weight[v] = value
+        weight[v] = solved[frozenset((v, pv))] = value
         for u in order:
             if u != v and u != root and pred[u] == pv and (side >> u) & 1:
                 pred[u] = v
@@ -117,7 +147,7 @@ def _gusfield(f: SetFunctionOracle, order: Sequence[int]) -> GomoryHuTree:
             weight[v] = weight[pv]
             weight[pv] = value
     edges = tuple((v, pred[v], weight[v]) for v in order[1:])
-    return GomoryHuTree(f.m, edges)
+    return GomoryHuTree(f.m, edges), solved
 
 
 def build_gh_tree(f: SetFunctionOracle, seed: int | None = None) -> GomoryHuTree:
@@ -135,8 +165,8 @@ def build_gh_tree(f: SetFunctionOracle, seed: int | None = None) -> GomoryHuTree
     order = list(range(f.m))
     if seed is not None:
         random.Random(seed).shuffle(order)
-    tree = _gusfield(f, order)
-    if not _verify_cut_property(f, tree):
+    tree, solved = _gusfield(f, order)
+    if not _verify_cut_property(f, tree, solved):
         raise CertificateError("Gusfield tree violates the Gomory-Hu cut property")
     return tree
 

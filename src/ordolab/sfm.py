@@ -22,6 +22,10 @@ and satisfies x*(X) <= f(X) on the 2m singletons and co-singletons.  Beyond
 those sets it is the minimum-norm base only if f is submodular.  A failed
 check raises ``CertificateError``.
 
+``st_min_cut`` is dispatched per oracle class: a graph's cut function takes
+its s-t cuts from a checked integer max-flow (``flow``) and builds no
+table; other symmetric oracles minimize their contraction as above.
+
 References: Fujishige, Math. OR 1980 (lexicographically optimal base) and
 Submodular Functions and Optimization, 2nd ed. 2005, Thm 7.15; Nagano,
 Kawahara, Aihara, ICML 2011; Wolfe, Math. Prog. 1976; Chakrabarty, Jain,
@@ -179,12 +183,17 @@ def constrained_min(
 
 
 def st_min_cut(f: SetFunctionOracle, s: int, t: int) -> tuple[int, Fraction]:
-    """A minimum s-t cut of a symmetric oracle: X with s in X, t out of X,
-    minimizing f(X).  Returns (cut set, value)."""
+    """A minimum s-t cut of a symmetric oracle: the smallest X with s in X,
+    t out of X, minimizing f(X).  Returns (cut set, value).
+
+    Dispatched per oracle class: a graph's ``CutFunction`` reads it off an
+    exact integer maximum flow, checked before use (``flow``), and builds
+    no table; any other oracle minimizes its contraction through
+    ``constrained_min``, on the dense table within the exact cap and by the
+    Wolfe path beyond it."""
     if s == t:
         raise ValueError("s and t must differ")
-    res = constrained_min(f, Fraction(0), include=1 << s, exclude=1 << t)
-    return res.minimal_minimizer, res.min_value
+    return f._st_min_cut(s, t)
 
 
 def check_symmetry(f: SetFunctionOracle) -> bool:

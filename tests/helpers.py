@@ -79,6 +79,14 @@ def loop_dp(f, costs=None):
     return best[-1], Ordering.from_sequence(seq[::-1])
 
 
+def cut_weight(G, S):
+    """Total weight of the edges of G with exactly one endpoint in S."""
+    return sum(
+        (G.weight(i) for i, (u, v) in enumerate(G.edges) if ((S >> u) & 1) != ((S >> v) & 1)),
+        Fraction(0),
+    )
+
+
 def brute_min_offset(f, lam):
     """Scan all subsets of f(X) - lam*|X|; returns (min, list of argmins)."""
     lam = Fraction(lam)

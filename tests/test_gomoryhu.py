@@ -17,7 +17,7 @@ from ordolab import (
     st_min_cut,
     tree_mlop,
 )
-from ordolab import cli, gomoryhu
+from ordolab import cli, flow, gomoryhu
 from ordolab.gomoryhu import _verify_cut_property
 
 from helpers import all_trees
@@ -29,6 +29,23 @@ from ordolab.instances import (
     random_weighted_graph,
     star_graph,
 )
+
+#: build_gh_tree(CutFunction(random_weighted_graph(n, 2n, Random(n))),
+#: seed=n) with every s-t cut solved by submodular minimization of the
+#: contracted cut function: on the dense table for n = 11 and 16, by the
+#: Wolfe path for n = 24.  The flow cuts must give the same trees.
+SFM_TREES = {
+    11: [(3, 7, "14"), (2, 7, "11"), (5, 7, "23/2"), (1, 8, "6"), (6, 8, "8"), (4, 7, "10"),
+         (9, 7, "11"), (10, 7, "13/2"), (8, 3, "13"), (7, 0, "19/2")],
+    16: [(8, 14, "17"), (12, 0, "25/2"), (1, 14, "9/2"), (2, 14, "9/2"), (5, 8, "25/2"),
+         (9, 14, "13"), (15, 14, "20"), (0, 14, "14"), (13, 14, "41/2"), (3, 14, "12"),
+         (6, 13, "14"), (4, 10, "10"), (14, 10, "25/2"), (7, 14, "24"), (11, 1, "5/2")],
+    24: [(3, 2, "33/2"), (13, 6, "2"), (10, 18, "27/2"), (9, 2, "11/2"), (16, 2, "35/2"),
+         (17, 2, "21/2"), (8, 2, "35/2"), (7, 2, "12"), (0, 2, "17/2"), (4, 2, "15"),
+         (14, 2, "35/2"), (15, 21, "12"), (23, 2, "20"), (11, 6, "5"), (2, 1, "15"),
+         (21, 2, "37/2"), (19, 0, "12"), (20, 3, "11"), (6, 2, "27"), (5, 21, "15/2"),
+         (18, 2, "21"), (12, 2, "29/2"), (22, 2, "12")],
+}
 
 
 def tree_of(n, edges):
@@ -169,9 +186,9 @@ def test_wrong_gusfield_weight_fails_the_certificate(tmp_path, monkeypatch):
     gusfield = gomoryhu._gusfield
 
     def one_weight_off(f, order):
-        tree = gusfield(f, order)
+        tree, solved = gusfield(f, order)
         (a, b, w), *rest = tree.edges
-        return GomoryHuTree(tree.n, ((a, b, w + 1), *rest))
+        return GomoryHuTree(tree.n, ((a, b, w + 1), *rest)), solved
 
     monkeypatch.setattr(gomoryhu, "_gusfield", one_weight_off)
     with pytest.raises(CertificateError):
@@ -181,6 +198,58 @@ def test_wrong_gusfield_weight_fails_the_certificate(tmp_path, monkeypatch):
     report, code = cli.run(["ghtree", "--input", str(path)])
     assert code == 1
     assert "cut property" in report["error"]
+
+
+@pytest.mark.parametrize("n", sorted(SFM_TREES))
+def test_flow_trees_equal_the_minimization_trees(n):
+    f = CutFunction(random_weighted_graph(n, 2 * n, random.Random(n)))
+    tree = build_gh_tree(f, seed=n)
+    assert tree.edges == tuple((a, b, Fraction(w)) for a, b, w in SFM_TREES[n])
+
+
+def test_verification_reads_the_solved_cuts(monkeypatch):
+    # one s-t cut per Gusfield step and none to verify the tree
+    calls = []
+
+    def counted(f, s, t):
+        calls.append((s, t))
+        return st_min_cut(f, s, t)
+
+    monkeypatch.setattr(gomoryhu, "st_min_cut", counted)
+    for i in range(5):
+        build_gh_tree(CutFunction(random_weighted_graph(11, 22, random.Random(i))), seed=i)
+        assert len(calls) == 10
+        calls.clear()
+
+
+def test_side_values_alone_do_not_certify_a_tree(monkeypatch):
+    # a star on P4 whose weights are the values of its sides: each leaf side
+    # {v} has f = 2 or 1, but the minimum cut between 0 and 1 or 2 is 1
+    gusfield = gomoryhu._gusfield
+
+    def star(f, order):
+        _, solved = gusfield(f, order)
+        return GomoryHuTree(4, tuple((v, 0, f(1 << v)) for v in (1, 2, 3))), solved
+
+    monkeypatch.setattr(gomoryhu, "_gusfield", star)
+    with pytest.raises(CertificateError, match="cut property"):
+        build_gh_tree(CutFunction(path_graph(4)))
+
+
+def test_shifted_flow_exits_1(tmp_path, monkeypatch):
+    dinic = flow._dinic
+
+    def shifted(net, s, t):
+        x = dinic(net, s, t)
+        x[0] += 1
+        return x
+
+    monkeypatch.setattr(flow, "_dinic", shifted)
+    path = tmp_path / "p4.graph"
+    path.write_text("4 3\n1 2\n2 3\n3 4\n")
+    report, code = cli.run(["ghtree", "--input", str(path)])
+    assert code == 1
+    assert "flow" in report["error"]
 
 
 def test_weight_invariance():

@@ -1,15 +1,18 @@
-"""Property tests: the table-based solvers, the certified simplex and the
-exact linear solver against brute force.
+"""Property tests: the table-based solvers, the certified simplex, the
+exact linear solver and the exact max-flow against brute force.
 
 Random graphic (with loops and parallel edges), vector and
 Fraction-weighted cut oracles, plus contractions of them, small random LPs
 and square linear systems, checked against the enumerations and the
-reference solver in ``helpers``; the batched vector-matroid table against
-single rank queries, and the inversion counts of the balance check against
-the reference pair loop.
+reference solver in ``helpers``; the batched vector-matroid and cut tables
+against single evaluations; the s-t cuts of the integer max-flow against
+every cut of weighted multigraphs; and the inversion counts of the balance
+check against the reference pair loop.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from unittest import mock
 
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ordolab import (
+    CertificateError,
     ContractedOracle,
     CutFunction,
     Graph,
@@ -30,11 +34,12 @@ from ordolab import (
     min_norm_base,
     minimize_offset,
     mlop_objective,
+    st_min_cut,
     weighted_mlop_objective,
 )
 
-from ordolab import matroids
-from ordolab.core import solve_exact
+from ordolab import flow, matroids
+from ordolab.core import SetFunctionOracle, solve_exact
 from ordolab.mlvc import _count_inversions
 from ordolab.simplex import LpInfeasible, LpUnbounded, simplex_minimize
 
@@ -46,6 +51,7 @@ from helpers import (
     brute_partition,
     brute_weighted_mlop,
     count_inversions_by_pairs,
+    cut_weight,
     loop_dp,
     sparse_rows,
 )
@@ -316,3 +322,68 @@ def test_solve_exact_rejects_an_inconsistent_system(system, delta):
     rhs = times(M, z0)
     rhs[j] += delta
     assert solve_exact([dict(enumerate(row)) for row in M], rhs) is None
+
+
+@st.composite
+def weighted_multigraphs(draw, max_vertices=8, max_edges=12):
+    """Fraction-weighted graphs on 2-8 vertices with self-loops, parallel
+    edges (some drawn twice on purpose) and, with few edges, several
+    components."""
+    n = draw(st.integers(2, max_vertices))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    weight = st.builds(Fraction, st.integers(1, 9), st.integers(1, 6))
+    weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return Graph(n, tuple(edges), tuple(weights))
+
+
+@st.composite
+def terminals(draw, n):
+    s = draw(st.integers(0, n - 1))
+    return s, draw(st.integers(0, n - 1).filter(lambda t: t != s))
+
+
+@PROPERTY
+@given(weighted_multigraphs(), st.data())
+def test_flow_cut_is_the_smallest_minimum_cut(G, data):
+    s, t = data.draw(terminals(G.n))
+    f = CutFunction(G)
+    side, value = st_min_cut(f, s, t)
+    cuts = [S for S in range(1 << G.n) if (S >> s) & 1 and not (S >> t) & 1]
+    best = min(cut_weight(G, S) for S in cuts)
+    smallest = reduce(and_, [S for S in cuts if cut_weight(G, S) == best])
+    assert value == best == cut_weight(G, smallest)
+    assert side == smallest
+    assert f._dense is None  # the cut came from the flow, not from a table
+
+
+@PROPERTY
+@given(weighted_multigraphs(), st.data())
+def test_a_shifted_flow_fails_the_certificate(G, data):
+    f = CutFunction(G)
+    assume(f.network.edges)
+    s, t = data.draw(terminals(G.n))
+    i = data.draw(st.integers(0, len(f.network.edges) - 1))
+    dinic = flow._dinic
+
+    def shifted(net, s, t):
+        x = dinic(net, s, t)
+        x[i] += 1
+        return x
+
+    with mock.patch.object(flow, "_dinic", shifted), pytest.raises(CertificateError):
+        st_min_cut(f, s, t)
+
+
+@PROPERTY
+@given(weighted_multigraphs())
+def test_batched_cut_table_matches_evaluate(G):
+    f = CutFunction(G)
+    table = f.dense_values()
+    # the per-subset table of the base class: its D is the least common
+    # denominator of the values
+    D, reference = SetFunctionOracle._scaled_table(f, f.m)
+    assert f.dense_denominator == D
+    assert list(table) == list(reference) == [f.evaluate(S) * D for S in range(1 << f.m)]

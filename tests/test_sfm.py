@@ -149,6 +149,13 @@ def test_st_min_cut_two_cliques_bridge():
     assert side == 0b000111
 
 
+def test_st_min_cut_rejects_a_flow_network_that_differs_from_the_oracle():
+    cut = CutFunction(path_graph(3))
+    cut.network.capacities[0] += 1  # edge (0, 1)
+    with pytest.raises(CertificateError, match="cut function"):
+        st_min_cut(cut, 0, 1)
+
+
 def test_st_min_cut_rejects_equal_endpoints():
     cut = CutFunction(path_graph(3))
     with pytest.raises(ValueError):
