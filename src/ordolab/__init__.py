@@ -92,9 +92,7 @@ from .solve import (
     exact_mlop_dp,
     exact_weighted_mlop_dp,
     fixed_basis_extension,
-    fixed_basis_objective,
     has_flat_prefix_structure,
-    is_cactus,
     pp_lower_bound,
     pp_upper_bound,
     small_basis_exact,

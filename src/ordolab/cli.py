@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from .core import (
+    EXACT_SOLVER_CAP,
     CertificateError,
     Graph,
     Ordering,
@@ -24,7 +25,7 @@ from .core import (
     iter_bits,
     parse_graph,
 )
-from .gomoryhu import build_gh_tree, gh_lower_bound, gh_upper_bound
+from .gomoryhu import GH_UPPER_BOUND_CAP, build_gh_tree, gh_lower_bound, gh_upper_bound
 from .matroids import CutFunction, GraphicMatroid, parse_matrix
 from .mlvc import (
     Hypergraph,
@@ -43,7 +44,6 @@ from .reductions import (
     weighted_to_unweighted,
 )
 from .solve import (
-    EXACT_SOLVER_CAP,
     approx_monotone_mlop,
     cactus_exact,
     exact_mlop_dp,
@@ -110,9 +110,9 @@ def _cmd_solve(args):
     if args.exact == "dp":
         costs = _integer_costs(instance) if args.kind == "graph" else None
         if costs is not None:
-            value, sigma = exact_weighted_mlop_dp(matroid, costs, cap=args.cap)
+            value, sigma = exact_weighted_mlop_dp(matroid, costs)
         else:
-            value, sigma = exact_mlop_dp(matroid, cap=args.cap)
+            value, sigma = exact_mlop_dp(matroid)
     elif args.exact == "fixed-basis":
         value, sigma = small_basis_exact(matroid, jobs=args.jobs)
     elif args.exact == "cactus":
@@ -164,12 +164,8 @@ def _cmd_reduce(args):
             red.apex_graph.edges,
             tuple(Fraction(c) for c in red.costs),
         )
-        text = format_graph(target)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
         results = {
-            "target_instance": text,
+            "target_instance": format_graph(target),
             "cost_on_star_edges": red.k,
             "offset": red.base_offset,
             "identity": "weighted optimum = MLVC optimum + offset",
@@ -189,19 +185,14 @@ def _cmd_reduce(args):
                 "apex instance beyond the exact cap; certificate values "
                 "require an external solve"
             )
-        return results
-    if args.source == "mlvc" and args.target == "msvc":
+    elif args.source == "mlvc" and args.target == "msvc":
         if args.labeling:
             pi = Ordering(tuple(int(x) for x in args.labeling.split(",")))
         else:
             pi = Ordering.identity(instance.n)
         comp, pi2, cert = mlvc_msvc_shift(instance, pi)
-        text = format_graph(comp)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return {
-            "target_instance": text,
+        results = {
+            "target_instance": format_graph(comp),
             "target_labeling": jsonable(pi2),
             "certificate": {
                 "mlvc": jsonable(cert.source_value),
@@ -210,7 +201,7 @@ def _cmd_reduce(args):
                 "holds": cert.holds(),
             },
         }
-    if args.source == "weighted-mlop" and args.target == "mlop":
+    elif args.source == "weighted-mlop" and args.target == "mlop":
         costs = _integer_costs(instance)
         if costs is None:
             raise ValueError("weighted-mlop input needs integer edge weights")
@@ -220,19 +211,20 @@ def _cmd_reduce(args):
             instance.n,
             tuple(instance.edges[N.parent_of[i]] for i in range(N.m)),
         )
-        text = format_graph(expanded)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return {
-            "target_instance": text,
+        results = {
+            "target_instance": format_graph(expanded),
             "certificate": {
                 "weighted_objective": jsonable(cert.source_value),
                 "expanded_objective": jsonable(cert.target_value),
                 "holds": cert.holds(),
             },
         }
-    raise ValueError(f"unsupported reduction {args.source} -> {args.target}")
+    else:
+        raise ValueError(f"unsupported reduction {args.source} -> {args.target}")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(results["target_instance"])
+    return results
 
 
 def _cmd_mlvc(args):
@@ -288,7 +280,7 @@ def _cmd_ghtree(args):
         "total_weight": jsonable(tree.total_weight()),
         "lower_bound": jsonable(gh_lower_bound(tree)),
     }
-    if instance.n <= 12:
+    if instance.n <= GH_UPPER_BOUND_CAP:
         upper, sigma = gh_upper_bound(cut, tree)
         results["upper_bound"] = jsonable(upper)
         results["upper_ordering"] = jsonable(sigma)
@@ -350,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=("graph", "matrix"), default="graph")
     p.add_argument("--exact", choices=("dp", "fixed-basis", "cactus"), default="dp")
-    p.add_argument("--cap", type=int, default=EXACT_SOLVER_CAP)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("approx", parents=[common], help="certified approximation")

@@ -20,11 +20,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-#: Largest ground set the exhaustive (2^m) solvers accept by default.
+#: Largest ground set the exhaustive (2^m) solvers accept; enforced by
+#: ``SetFunctionOracle.dense_values`` alone.
 EXACT_SOLVER_CAP = 20
-
-#: Hard cap on bitmask ground sets for the exact machinery.
-BITSET_CAP = 63
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -145,9 +143,8 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 class GroundSet:
     """A set of m elements labelled 0..m-1.
 
-    Grounds beyond BITSET_CAP are representable (masks are plain ints) but
-    only the approximation paths accept them; the exact enumeration paths
-    enforce their own, tighter cap.
+    Grounds of any size are representable (masks are plain ints), but the
+    exact enumeration paths stop at EXACT_SOLVER_CAP.
     """
 
     m: int
@@ -253,7 +250,7 @@ class SetFunctionOracle:
             raise ValueError("subset outside ground set")
         return self.evaluate(subset)
 
-    def dense_values(self, cap: int = EXACT_SOLVER_CAP) -> np.ndarray:
+    def dense_values(self) -> np.ndarray:
         """D * f(S) for all 2^m bitmasks S, as one integer array.  Cached.
 
         D is the least common denominator of the values, kept as
@@ -261,22 +258,23 @@ class SetFunctionOracle:
         the narrowest numpy integer type holding every entry, or object
         (exact Python ints) when int64 could overflow.  Callers choose the
         dtype of their own arithmetic the same way, from a bound computed
-        up front, so every dtype runs the same code.  A contraction of an oracle within the cap derives its table
-        from the base's table instead of calling the oracle.
+        up front, so every dtype runs the same code.  A contraction of an
+        oracle within the cap derives its table from the base's table instead
+        of calling the oracle.  Grounds beyond EXACT_SOLVER_CAP raise
+        ValueError.
         """
         if self._dense is None:
-            if self.m > min(cap, BITSET_CAP):
+            if self.m > EXACT_SOLVER_CAP:
                 raise ValueError(
-                    f"ground set of size {self.m} exceeds the exact cap "
-                    f"({min(cap, BITSET_CAP)})"
+                    f"ground set of size {self.m} exceeds the exact cap ({EXACT_SOLVER_CAP})"
                 )
-            D, table = self._scaled_table(cap)
+            D, table = self._scaled_table()
             if table[0] != 0:
                 raise ValueError("oracle is not normalized: f(empty) != 0")
             self._dense, self.dense_denominator = table, D
         return self._dense
 
-    def _scaled_table(self, cap: int) -> tuple[int, np.ndarray]:
+    def _scaled_table(self) -> tuple[int, np.ndarray]:
         """(D, D * f over all bitmasks), D the least common denominator of
         the values; one oracle call per subset."""
         values = [self.evaluate(s) for s in range(1 << self.m)]
@@ -334,12 +332,12 @@ class ContractedOracle(SetFunctionOracle):
     def evaluate(self, subset: int):
         return self.base(self.fixed_mask | self.embed(subset)) - self._offset
 
-    def _scaled_table(self, cap: int) -> tuple[int, np.ndarray]:
+    def _scaled_table(self) -> tuple[int, np.ndarray]:
         """Index remapping of the base's table when the base is within the
         cap: entry S is base[U | embed(S)] - base[U]."""
-        if self.base.m > min(cap, BITSET_CAP):
-            return super()._scaled_table(cap)
-        base = self.base.dense_values(cap)
+        if self.base.m > EXACT_SOLVER_CAP:
+            return super()._scaled_table()
+        base = self.base.dense_values()
         index = np.full(1, self.fixed_mask, dtype=np.int64)
         for e in self.kept:
             index = np.concatenate([index, index | (1 << e)])

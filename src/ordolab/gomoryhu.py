@@ -176,46 +176,29 @@ def gh_lower_bound(tree: GomoryHuTree) -> Fraction:
     return tree.total_weight()
 
 
-def gh_upper_bound(
-    f: SetFunctionOracle, tree: GomoryHuTree, exact_cap: int = 12
-) -> tuple[Fraction, Ordering]:
+#: Largest tree ``gh_upper_bound`` lays out, by the subset DP on its cut
+#: function.
+GH_UPPER_BOUND_CAP = 12
+
+
+def gh_upper_bound(f: SetFunctionOracle, tree: GomoryHuTree) -> tuple[Fraction, Ordering]:
     """Optimal ordering cost of the tree itself, an upper bound for f.
 
     Equivalently the weighted linear arrangement of the tree: each tree
     edge (x, y, w) pays w * |pi(x) - pi(y)|.  Solved exactly by the subset
-    DP up to ``exact_cap`` ground elements, by a DFS layout above that.
+    DP; trees beyond GH_UPPER_BOUND_CAP vertices raise ValueError.
     """
     if f.m != tree.n:
         raise ValueError("oracle and tree ground sets differ")
+    if tree.n > GH_UPPER_BOUND_CAP:
+        raise ValueError(f"tree of {tree.n} vertices exceeds the upper-bound cap ({GH_UPPER_BOUND_CAP})")
     graph = Graph(
         tree.n,
         tuple((a, b) for a, b, _ in tree.edges),
         tuple(w for _, _, w in tree.edges),
     )
-    cut = CutFunction(graph)
-    if tree.n <= exact_cap:
-        value, sigma = exact_mlop_dp(cut)
-        return Fraction(value), sigma
-    # DFS layout heuristic
-    adj: dict[int, list[int]] = {u: [] for u in range(tree.n)}
-    for a, b, _ in tree.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * tree.n
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        if seen[u]:
-            continue
-        seen[u] = True
-        order.append(u)
-        stack.extend(sorted(adj[u], reverse=True))
-    sigma = Ordering.from_sequence(order)
-    total = Fraction(0)
-    for a, b, w in tree.edges:
-        total += w * abs(sigma.positions[a] - sigma.positions[b])
-    return total, sigma
+    value, sigma = exact_mlop_dp(CutFunction(graph))
+    return Fraction(value), sigma
 
 
 def tree_mlop(f: SetFunctionOracle, seed: int | None = None) -> tuple[GomoryHuTree, Fraction]:

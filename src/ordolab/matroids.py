@@ -107,7 +107,7 @@ class GraphicMatroid(Matroid):
                 rank += 1
         return rank
 
-    def _scaled_table(self, cap: int) -> tuple[int, np.ndarray]:
+    def _scaled_table(self) -> tuple[int, np.ndarray]:
         """All 2^m ranks, adding one edge at a time to every edge set built
         so far: rank(S + e) = rank(S) + [e joins two components of S].
         Row S of ``labels`` names each vertex's component in S by its
@@ -161,7 +161,7 @@ class VectorMatroid(Matroid):
             return _rank_mod(mat, self.prime)
         return _rank_bareiss(mat)
 
-    def _scaled_table(self, cap: int) -> tuple[int, np.ndarray]:
+    def _scaled_table(self) -> tuple[int, np.ndarray]:
         """All 2^m ranks from one k x k integer matrix N_S per column set S,
         whose nonzero rows span the annihilator {y : y.a_j = 0, j in S};
         N_empty = I.  Adding a column v to S raises the rank exactly when
@@ -368,7 +368,7 @@ class CutFunction(SetFunctionOracle):
         )
         return Fraction(total, self.scale)
 
-    def _scaled_table(self, cap: int) -> tuple[int, np.ndarray]:
+    def _scaled_table(self) -> tuple[int, np.ndarray]:
         """All 2^n cut values times D, one numpy pass per edge adding its
         scaled weight wherever the edge crosses; then divided by the gcd of
         D and the entries, so the denominator is the least one of the values."""
@@ -408,14 +408,12 @@ def fundamental_circuit(M: Matroid, basis: int, e: int) -> int:
     return circuit
 
 
-def is_uniform_via_mlop(M: Matroid, cap: int | None = None) -> bool:
+def is_uniform_via_mlop(M: Matroid) -> bool:
     """Decide whether M is the uniform matroid of its rank by comparing the
     exact optimal ordering cost against the uniform closed form."""
-    from .solve import EXACT_SOLVER_CAP, exact_mlop_dp, uniform_closed_form
+    from .solve import exact_mlop_dp, uniform_closed_form
 
-    if cap is None:
-        cap = EXACT_SOLVER_CAP
-    value, _ = exact_mlop_dp(M, cap=cap)
+    value, _ = exact_mlop_dp(M)
     return value == uniform_closed_form(M.full_rank, M.m)
 
 

@@ -312,16 +312,16 @@ def build_lp(G: Graph) -> LpModel:
 LP_SOLVER_VAR_CAP = 200
 
 
-def solve_lp(model: LpModel, var_cap: int = LP_SOLVER_VAR_CAP) -> Fraction:
+def solve_lp(model: LpModel) -> Fraction:
     """Exact LP optimum, certified.  A float simplex finds the optimal
     basis; its primal point and row duals, rounded to rationals (or solved
     exactly from the basis when rounding fails), must pass an exact
     primal-dual check, else CertificateError.  For a d-regular graph on n
     vertices the value is d n (n + 1) / 4."""
-    if model.num_vars > var_cap:
+    if model.num_vars > LP_SOLVER_VAR_CAP:
         raise ValueError(
             f"model has {model.num_vars} variables, beyond the dense solver "
-            f"cap ({var_cap}); use emit_lp and an external solver"
+            f"cap ({LP_SOLVER_VAR_CAP}); use emit_lp and an external solver"
         )
     value, _ = simplex_minimize(model.objective, model.rows)
     return value

@@ -20,7 +20,7 @@ from .core import (
     weighted_mlop_objective,
 )
 from .matroids import DualMatroid, GraphicMatroid, Matroid, duplicate
-from .solve import EXACT_SOLVER_CAP, exact_weighted_mlop_dp
+from .solve import exact_weighted_mlop_dp
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def mlvc_to_weighted_graphic(G: Graph) -> ApexReduction:
     )
 
 
-def solve_mlvc_via_apex(G: Graph, cap: int = EXACT_SOLVER_CAP):
+def solve_mlvc_via_apex(G: Graph):
     """Solve MLVC exactly through the apex reduction (desk scale only).
 
     Returns (labeling, mlvc value, reduction, certificate); the certificate
@@ -217,7 +217,7 @@ def solve_mlvc_via_apex(G: Graph, cap: int = EXACT_SOLVER_CAP):
     """
     red = mlvc_to_weighted_graphic(G)
     matroid = GraphicMatroid(red.apex_graph)
-    weighted_opt, sigma = exact_weighted_mlop_dp(matroid, list(red.costs), cap=cap)
+    weighted_opt, sigma = exact_weighted_mlop_dp(matroid, list(red.costs))
     pi = red.recover_labeling(sigma)
     value = mlvc_objective(G, pi)
     cert = ReductionCertificate(

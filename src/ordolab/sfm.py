@@ -75,17 +75,12 @@ class SfmResult:
     maximal_minimizer: int
 
 
-def minimize_offset(
-    f: SetFunctionOracle,
-    lam: Fraction,
-    method: str = "auto",
-    enum_cap: int = EXACT_SOLVER_CAP,
-) -> SfmResult:
+def minimize_offset(f: SetFunctionOracle, lam: Fraction, method: str = "auto") -> SfmResult:
     """Exact global minimum of f(X) - lam*|X| over all subsets, read off the
-    minimum-norm base (``method`` and ``enum_cap`` as in ``min_norm_base``);
-    both level sets must attain it, else CertificateError."""
+    minimum-norm base (``method`` as in ``min_norm_base``); both level sets
+    must attain it, else CertificateError."""
     lam = Fraction(lam)
-    x = min_norm_base(f, method, enum_cap)
+    x = min_norm_base(f, method)
     value = f(0) + sum(min(xe - lam, 0) for xe in x)
     lo = sum(1 << e for e, xe in enumerate(x) if xe < lam)
     hi = sum(1 << e for e, xe in enumerate(x) if xe <= lam)
@@ -95,18 +90,16 @@ def minimize_offset(
     return SfmResult(Fraction(value), lo, hi)
 
 
-def min_norm_base(
-    f: SetFunctionOracle, method: str = "auto", enum_cap: int = EXACT_SOLVER_CAP
-) -> list[Fraction]:
+def min_norm_base(f: SetFunctionOracle, method: str = "auto") -> list[Fraction]:
     """The exact minimum-norm base x* of B(f - f(empty)), certified, else
     CertificateError.  ``"enumerate"`` reads it off the dense table (up to
-    ``enum_cap``; certified for any oracle), ``"wolfe"`` runs the
+    EXACT_SOLVER_CAP; certified for any oracle), ``"wolfe"`` runs the
     Fujishige-Wolfe search (the certificate relies on f being submodular),
-    and ``"auto"`` picks by ``enum_cap``."""
+    and ``"auto"`` picks by EXACT_SOLVER_CAP."""
     if method == "auto":
-        method = "enumerate" if f.m <= enum_cap else "wolfe"
+        method = "enumerate" if f.m <= EXACT_SOLVER_CAP else "wolfe"
     if method == "enumerate":
-        return _table_base(f, enum_cap)
+        return _table_base(f)
     if method == "wolfe":
         return _wolfe_base(f)
     raise ValueError(f"unknown method {method!r}")
@@ -120,8 +113,8 @@ def _size_order(m: int) -> tuple[np.ndarray, list[int]]:
     return order, [0, *accumulate(comb(m, k) for k in range(m + 1))]
 
 
-def _table_base(f: SetFunctionOracle, enum_cap: int) -> list[Fraction]:
-    table = f.dense_values(cap=enum_cap)
+def _table_base(f: SetFunctionOracle) -> list[Fraction]:
+    table = f.dense_values()
     D, m = f.dense_denominator, f.m
     order, starts = _size_order(m)
     by_size = table[order]

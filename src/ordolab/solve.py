@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    EXACT_SOLVER_CAP,
     CertificateError,
     Graph,
     Ordering,
@@ -86,15 +85,13 @@ def _dp_tables(table: np.ndarray, m: int, costs: Sequence[int] | None):
     return best, choice
 
 
-def _exact_dp(f: SetFunctionOracle, costs: tuple[int, ...] | None, cap: int):
+def _exact_dp(f: SetFunctionOracle, costs: tuple[int, ...] | None):
     """The subset DP on f's table and one optimal ordering read back from
     its choices (unit costs when ``costs`` is None)."""
     m = f.m
-    if m > cap:
-        raise ValueError(f"ground set of size {m} exceeds the exact cap ({cap})")
     if m == 0:
         return 0, Ordering(())
-    best, choice = _dp_tables(f.dense_values(cap=cap), m, costs)
+    best, choice = _dp_tables(f.dense_values(), m, costs)
     seq_rev = []
     S = f.full_mask
     while S:
@@ -105,25 +102,23 @@ def _exact_dp(f: SetFunctionOracle, costs: tuple[int, ...] | None, cap: int):
     return value, Ordering.from_sequence(tuple(reversed(seq_rev)))
 
 
-def exact_mlop_dp(f: SetFunctionOracle, cap: int = EXACT_SOLVER_CAP):
+def exact_mlop_dp(f: SetFunctionOracle):
     """Exact optimum of the prefix-sum objective, with one optimal ordering.
 
     Runs the dynamic program best(S) = f(S) + min over e in S of best(S - e)
-    over all 2^m subsets; only feasible at desk scale.
+    over all 2^m subsets, up to EXACT_SOLVER_CAP elements.
     """
-    return _exact_dp(f, None, cap)
+    return _exact_dp(f, None)
 
 
-def exact_weighted_mlop_dp(
-    f: SetFunctionOracle, costs: Sequence[int], cap: int = EXACT_SOLVER_CAP
-):
+def exact_weighted_mlop_dp(f: SetFunctionOracle, costs: Sequence[int]):
     """Exact optimum of the cost-weighted prefix objective."""
     if len(costs) != f.m:
         raise ValueError("cost vector length does not match ground set")
     for c in costs:
         if not isinstance(c, int) or c <= 0:
             raise ValueError("costs must be strictly positive integers")
-    return _exact_dp(f, tuple(costs), cap)
+    return _exact_dp(f, tuple(costs))
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +190,6 @@ def approx_monotone_mlop(f: SetFunctionOracle):
 # fixed-basis formulation
 
 
-def fixed_basis_objective(M: Matroid, basis_order: Sequence[int]) -> int:
-    """Full ordering cost induced by a basis and an ordering of it.
-
-    Equals C(k+1, 2) plus, over the non-basis elements, the largest position
-    among the basis elements of their fundamental circuit.  This matches the
-    cost of the insertion extension built by ``fixed_basis_extension``.
-    """
-    basis_order = tuple(basis_order)
-    basis = mask_of(basis_order)
-    if len(basis_order) != basis.bit_count():
-        raise ValueError("basis ordering repeats an element")
-    return _ordered_cost(_circuit_supports(M, basis), basis_order)
-
-
 def _circuit_supports(M: Matroid, basis: int) -> list[tuple[int, tuple[int, ...]]]:
     """(e, basis elements of e's fundamental circuit) for every element e
     outside the basis; a loop's support is empty."""
@@ -249,6 +230,11 @@ def fixed_basis_extension(M: Matroid, basis_order: Sequence[int]) -> Ordering:
     return Ordering.from_sequence(sequence)
 
 
+#: Largest rank and basis count ``small_basis_exact`` searches.
+SMALL_BASIS_MAX_RANK = 8
+SMALL_BASIS_MAX_BASES = 20000
+
+
 def _search_bases(M: Matroid, bases: Sequence[int]):
     """Best (value, basis permutation) over the given bases; ties broken by
     the lexicographically smallest permutation, so chunked searches merge
@@ -264,24 +250,18 @@ def _search_bases(M: Matroid, bases: Sequence[int]):
     return best
 
 
-def small_basis_exact(
-    M: Matroid,
-    basis_enumerator: Iterable[int] | None = None,
-    max_bases: int = 20000,
-    max_rank: int = 8,
-    jobs: int = 1,
-):
+def small_basis_exact(M: Matroid, jobs: int = 1):
     """Exact optimum by searching bases and their orderings.
 
     Feasible whenever the basis count and the rank are small; the search
-    space is (number of bases) * k!.  ``jobs`` splits the basis list across
-    processes; the result is identical for any job count.
+    space is (number of bases) * k!, with k at most SMALL_BASIS_MAX_RANK and
+    at most SMALL_BASIS_MAX_BASES bases.  ``jobs`` splits the basis list
+    across processes; the result is identical for any job count.
     """
     k = M.full_rank
-    if k > max_rank:
-        raise ValueError(f"rank {k} exceeds the basis-permutation cap ({max_rank})")
-    bases = basis_enumerator if basis_enumerator is not None else M.bases(limit=max_bases)
-    bases = list(bases)
+    if k > SMALL_BASIS_MAX_RANK:
+        raise ValueError(f"rank {k} exceeds the basis-permutation cap ({SMALL_BASIS_MAX_RANK})")
+    bases = list(M.bases(limit=SMALL_BASIS_MAX_BASES))
     if not bases:
         raise ValueError("matroid has no basis")
     if jobs > 1 and len(bases) > 1:
@@ -303,21 +283,6 @@ def small_basis_exact(
 
 # ---------------------------------------------------------------------------
 # cactus graphs
-
-
-def is_cactus(G: Graph) -> bool:
-    """Every block is a single edge or a cycle (simple graphs only)."""
-    if not G.is_simple():
-        return False
-    for block in biconnected_components(G):
-        if len(block) == 1:
-            continue
-        vertices = set()
-        for ei in block:
-            vertices.update(G.edges[ei])
-        if len(block) != len(vertices):
-            return False
-    return True
 
 
 def cactus_exact(G: Graph):

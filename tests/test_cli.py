@@ -59,6 +59,13 @@ def test_solve_weighted_graph(tmp_path):
     assert report["results"]["value"] == 3
 
 
+def test_solve_beyond_the_exact_cap_exits_2(tmp_path):
+    path = write(tmp_path, "large.graph", LARGE_TEXT)
+    report, code = run_cli(["solve", "--input", path])
+    assert code == 2
+    assert "exceeds the exact cap (20)" in report["error"]
+
+
 def test_approx_report(tmp_path):
     path = write(tmp_path, "tb.graph", TB_TEXT)
     report, code = run_cli(["approx", "--input", path])
@@ -144,23 +151,28 @@ def test_reduce_apex(tmp_path):
     assert results["certificate"]["holds"]
     emitted = open(out).read()
     assert emitted.splitlines()[0] == "3 3"
+    assert emitted == results["target_instance"]
 
 
 def test_reduce_msvc(tmp_path):
     path = write(tmp_path, "k2.graph", K2_TEXT)
-    report, code = run_cli(["reduce", "--from", "mlvc", "--to", "msvc", "--input", path])
+    out = str(tmp_path / "target.graph")
+    report, code = run_cli(["reduce", "--from", "mlvc", "--to", "msvc", "--input", path, "--out", out])
     assert code == 0
     cert = report["results"]["certificate"]
     assert cert["mlvc"] == 2 and cert["holds"]
+    assert open(out).read() == report["results"]["target_instance"]
 
 
 def test_reduce_weighted_expansion(tmp_path):
     path = write(tmp_path, "w.graph", "2 1\n1 2 2\n")
+    out = str(tmp_path / "target.graph")
     report, code = run_cli(
-        ["reduce", "--from", "weighted-mlop", "--to", "mlop", "--input", path]
+        ["reduce", "--from", "weighted-mlop", "--to", "mlop", "--input", path, "--out", out]
     )
     assert code == 0
     assert report["results"]["target_instance"].splitlines()[0] == "2 2"
+    assert open(out).read() == report["results"]["target_instance"]
 
 
 def test_mlvc_sample_and_lp(tmp_path):
@@ -210,6 +222,21 @@ def test_ghtree_runs(tmp_path):
     results = report["results"]
     assert results["totals_equal"]
     assert results["lower_bound"] == results["total_weight"]
+
+
+def cycle_text(n):
+    return f"{n} {n}\n" + "".join(f"{i} {i % n + 1}\n" for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n, reported", [(12, True), (13, False)])
+def test_ghtree_upper_bound_up_to_the_cap(tmp_path, n, reported):
+    path = write(tmp_path, "cycle.graph", cycle_text(n))
+    report, code = run_cli(["ghtree", "--input", path])
+    assert code == 0
+    results = report["results"]
+    assert ("upper_bound" in results) == ("upper_ordering" in results) == reported
+    if reported:
+        assert results["lower_bound"] <= results["upper_bound"]
 
 
 def test_parse_error_exit_code(tmp_path):

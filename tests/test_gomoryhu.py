@@ -18,7 +18,7 @@ from ordolab import (
     tree_mlop,
 )
 from ordolab import cli, flow, gomoryhu
-from ordolab.gomoryhu import _verify_cut_property
+from ordolab.gomoryhu import GH_UPPER_BOUND_CAP, _verify_cut_property
 
 from helpers import all_trees
 
@@ -141,12 +141,11 @@ def test_gh_sandwich_random():
         assert lower <= opt <= upper
 
 
-def test_gh_upper_bound_heuristic_beyond_cap():
-    f = CutFunction(path_graph(6))
+def test_gh_upper_bound_rejects_beyond_cap():
+    f = CutFunction(path_graph(GH_UPPER_BOUND_CAP + 1))
     tree = build_gh_tree(f)
-    upper, sigma = gh_upper_bound(f, tree, exact_cap=4)
-    assert upper >= exact_mlop_dp(f)[0]
-    assert sigma.m == 6
+    with pytest.raises(ValueError, match=r"exceeds the upper-bound cap \(12\)"):
+        gh_upper_bound(f, tree)
 
 
 def test_tree_mlop_p3():

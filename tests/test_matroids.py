@@ -222,8 +222,8 @@ def test_is_uniform_via_mlop():
 
 
 def test_is_uniform_via_mlop_respects_cap():
-    with pytest.raises(ValueError):
-        is_uniform_via_mlop(VectorMatroid([[1, 0, 1, 1], [0, 1, 1, 0]]), cap=3)
+    with pytest.raises(ValueError, match=r"exceeds the exact cap \(20\)"):
+        is_uniform_via_mlop(VectorMatroid([[1] * 21, list(range(21))]))
 
 
 def test_matrix_parse():

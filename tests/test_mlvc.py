@@ -22,7 +22,7 @@ from ordolab import (
 )
 from ordolab import cli, simplex
 from ordolab.core import ParseError
-from ordolab.mlvc import _sample, largest_float_below
+from ordolab.mlvc import LP_SOLVER_VAR_CAP, _sample, largest_float_below
 from ordolab.simplex import LpInfeasible, LpUnbounded, simplex_minimize
 
 from helpers import sample_extension, sparse_rows
@@ -202,8 +202,10 @@ def test_lp_weak_duality():
 
 
 def test_lp_var_cap():
-    with pytest.raises(ValueError):
-        solve_lp(build_lp(complete_graph(4)), var_cap=10)
+    model = build_lp(complete_graph(8))
+    assert model.num_vars == 288 > LP_SOLVER_VAR_CAP
+    with pytest.raises(ValueError, match=r"beyond the dense solver cap \(200\)"):
+        solve_lp(model)
 
 
 def test_emit_lp_sections():

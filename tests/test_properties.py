@@ -384,6 +384,6 @@ def test_batched_cut_table_matches_evaluate(G):
     table = f.dense_values()
     # the per-subset table of the base class: its D is the least common
     # denominator of the values
-    D, reference = SetFunctionOracle._scaled_table(f, f.m)
+    D, reference = SetFunctionOracle._scaled_table(f)
     assert f.dense_denominator == D
     assert list(table) == list(reference) == [f.evaluate(S) * D for S in range(1 << f.m)]

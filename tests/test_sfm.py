@@ -224,8 +224,10 @@ def test_wolfe_path_agrees_with_enumeration(lam):
 
 
 def test_auto_switches_to_wolfe_beyond_cap():
+    # the large-ground path on a small ground; "auto" picks it beyond
+    # EXACT_SOLVER_CAP (test_approx_beyond_exact_cap_graphic)
     f = GraphicMatroid(path_graph(7))  # 6 edges
-    res = minimize_offset(f, Fraction(1, 2), enum_cap=4)  # force the large-ground path
+    res = minimize_offset(f, Fraction(1, 2), method="wolfe")
     assert res.min_value == 0
     assert res.minimal_minimizer == 0
 

@@ -17,9 +17,7 @@ from ordolab import (
     exact_mlop_dp,
     exact_weighted_mlop_dp,
     fixed_basis_extension,
-    fixed_basis_objective,
     has_flat_prefix_structure,
-    is_cactus,
     mask_of,
     mlop_objective,
     pp_lower_bound,
@@ -87,8 +85,8 @@ def test_dp_below_random_orderings():
 
 
 def test_dp_cap():
-    with pytest.raises(ValueError):
-        exact_mlop_dp(ModularOracle(m=6), cap=5)
+    with pytest.raises(ValueError, match=r"exceeds the exact cap \(20\)"):
+        exact_mlop_dp(ModularOracle(m=21))
 
 
 def test_weighted_dp_matches_permutation_scan():
@@ -218,34 +216,40 @@ def test_approx_beyond_exact_cap_graphic():
     assert cert.lower <= cert.achieved <= cert.upper <= cert.guarantee * cert.lower
 
 
+def fixed_basis_value(M, perm):
+    return mlop_objective(M, fixed_basis_extension(M, perm))
+
+
 def test_fixed_basis_k3():
     M = GraphicMatroid(complete_graph(3))
     for perm in permutations((0, 1)):
-        assert fixed_basis_objective(M, perm) == 5  # 3 + chord max of 2
+        assert fixed_basis_value(M, perm) == 5  # 3 + chord max of 2
 
 
 def test_fixed_basis_bowtie_ascending_blocks():
     M = GraphicMatroid(bowtie())
     # tree edges: two per triangle; ascending block order
-    assert fixed_basis_objective(M, (0, 1, 3, 4)) == 10 + 2 + 4 == 16
+    assert fixed_basis_value(M, (0, 1, 3, 4)) == 10 + 2 + 4 == 16
 
 
 def test_fixed_basis_tree_only():
     M = GraphicMatroid(path_graph(4))
-    assert fixed_basis_objective(M, (0, 1, 2)) == 6  # C(4, 2), empty chord sum
+    assert fixed_basis_value(M, (0, 1, 2)) == 6  # C(4, 2), empty chord sum
 
 
 def test_fixed_basis_extension_achieves_value():
+    # C(5, 2) plus each chord's largest circuit position: the chord of
+    # triangle {0, 1, 2} closes on basis edges 0 and 1, that of {3, 4, 5}
+    # on 3 and 4
     M = GraphicMatroid(bowtie())
-    for perm in ((0, 1, 3, 4), (3, 4, 0, 1), (4, 0, 3, 1)):
-        sigma = fixed_basis_extension(M, perm)
-        assert mlop_objective(M, sigma) == fixed_basis_objective(M, perm)
+    for perm, value in (((0, 1, 3, 4), 10 + 2 + 4), ((3, 4, 0, 1), 10 + 4 + 2), ((4, 0, 3, 1), 10 + 4 + 3)):
+        assert fixed_basis_value(M, perm) == value
 
 
 def test_fixed_basis_rejects_non_basis():
     M = GraphicMatroid(complete_graph(3))
-    with pytest.raises(ValueError):
-        fixed_basis_objective(M, (0, 1, 2))
+    with pytest.raises(ValueError, match="not a basis"):
+        fixed_basis_extension(M, (0, 1, 2))
 
 
 def test_small_basis_matches_dp():
@@ -280,9 +284,9 @@ def test_small_basis_parallel_jobs_deterministic():
 
 
 def test_is_cactus():
-    assert is_cactus(bowtie())
-    assert is_cactus(path_graph(4))
-    assert not is_cactus(complete_graph(4))
+    # the bowtie and P4 are cacti: test_cactus_bowtie, test_cactus_all_bridges
+    with pytest.raises(ValueError, match="not a cactus"):
+        cactus_exact(complete_graph(4))
 
 
 def test_cactus_triangle():
