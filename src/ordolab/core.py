@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
@@ -224,9 +225,18 @@ class SetFunctionOracle:
     memoised table, so they may be shared across threads.  ``dense_values``
     builds the one integer table that every enumeration-based solver reads;
     subclasses with a faster way to fill all 2^m entries override
-    ``_scaled_table``, and those with a faster exact s-t cut (the max-flow
-    of a graph's cut function) override ``_st_min_cut``.
+    ``_scaled_table``, those with a faster exact s-t cut (the max-flow of a
+    graph's cut function) override ``_st_min_cut``, and those that extend a
+    prefix by one element cheaply (union-find for a graphic matroid)
+    override ``_prefix_values``.
     """
+
+    #: ``_base_membership(x)``, for classes that decide exactly whether x
+    #: lies in the base polytope (``GraphicMatroid``: by min cuts); None
+    #: elsewhere.  ``sfm.min_norm_base`` certifies a base of such a class
+    #: by that test, and other bases by a Wolfe finish that assumes f is
+    #: submodular.
+    _base_membership = None
 
     def __init__(self, ground: GroundSet):
         self.ground = ground
@@ -249,6 +259,11 @@ class SetFunctionOracle:
         if subset < 0 or subset >> self.ground.m:
             raise ValueError("subset outside ground set")
         return self.evaluate(subset)
+
+    def _prefix_values(self, order: Sequence[int]) -> list:
+        """f on the len(order) + 1 prefixes of ``order``, a sequence of
+        distinct elements, the empty prefix first; one call per prefix."""
+        return [self(0), *map(self, accumulate(1 << e for e in order))]
 
     def dense_values(self) -> np.ndarray:
         """D * f(S) for all 2^m bitmasks S, as one integer array.  Cached.
@@ -357,10 +372,7 @@ def _check_ground(f: SetFunctionOracle, sigma: Ordering) -> None:
 def mlop_objective(f: SetFunctionOracle, sigma: Ordering):
     """Sum of f over all m prefix sets of the ordering."""
     _check_ground(f, sigma)
-    total = 0
-    for mask in sigma.prefix_masks():
-        total += f(mask)
-    return total
+    return sum(f._prefix_values(sigma.sequence())[1:])
 
 
 def weighted_mlop_objective(f: SetFunctionOracle, costs: Sequence[int], sigma: Ordering):

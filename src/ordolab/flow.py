@@ -17,6 +17,12 @@ minimum cut that contains s: a minimum cut is saturated by every maximum
 flow, so no residual path leaves it.  A failed check raises
 ``CertificateError``; a caller that knows the cut function compares the
 value with it as well.
+
+Two users: a graph's cut function takes its s-t cuts here
+(``CutFunction._st_min_cut``), and the graphic matroid decides whether a
+point lies in its base polytope by one min cut per vertex, on one network
+whose terminal capacities change between cuts
+(``GraphicMatroid._base_membership``).
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from .core import CertificateError
 
 
 class FlowNetwork:
-    """An undirected multigraph on vertices 0..n-1 with positive integer edge
-    capacities.  Parallel edges are merged and self-loops dropped; neither
-    changes a cut."""
+    """An undirected multigraph on vertices 0..n-1 with nonnegative integer
+    edge capacities.  Parallel edges are merged and self-loops dropped;
+    neither changes a cut.  ``edges`` lists the distinct vertex pairs in the
+    order of their first appearance, and ``capacities[i]`` may be changed
+    between cuts: each cut reads the capacities anew."""
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]], capacities: Sequence[int]):
         merged: dict[tuple[int, int], int] = {}

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,15 +81,20 @@ class UniformMatroid(Matroid):
 class GraphicMatroid(Matroid):
     """Rank of an edge set = n - (components of the subgraph it spans).
 
-    A single query rebuilds a union-find structure; the dense table is
-    filled in one batched pass instead (see ``_scaled_table``).
+    A single query rebuilds a union-find structure, and one union-find pass
+    ranks all prefixes of an ordering (``_prefix_values``); the dense table
+    is filled in one batched pass instead (see ``_scaled_table``).  Base
+    polytope membership is decided exactly by min cuts
+    (``_base_membership``).
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         super().__init__(GroundSet(graph.m))
 
-    def evaluate(self, subset: int) -> int:
+    def _running_ranks(self, elements: Iterable[int]) -> Iterator[int]:
+        """The rank of each prefix of ``elements`` (distinct edges), by
+        adding the edges one at a time to one union-find structure."""
         parent = list(range(self.graph.n))
 
         def find(x):
@@ -99,13 +104,64 @@ class GraphicMatroid(Matroid):
             return x
 
         rank = 0
-        for i in iter_bits(subset):
+        for i in elements:
             u, v = self.graph.edges[i]
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
                 rank += 1
+            yield rank
+
+    def evaluate(self, subset: int) -> int:
+        rank = 0
+        for rank in self._running_ranks(iter_bits(subset)):
+            pass
         return rank
+
+    def _prefix_values(self, order: Sequence[int]) -> list[int]:
+        return [0, *self._running_ranks(order)]
+
+    def _base_membership(self, x: Sequence[Fraction]) -> bool:
+        """Whether x lies in the base polytope {x : x(X) <= r(X), x(E) =
+        r(E)}, decided exactly.  With x >= 0, zero on every loop and x(E) =
+        r(E), it does exactly when x(E(U)) <= |U| - 1 for every nonempty
+        vertex set U (Edmonds' forest polytope).  Scaled by L, the lcm of
+        the denominators, 2L(|U| - x(E(U))) + 2L x(E) is the capacity of
+        the cut around {s} + U in a network with capacity L x_e on each
+        edge e, L d_x(w) from s to each vertex w (d_x its x-weighted
+        degree) and 2L from each w to t; a min cut with the i-th vertex
+        forced to the s side and the earlier ones to the t side covers
+        every U whose first vertex is the i-th (Padberg and Wolsey, "Trees
+        and cuts", 1983).  Every such cut must be at least 2L(x(E) + 1)."""
+        edges = self.graph.edges
+        if any(xe < 0 for xe in x) or any(xe for xe, (u, v) in zip(x, edges) if u == v):
+            return False
+        if sum(x) != self.full_rank:
+            return False
+        L = lcm(*(Fraction(xe).denominator for xe in x))
+        weights = [int(xe * L) for xe in x]
+        n = self.graph.n
+        s, t = n, n + 1
+        degree = [0] * n
+        for (u, v), w in zip(edges, weights):
+            if u != v:
+                degree[u] += w
+                degree[v] += w
+        bound = sum(degree) + 2 * L  # 2L(x(E) + 1)
+        # above any cut that crosses no forced edge
+        forced = sum(weights) + sum(degree) + 2 * L * n + 1
+        terminals = tuple((s, w) for w in range(n)) + tuple((w, t) for w in range(n))
+        network = FlowNetwork(n + 2, edges + terminals, weights + degree + [2 * L] * n)
+        capacities = network.capacities
+        source = len(capacities) - 2 * n  # the edges s-w, then w-t, come last
+        sink = source + n
+        # a single vertex U never violates, so the last vertex needs no cut
+        for i in range(n - 1):
+            capacities[source + i] = forced
+            if network.min_cut(s, t)[1] < bound:
+                return False
+            capacities[source + i], capacities[sink + i] = degree[i], forced
+        return True
 
     def _scaled_table(self) -> tuple[int, np.ndarray]:
         """All 2^m ranks, adding one edge at a time to every edge set built

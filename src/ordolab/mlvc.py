@@ -159,11 +159,11 @@ def largest_float_below(q: Fraction) -> float:
     return math.nextafter(below, -math.inf) if below >= q else below
 
 
-def _count_inversions(H: Hypergraph, trials: int, seed: int) -> dict:
-    """For every incomparable pair (a, b), the number of sampled schedules
-    that put a before b; one numpy pass over the pairs per trial."""
+def _count_inversions(H: Hypergraph, pairs: list[tuple[int, int]], trials: int, seed: int) -> dict:
+    """For every incomparable pair (a, b) of ``pairs``, the number of
+    sampled schedules that put a before b; one numpy pass over the pairs
+    per trial."""
     poset = build_poset(H)
-    pairs = poset.incomparable_pairs()
     first = np.array([a for a, _ in pairs], dtype=np.intp)
     second = np.array([b for _, b in pairs], dtype=np.intp)
     hits = np.zeros(len(pairs), dtype=np.int64)
@@ -198,10 +198,10 @@ def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> B
         share = [s for s in share if s]
         seeds = [seed * 1_000_003 + w for w in range(len(share))]
         with ProcessPoolExecutor(max_workers=len(share)) as pool:
-            partials = list(pool.map(_count_inversions, [H] * len(share), share, seeds))
+            partials = list(pool.map(_count_inversions, [H] * len(share), [pairs] * len(share), share, seeds))
         counts = {p: sum(c[p] for c in partials) for p in pairs}
     else:
-        counts = _count_inversions(H, trials, seed)
+        counts = _count_inversions(H, pairs, trials, seed)
     floor = Fraction(1, 1 + H.max_edge_size)
     below = largest_float_below(floor)
     probabilities = {p: counts[p] / trials for p in pairs}

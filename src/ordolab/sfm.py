@@ -14,13 +14,26 @@ the hull slope on the cell where an element enters.  With x*(X) <= f(X)
 checked on all 2^m subsets, x* is the minimum-norm point of
 {x : x(X) <= f(X), x(E) = f(E)} with tight level sets, so every answer is
 exact for any oracle.  Beyond the cap, one Fujishige-Wolfe search in
-floating point keeps the exact greedy vertex of every active point, and
-Wolfe's cycles finish it exactly, each affine minimizer solved from its
-bordered Gram system by ``core.solve_exact``.  The point passes Wolfe's
-optimality test exactly, is a convex combination of its active vertices,
-and satisfies x*(X) <= f(X) on the 2m singletons and co-singletons.  Beyond
-those sets it is the minimum-norm base only if f is submodular.  A failed
-check raises ``CertificateError``.
+floating point keeps the exact greedy vertex of every active point; each
+vertex reads f on the m + 1 prefixes of its order through the oracle's
+``_prefix_values`` (one union-find pass for a graphic matroid).
+
+- A class with an exact base polytope test, ``_base_membership`` (the
+  graphic matroid, by one checked max-flow per vertex, ``flow``), rounds
+  the search's point: the elements sorted by it take the slopes of the
+  lower convex hull of f along that order.  The rounded point is certified
+  when every lower level set is tight and the membership test accepts it,
+  which makes it the minimum-norm base whether or not f is submodular.  If
+  either check fails, Wolfe's cycles finish the search exactly (below) and
+  the finished point must pass the same certificate.
+- Any other class takes Wolfe's exact finish, each affine minimizer solved
+  from its bordered Gram system by ``core.solve_exact``.  The point passes
+  Wolfe's optimality test exactly, is a convex combination of its active
+  vertices, and satisfies x*(X) <= f(X) on the 2m singletons and
+  co-singletons.  Beyond those sets it is the minimum-norm base only if f
+  is submodular.
+
+A failed check raises ``CertificateError``.
 
 ``st_min_cut`` is dispatched per oracle class: a graph's cut function takes
 its s-t cuts from a checked integer max-flow (``flow``) and builds no
@@ -29,7 +42,8 @@ table; other symmetric oracles minimize their contraction as above.
 References: Fujishige, Math. OR 1980 (lexicographically optimal base) and
 Submodular Functions and Optimization, 2nd ed. 2005, Thm 7.15; Nagano,
 Kawahara, Aihara, ICML 2011; Wolfe, Math. Prog. 1976; Chakrabarty, Jain,
-Kothari, NeurIPS 2014.
+Kothari, NeurIPS 2014; Padberg and Wolsey, Math. Prog. 1983 (trees and
+cuts).
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
+from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +66,7 @@ from .core import (
     SetFunctionOracle,
     int_dtype,
     iter_bits,
+    mask_of,
     max_abs,
     popcounts,
     solve_exact,
@@ -94,8 +110,10 @@ def min_norm_base(f: SetFunctionOracle, method: str = "auto") -> list[Fraction]:
     """The exact minimum-norm base x* of B(f - f(empty)), certified, else
     CertificateError.  ``"enumerate"`` reads it off the dense table (up to
     EXACT_SOLVER_CAP; certified for any oracle), ``"wolfe"`` runs the
-    Fujishige-Wolfe search (the certificate relies on f being submodular),
-    and ``"auto"`` picks by EXACT_SOLVER_CAP."""
+    Fujishige-Wolfe search, and ``"auto"`` picks by EXACT_SOLVER_CAP.  On
+    the Wolfe path a graphic matroid's base is certified by flows (tight
+    level sets and exact base polytope membership, with no assumption on
+    f); for other classes the certificate relies on f being submodular."""
     if method == "auto":
         method = "enumerate" if f.m <= EXACT_SOLVER_CAP else "wolfe"
     if method == "enumerate":
@@ -113,20 +131,27 @@ def _size_order(m: int) -> tuple[np.ndarray, list[int]]:
     return order, [0, *accumulate(comb(m, k) for k in range(m + 1))]
 
 
-def _table_base(f: SetFunctionOracle) -> list[Fraction]:
-    table = f.dense_values()
-    D, m = f.dense_denominator, f.m
-    order, starts = _size_order(m)
-    by_size = table[order]
-    g = np.minimum.reduceat(by_size, starts[:-1]).tolist()
-    hull = [0]  # strict vertices of the lower convex hull of (k, g(k))
-    for k in range(1, m + 1):
+def _lower_hull(g: Sequence) -> list[int]:
+    """The strict vertices k of the lower convex hull of the points
+    (k, g[k]), ascending; collinear points are not vertices."""
+    hull = [0]
+    for k in range(1, len(g)):
         while len(hull) > 1 and (
             (hull[-1] - hull[-2]) * (g[k] - g[hull[-2]])
             <= (g[hull[-1]] - g[hull[-2]]) * (k - hull[-2])
         ):
             hull.pop()
         hull.append(k)
+    return hull
+
+
+def _table_base(f: SetFunctionOracle) -> list[Fraction]:
+    table = f.dense_values()
+    D, m = f.dense_denominator, f.m
+    order, starts = _size_order(m)
+    by_size = table[order]
+    g = np.minimum.reduceat(by_size, starts[:-1]).tolist()
+    hull = _lower_hull(g)
     # x* takes the hull slope on the cell where an element enters the
     # chain of argmins; L*D*x* is integral, L the lcm of the cell sizes
     L = lcm(*(b - a for a, b in zip(hull, hull[1:])))
@@ -311,27 +336,79 @@ def _integer_vector(v: list[Fraction]) -> tuple[int, list[int]]:
 
 
 def _wolfe_base(f: SetFunctionOracle) -> list[Fraction]:
-    """Float Wolfe search on h = f - f(empty), finished in exact arithmetic
-    and checked: a convex combination, and x*(X) <= h(X) on the 2m sets {e}
-    and E - e (a necessary condition of x* lying in the base polytope)."""
+    """Float Wolfe search on h = f - f(empty), then an exact base.  A class
+    with an exact base polytope test rounds the search's point and
+    certifies it (``_certified``); if that fails, Wolfe's cycles finish the
+    search exactly and the finished point must pass the same certificate.
+    Any other class takes the exact finish, checked by ``_finished_base``."""
     m = f.m
     if m == 0:
         return []
-    g0 = f(0)
 
-    def greedy_vertex(order: list[int]) -> list[Fraction]:
-        values = [Fraction(g0), *map(f, accumulate(1 << e for e in order))]
-        out = [Fraction(0)] * m
+    def greedy_vertex(order: list[int]) -> list:
+        values = f._prefix_values(order)
+        out = [0] * m
         for i, e in enumerate(order):
             out[e] = values[i + 1] - values[i]
         return out
 
-    c, x = _exact_min_norm_point(*_min_norm_point(m, greedy_vertex), greedy_vertex)
+    V, coeff = _min_norm_point(m, greedy_vertex)
+    if f._base_membership is None:
+        return _finished_base(f, *_exact_min_norm_point(V, coeff, greedy_vertex))
+    x = _rounded_base(f, np.array(V, dtype=float).T @ coeff)
+    if _certified(f, x):
+        return x
+    x = _exact_min_norm_point(V, coeff, greedy_vertex)[1]
+    if not _certified(f, x):
+        raise CertificateError(
+            "min-norm base has a lower level set that is not tight, or lies outside the base polytope"
+        )
+    return x
+
+
+def _rounded_base(f: SetFunctionOracle, point: np.ndarray) -> list[Fraction]:
+    """The elements in ascending order of ``point`` (stable), and on each
+    cell between consecutive vertices of the lower convex hull of
+    (k, f(first k elements)) the hull's slope: the minimum-norm base
+    whenever ``point`` orders its level sets correctly."""
+    order = np.argsort(point, kind="stable").tolist()
+    g = f._prefix_values(order)
+    x = [Fraction(0)] * f.m
+    hull = _lower_hull(g)
+    for a, b in zip(hull, hull[1:]):
+        slope = Fraction(g[b] - g[a], b - a)
+        for e in order[a:b]:
+            x[e] = slope
+    return x
+
+
+def _certified(f: SetFunctionOracle, x: list[Fraction]) -> bool:
+    """Whether x is certified as the minimum-norm base of B(h), h = f -
+    f(empty): every lower level set L = {x <= lam} is tight, x(L) = h(L),
+    and x lies in B(h) by the class's exact test ``_base_membership``.
+    Then for every y in B(h), summing over the level sets L_1 < ... < L_k
+    with values lam_1 < ... < lam_k, <x, y> = sum_i (lam_i - lam_{i+1})
+    y(L_i) + lam_k y(E) >= <x, x>, as y(L_i) <= h(L_i) = x(L_i): x is the
+    point of B(h) of least norm, whether or not f is submodular (Fujishige
+    2005, lexicographically optimal base)."""
+    g0 = f(0)
+    for lam in set(x):
+        level = [e for e, xe in enumerate(x) if xe <= lam]
+        if sum(x[e] for e in level) != f(mask_of(level)) - g0:
+            return False
+    return f._base_membership(x)
+
+
+def _finished_base(f: SetFunctionOracle, c: list[Fraction], x: list[Fraction]) -> list[Fraction]:
+    """x, the exact Wolfe finish with coefficients c, checked: a convex
+    combination, and x*(X) <= h(X) on the 2m sets {e} and E - e (a
+    necessary condition of x* lying in the base polytope)."""
     if any(ci < 0 for ci in c) or sum(c) != 1:
         raise CertificateError("min-norm point is not a convex combination of its active set")
+    g0 = f(0)
     full = f.full_mask
     total = sum(x)
-    for e in range(m):
+    for e in range(f.m):
         if x[e] > f(1 << e) - g0 or total - x[e] > f(full ^ (1 << e)) - g0:
             raise CertificateError(OUTSIDE_BASE_POLYTOPE)
     return x

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -238,16 +237,34 @@ SMALL_BASIS_MAX_BASES = 20000
 def _search_bases(M: Matroid, bases: Sequence[int]):
     """Best (value, basis permutation) over the given bases; ties broken by
     the lexicographically smallest permutation, so chunked searches merge
-    deterministically.  The circuits depend on the basis only, so they are
-    computed once per basis."""
-    best = None
-    for basis in bases:
-        supports = _circuit_supports(M, basis)
-        for perm in permutations(iter_bits(basis)):
-            val = _ordered_cost(supports, perm)
-            if best is None or (val, perm) < best:
-                best = (val, perm)
-    return best
+    deterministically."""
+    return min(_best_basis_order(M, basis) for basis in bases)
+
+
+def _best_basis_order(M: Matroid, basis: int) -> tuple[int, tuple[int, ...]]:
+    """The least (value, permutation) over the orders of one basis, by a DP
+    over its 2^k subsets.  An order's value is k(k+1)/2 plus, for each of
+    its prefixes P_0, ..., P_{k-1}, the number of circuit supports not
+    inside P_i; togo[S] is the least sum over the prefixes from S on, and
+    the order takes at each step the smallest element that keeps it."""
+    elements = list(iter_bits(basis))
+    k = len(elements)
+    local = {b: i for i, b in enumerate(elements)}
+    supports = _circuit_supports(M, basis)
+    masks = [mask_of(local[b] for b in support) for _, support in supports]
+    full = (1 << k) - 1
+    togo = [0] * (1 << k)
+    step = [0] * (1 << k)
+    # every proper superset of S is a larger number
+    for S in range(full - 1, -1, -1):
+        best, step[S] = min((togo[S | 1 << i], i) for i in range(k) if not (S >> i) & 1)
+        togo[S] = best + sum(1 for sup in masks if sup & ~S)
+    order = []
+    S = 0
+    while S != full:
+        order.append(elements[step[S]])
+        S |= 1 << step[S]
+    return _ordered_cost(supports, order), tuple(order)
 
 
 def small_basis_exact(M: Matroid, jobs: int = 1):
@@ -270,7 +287,7 @@ def small_basis_exact(M: Matroid, jobs: int = 1):
         chunks = [bases[i::jobs] for i in range(jobs) if bases[i::jobs]]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             partials = list(pool.map(_search_bases, [M] * len(chunks), chunks))
-        best = min(p for p in partials if p is not None)
+        best = min(partials)
     else:
         best = _search_bases(M, bases)
     best_val, best_order = best

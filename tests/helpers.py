@@ -243,6 +243,20 @@ def count_inversions_by_pairs(H, trials: int, seed: int) -> dict:
     return counts
 
 
+def in_graphic_base_polytope(G, x) -> bool:
+    """x in the base polytope of G's graphic matroid, by enumerating every
+    nonempty vertex set U: x >= 0, x(E) = n - (components of G), and
+    x(E(U)) <= |U| - 1, a loop at v lying in E({v})."""
+    rank = G.n - len(G.components())
+    if any(xe < 0 for xe in x) or sum(x) != rank:
+        return False
+    for U in range(1, 1 << G.n):
+        inside = sum(xe for xe, (u, v) in zip(x, G.edges) if (U >> u) & 1 and (U >> v) & 1)
+        if inside > U.bit_count() - 1:
+            return False
+    return True
+
+
 def sample_extension(H, seed: int = 0) -> list[int]:
     """One random linear extension: vertices in a uniform random order, each
     edge scheduled immediately once complete, edge ties shuffled."""

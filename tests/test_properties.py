@@ -6,12 +6,14 @@ Fraction-weighted cut oracles, plus contractions of them, small random LPs
 and square linear systems, checked against the enumerations and the
 reference solver in ``helpers``; the batched vector-matroid and cut tables
 against single evaluations; the s-t cuts of the integer max-flow against
-every cut of weighted multigraphs; and the inversion counts of the balance
+every cut of weighted multigraphs; graphic base polytope membership by
+min cuts against every vertex set; and the inversion counts of the balance
 check against the reference pair loop.
 """
 
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import and_
 from unittest import mock
 
@@ -38,9 +40,9 @@ from ordolab import (
     weighted_mlop_objective,
 )
 
-from ordolab import flow, matroids
+from ordolab import flow, matroids, sfm
 from ordolab.core import SetFunctionOracle, solve_exact
-from ordolab.mlvc import _count_inversions
+from ordolab.mlvc import _count_inversions, build_poset
 from ordolab.simplex import LpInfeasible, LpUnbounded, simplex_minimize
 
 from helpers import (
@@ -52,6 +54,7 @@ from helpers import (
     brute_weighted_mlop,
     count_inversions_by_pairs,
     cut_weight,
+    in_graphic_base_polytope,
     loop_dp,
     sparse_rows,
 )
@@ -229,6 +232,35 @@ def test_batched_graphic_table_matches_evaluate(G):
     assert f.dense_denominator == 1
 
 
+@PROPERTY
+@given(multigraphs(max_vertices=6, max_edges=9), st.data())
+def test_graphic_base_membership_matches_brute_force(G, data):
+    f = GraphicMatroid(G)
+    x = min_norm_base(f, method="enumerate")
+    assert f._base_membership(x) and in_graphic_base_polytope(G, x)
+    assert sfm._certified(f, x)
+    assume(f.m >= 2)
+    i, j = data.draw(st.lists(st.integers(0, f.m - 1), min_size=2, max_size=2, unique=True))
+    L = lcm(*(xe.denominator for xe in x))
+    amount = data.draw(st.sampled_from((Fraction(1, 2 * L), Fraction(-1, 2 * L))) | fractions)
+
+    def moved(delta):
+        y = list(x)
+        y[i] -= delta
+        y[j] += delta
+        return y
+
+    # any point other than x* fails the certificate; when x*_i > x*_j the
+    # tight level set {x* <= x*_j} holds j and not i, so the move leaves
+    # the polytope
+    y = moved(Fraction(1, 2 * L))
+    assert not sfm._certified(f, y)
+    if x[i] > x[j]:
+        assert not f._base_membership(y)
+    for y in (y, moved(amount)):
+        assert f._base_membership(y) == in_graphic_base_polytope(G, y)
+
+
 @st.composite
 def table_matroids(draw):
     """Rational or GF(p) vector matroids, m = 0-8, k = 1-5, entries small
@@ -261,7 +293,8 @@ def hypergraphs(draw):
 @PROPERTY
 @given(hypergraphs(), st.integers(1, 30), st.integers(0, 2**32))
 def test_inversion_counts_match_the_pair_loop(H, trials, seed):
-    assert _count_inversions(H, trials, seed) == count_inversions_by_pairs(H, trials, seed)
+    pairs = build_poset(H).incomparable_pairs()
+    assert _count_inversions(H, pairs, trials, seed) == count_inversions_by_pairs(H, trials, seed)
 
 
 def test_large_coprime_denominators_take_the_object_path():

@@ -13,6 +13,7 @@ from ordolab import (
     ModularOracle,
     SetFunctionOracle,
     UniformMatroid,
+    VectorMatroid,
     check_symmetry,
     constrained_min,
     minimize_offset,
@@ -232,12 +233,35 @@ def test_auto_switches_to_wolfe_beyond_cap():
     assert res.minimal_minimizer == 0
 
 
+def counted_finishes(monkeypatch) -> list:
+    """A list that grows by one at each call of the exact Wolfe finish."""
+    finishes, finish = [], sfm._exact_min_norm_point
+    monkeypatch.setattr(sfm, "_exact_min_norm_point", lambda *args: finishes.append(args) or finish(*args))
+    return finishes
+
+
 def test_exact_finish_completes_a_float_search_stopped_early(monkeypatch):
     # a float search that stops at its first vertex leaves every major and
-    # minor cycle to the exact finish
+    # minor cycle to the exact finish.  The graphic base is left unrounded
+    # there, so that vertex fails the flow certificate and is recovered
+    # through the finish; the vector matroid, which has no membership test,
+    # always takes it
     monkeypatch.setattr(
         sfm, "_min_norm_point", lambda n, vertex: ([vertex(list(range(n)))], np.ones(1))
     )
-    f = GraphicMatroid(random_connected_graph(5, 8, random.Random(3)))
-    for lam in (Fraction(0), Fraction(1, 2), Fraction(4, 7), Fraction(1)):
-        assert minimize_offset(f, lam, method="wolfe") == minimize_offset(f, lam)
+    monkeypatch.setattr(sfm, "_rounded_base", lambda f, point: [Fraction(p) for p in point])
+    finishes = counted_finishes(monkeypatch)
+    graphic = GraphicMatroid(random_connected_graph(5, 8, random.Random(3)))
+    vector = VectorMatroid([[1, 0, 0, 1, 1, 0, 2], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, -1]])
+    for f in (graphic, vector):
+        for lam in (Fraction(0), Fraction(1, 2), Fraction(4, 7), Fraction(1)):
+            finishes.clear()
+            assert minimize_offset(f, lam, method="wolfe") == minimize_offset(f, lam)
+            assert len(finishes) == 1
+
+
+def test_graphic_wolfe_base_is_rounded_and_flow_certified(monkeypatch):
+    finishes = counted_finishes(monkeypatch)
+    f = GraphicMatroid(random_connected_graph(8, 16, random.Random(16)))
+    assert sfm.min_norm_base(f, method="wolfe") == sfm.min_norm_base(f, method="enumerate")
+    assert finishes == []

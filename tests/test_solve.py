@@ -271,6 +271,23 @@ def test_small_basis_checks_the_insertion_extension(monkeypatch):
         small_basis_exact(TB)
 
 
+def test_basis_order_dp_matches_the_permutation_search():
+    # every order of every basis, least (value, order) first: the search the
+    # subset DP replaces, on graphs with loops and parallel edges as well
+    rng = random.Random(9)
+    for _ in range(8):
+        G = random_connected_graph(5, rng.randint(4, 8), rng)
+        G = Graph(5, G.edges + tuple((rng.randrange(5), rng.randrange(5)) for _ in range(2)))
+        M = GraphicMatroid(G)
+        bases = list(M.bases())
+        reference = min(
+            (solve._ordered_cost(solve._circuit_supports(M, basis), perm), perm)
+            for basis in bases
+            for perm in permutations(solve.iter_bits(basis))
+        )
+        assert solve._search_bases(M, bases) == reference
+
+
 def test_small_basis_u13():
     value, _ = small_basis_exact(UniformMatroid(3, 1))
     assert value == 3 == uniform_closed_form(1, 3)
