@@ -188,34 +188,27 @@ ANNIHILATOR_BLOCK = 1 << 14
 
 class VectorMatroid(Matroid):
     """Column matroid of an integer matrix, ranked exactly over the
-    rationals, or over GF(prime) when ``prime`` is given.
+    rationals.
 
     The dense table is filled in one batched pass that adds one column at a
     time to every column set built so far (see ``_scaled_table``); a single
-    query runs fraction-free (Bareiss) elimination, or elimination mod
-    ``prime``.
+    query runs fraction-free (Bareiss) elimination.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]], prime: int | None = None):
+    def __init__(self, rows: Sequence[Sequence[int]]):
         self.rows = tuple(tuple(int(x) for x in row) for row in rows)
         if not self.rows:
             raise ValueError("matrix must have at least one row")
         width = len(self.rows[0])
         if any(len(row) != width for row in self.rows):
             raise ValueError("matrix rows must have equal length")
-        if prime is not None and prime < 2:
-            raise ValueError("prime must be at least 2")
-        self.prime = prime
         super().__init__(GroundSet(width))
 
     def evaluate(self, subset: int) -> int:
         cols = list(iter_bits(subset))
         if not cols:
             return 0
-        mat = [[row[j] for j in cols] for row in self.rows]
-        if self.prime is not None:
-            return _rank_mod(mat, self.prime)
-        return _rank_bareiss(mat)
+        return _rank_bareiss([[row[j] for j in cols] for row in self.rows])
 
     def _scaled_table(self) -> tuple[int, np.ndarray]:
         """All 2^m ranks from one k x k integer matrix N_S per column set S,
@@ -225,36 +218,28 @@ class VectorMatroid(Matroid):
         N_{S+v} = w_p N_S - w (x) N_S[p], whose row p is zero.  Over the
         rationals each row is divided by the gcd of its entries, so every
         nonzero row is the primitive vector of a line spanned by r x r
-        minors of the matrix, at most the Hadamard bound H in magnitude;
-        over GF(prime) the rows are reduced mod prime instead.
+        minors of the matrix, at most the Hadamard bound H in magnitude.
 
         The low columns are built in one batch of states; each block of
         those is then extended over the remaining columns and fills its
         columns of the (2^high, 2^low) table, so at most about
         ``ANNIHILATOR_BLOCK`` states are held at once."""
-        k, m, prime = len(self.rows), self.m, self.prime
+        k, m = len(self.rows), self.m
         cols = [[row[j] for row in self.rows] for j in range(m)]
-        if prime is None:
-            # each column norm rounded up to an integer above it, so H >= 1
-            norms = sorted((isqrt(sum(x * x for x in c)) + 1 for c in cols), reverse=True)
-            H = prod(norms[:k])
-            bound = 2 * k * max((abs(x) for c in cols for x in c), default=0) * H * H
-        else:
-            cols = [[x % prime for x in c] for c in cols]
-            bound = (k + 2) * prime * prime
-        dtype = int_dtype(bound)
+        # each column norm rounded up to an integer above it, so H >= 1
+        norms = sorted((isqrt(sum(x * x for x in c)) + 1 for c in cols), reverse=True)
+        H = prod(norms[:k])
+        dtype = int_dtype(2 * k * max((abs(x) for c in cols for x in c), default=0) * H * H)
         cols = np.array(cols, dtype=dtype).reshape(m, k)
         rank_dtype = int_dtype(m)
 
         def extend(N, rank, vectors, keep_last):
             for i, v in enumerate(vectors):
                 w = N @ v
-                if prime is not None:
-                    w %= prime
                 grows = (w != 0).any(axis=1)
                 rank = np.concatenate([rank, rank + grows])
                 if i + 1 < len(vectors) or keep_last:
-                    N = _adjoin(N, w, grows, prime)
+                    N = _adjoin(N, w, grows)
             return N, rank
 
         block_bits = ANNIHILATOR_BLOCK.bit_length() - 1
@@ -274,23 +259,20 @@ class VectorMatroid(Matroid):
         return 1, table.reshape(-1)
 
 
-def _adjoin(N: np.ndarray, w: np.ndarray, grows: np.ndarray, prime: int | None) -> np.ndarray:
+def _adjoin(N: np.ndarray, w: np.ndarray, grows: np.ndarray) -> np.ndarray:
     """The annihilator matrices of every set S, then of every S + v, for a
     column v with w = N v: N_{S+v} = w_p N_S - w (x) N_S[p] where w != 0, p
-    its first nonzero index, rows divided by their gcds or reduced mod
-    ``prime``; N_{S+v} = N_S where w = 0."""
+    its first nonzero index, rows divided by their gcds; N_{S+v} = N_S where
+    w = 0."""
     out = np.concatenate([N, N])
     index = np.flatnonzero(grows)
     N, w = N[index], w[index]
     rows = np.arange(len(index))
     p = np.argmax(w != 0, axis=1)
     new = w[rows, p][:, None, None] * N - w[:, :, None] * N[rows, p][:, None, :]
-    if prime is not None:
-        new %= prime
-    else:
-        g = np.gcd.reduce(new, axis=2)
-        g[g == 0] = 1
-        new //= g[:, :, None]
+    g = np.gcd.reduce(new, axis=2)
+    g[g == 0] = 1
+    new //= g[:, :, None]
     out[len(grows) + index] = new
     return out
 
@@ -313,29 +295,6 @@ def _rank_bareiss(mat: list[list[int]]) -> int:
                 mat[i][j] = (mat[i][j] * piv - mat[i][c] * mat[r][j]) // prev
             mat[i][c] = 0
         prev = piv
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
-
-
-def _rank_mod(mat: list[list[int]], p: int) -> int:
-    rows, cols = len(mat), len(mat[0])
-    mat = [[x % p for x in row] for row in mat]
-    rank = 0
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [(x - factor * y) % p for x, y in zip(mat[i], mat[r])]
         rank += 1
         r += 1
         if r == rows:

@@ -271,6 +271,10 @@ class LpModel:
     (vertex v scheduled at time t), t = 1..n.  Objective: minimize the sum
     of all u.  Constraints: at most one vertex per time step; u[e, t] +
     sum over t' < t of x[v, t'] >= 1 for every v in e.
+
+    ``basis`` is a feasible start basis for ``simplex_minimize`` at x = 0,
+    u = 1: each pack row's slack, and for each edge and step, u[e, t] on
+    the first endpoint's cover row and the surplus on the second's.
     """
 
     graph: Graph
@@ -280,6 +284,7 @@ class LpModel:
     #: ascending column order
     rows: list[tuple[list[tuple[int, Fraction]], str, Fraction]]
     row_names: list[str]
+    basis: list[int]
 
     @property
     def num_vars(self) -> int:
@@ -298,14 +303,19 @@ def build_lp(G: Graph) -> LpModel:
     var_names += [f"x_v{v}_t{t}" for v in range(n) for t in steps]
     rows = [([(first_x + v * n + t - 1, one) for v in range(n)], "<=", one) for t in steps]
     row_names = [f"pack_t{t}" for t in steps]
+    # row i's slack or surplus is column len(var_names) + i; by position in
+    # the edge pair, so that a loop's two cover rows get u and the surplus
+    basis = [len(var_names) + i for i in range(n)]
     for ei, (a, b) in enumerate(G.edges):
-        for v in (a, b):
+        for first, v in ((True, a), (False, b)):
             for t in steps:
                 x_before = [(first_x + v * n + tp - 1, one) for tp in range(1, t)]
+                basis.append(ei * n + t - 1 if first else len(var_names) + len(rows))
                 rows.append(([(ei * n + t - 1, one)] + x_before, ">=", one))
                 row_names.append(f"cover_e{ei}_v{v}_t{t}")
     objective = [one] * first_x + [Fraction(0)] * (n * n)
-    return LpModel(graph=G, var_names=var_names, objective=objective, rows=rows, row_names=row_names)
+    return LpModel(graph=G, var_names=var_names, objective=objective, rows=rows, row_names=row_names,
+                   basis=basis)
 
 
 #: Largest model the dense tableau solver accepts.
@@ -313,17 +323,19 @@ LP_SOLVER_VAR_CAP = 200
 
 
 def solve_lp(model: LpModel) -> Fraction:
-    """Exact LP optimum, certified.  A float simplex finds the optimal
+    """Exact LP optimum, certified.  A one-phase float simplex, started
+    from the model's feasible basis at x = 0, u = 1, finds the optimal
     basis; its primal point and row duals, rounded to rationals (or solved
     exactly from the basis when rounding fails), must pass an exact
-    primal-dual check, else CertificateError.  For a d-regular graph on n
-    vertices the value is d n (n + 1) / 4."""
+    primal-dual check, else CertificateError.  The relaxation is always
+    feasible and bounded, so there is no other verdict.  For a d-regular
+    graph on n vertices the value is d n (n + 1) / 4."""
     if model.num_vars > LP_SOLVER_VAR_CAP:
         raise ValueError(
             f"model has {model.num_vars} variables, beyond the dense solver "
             f"cap ({LP_SOLVER_VAR_CAP}); use emit_lp and an external solver"
         )
-    value, _ = simplex_minimize(model.objective, model.rows)
+    value, _ = simplex_minimize(model.objective, model.rows, model.basis)
     return value
 
 
@@ -345,11 +357,10 @@ def emit_lp(model: LpModel) -> str:
     ]
     lines.append(" obj: " + " ".join(obj_terms).lstrip("+ "))
     lines.append("Subject To")
-    sense_text = {"<=": "<=", ">=": ">=", "==": "="}
     for name, (row_terms, sense, rhs) in zip(model.row_names, model.rows):
         terms = [term(c, model.var_names[j]) for j, c in row_terms]
         body = " ".join(terms).lstrip("+ ")
-        lines.append(f" {name}: {body} {sense_text[sense]} {rhs}")
+        lines.append(f" {name}: {body} {sense} {rhs}")
     lines.append("Bounds")
     for v in model.var_names:
         lines.append(f" 0 <= {v}")

@@ -23,7 +23,7 @@ from ordolab import (
 from ordolab import cli, simplex
 from ordolab.core import ParseError
 from ordolab.mlvc import LP_SOLVER_VAR_CAP, _sample, largest_float_below
-from ordolab.simplex import LpInfeasible, LpUnbounded, simplex_minimize
+from ordolab.simplex import simplex_minimize
 
 from helpers import sample_extension, sparse_rows
 
@@ -235,35 +235,61 @@ def test_clique_gap_fractional_matches_lp_small():
 
 
 def test_simplex_infeasible():
-    with pytest.raises(LpInfeasible):
+    # min x  s.t.  x + 2y <= 2, x <= 1: the start basis {x, slack 2} puts
+    # x = 2 and the second slack at -1
+    with pytest.raises(ValueError, match="start basis is infeasible"):
         simplex_minimize(
-            [Fraction(1)],
-            sparse_rows([([Fraction(1)], "<=", Fraction(1)), ([Fraction(1)], ">=", Fraction(2))]),
+            [Fraction(1), Fraction(0)],
+            sparse_rows([
+                ([Fraction(1), Fraction(2)], "<=", Fraction(2)),
+                ([Fraction(1), Fraction(0)], "<=", Fraction(1)),
+            ]),
+            [0, 3],
         )
 
 
+def test_simplex_rejects_a_singular_start_basis():
+    # x and y have parallel columns (1, 2) and (1, 2)
+    with pytest.raises(ValueError, match="start basis is singular"):
+        simplex_minimize(
+            [Fraction(1), Fraction(1)],
+            sparse_rows([
+                ([Fraction(1), Fraction(1)], "<=", Fraction(2)),
+                ([Fraction(2), Fraction(2)], "<=", Fraction(5)),
+            ]),
+            [0, 1],
+        )
+
+
+def test_simplex_rejects_an_equality_row():
+    with pytest.raises(ValueError, match="sense"):
+        simplex_minimize([Fraction(1)], sparse_rows([([Fraction(1)], "==", Fraction(0))]), [0])
+
+
 def test_simplex_known_optimum():
-    # min x + y  s.t.  x + 2y >= 4, 3x + y >= 6
+    # min x + y  s.t.  x + 2y >= 4, 3x + y >= 6, from the first row's
+    # surplus and y: y = 6, surplus 8
     value, (x, y) = simplex_minimize(
         [Fraction(1), Fraction(1)],
         sparse_rows([
             ([Fraction(1), Fraction(2)], ">=", Fraction(4)),
             ([Fraction(3), Fraction(1)], ">=", Fraction(6)),
         ]),
+        [2, 1],
     )
     assert value == Fraction(14, 5)
     assert x + 2 * y >= 4 and 3 * x + y >= 6
 
 
 def test_simplex_unbounded():
-    # min -x  s.t.  x >= 1
-    with pytest.raises(LpUnbounded):
-        simplex_minimize([Fraction(-1)], sparse_rows([([Fraction(1)], ">=", Fraction(1))]))
+    # min -x  s.t.  x >= -1: x rises without bound from the surplus basis
+    with pytest.raises(CertificateError, match="improving ray"):
+        simplex_minimize([Fraction(-1)], sparse_rows([([Fraction(1)], ">=", Fraction(-1))]), [1])
 
 
 def test_simplex_rejects_a_column_outside_the_objective():
     with pytest.raises(ValueError):
-        simplex_minimize([Fraction(1)], [([(1, Fraction(1))], ">=", Fraction(1))])
+        simplex_minimize([Fraction(1)], [([(1, Fraction(1))], ">=", Fraction(1))], [1])
 
 
 def test_simplex_recovers_a_large_denominator(monkeypatch):
@@ -278,35 +304,32 @@ def test_simplex_recovers_a_large_denominator(monkeypatch):
         return solve(rows, rhs)
 
     monkeypatch.setattr(simplex, "solve_exact", counted)
-    value, x = simplex_minimize([Fraction(1)], sparse_rows([([Fraction(1234567)], ">=", Fraction(1))]))
+    value, x = simplex_minimize([Fraction(1)], sparse_rows([([Fraction(1234567)], ">=", Fraction(1))]), [0])
     assert value == Fraction(1, 1234567) and x == [Fraction(1, 1234567)]
     assert solves
 
 
-def stop_after_phase_one(monkeypatch):
-    """Make the float search return the feasible basis phase 1 ends in."""
-    run_phase = simplex._run_phase
-
-    def phase_one_only(T, basis, phase, allowed):
-        return None if phase == 2 else run_phase(T, basis, phase, allowed)
-
-    monkeypatch.setattr(simplex, "_run_phase", phase_one_only)
+def stop_the_search(monkeypatch):
+    """Make the float search stop at its start basis, before any pivot."""
+    monkeypatch.setattr(simplex, "_search", lambda T, basis: None)
 
 
 def test_simplex_fails_closed_on_a_non_optimal_basis(monkeypatch):
-    # min -x  s.t.  x >= 1, x <= 3: phase 1 stops at x = 1, the optimum is 3
-    stop_after_phase_one(monkeypatch)
+    # min -x  s.t.  x >= 1, x <= 3: the search stops at x = 1, the optimum is 3
+    stop_the_search(monkeypatch)
     with pytest.raises(CertificateError):
         simplex_minimize(
             [Fraction(-1)],
             sparse_rows([([Fraction(1)], ">=", Fraction(1)), ([Fraction(1)], "<=", Fraction(3))]),
+            [0, 2],
         )
 
 
 def test_mlvc_lp_exits_1_without_a_certificate(tmp_path, monkeypatch):
+    # the start point x = 0, u = 1 is feasible but not optimal
     path = tmp_path / "c4.graph"
     path.write_text("4 4\n1 2\n2 3\n3 4\n4 1\n")
-    stop_after_phase_one(monkeypatch)
+    stop_the_search(monkeypatch)
     report, code = cli.run(["mlvc", "--lp", "--input", str(path)])
     assert code == 1
     assert "optimality failed its exact certificate" in report["error"]

@@ -4,7 +4,8 @@ exact linear solver and the exact max-flow against brute force.
 Random graphic (with loops and parallel edges), vector and
 Fraction-weighted cut oracles, plus contractions of them, small random LPs
 and square linear systems, checked against the enumerations and the
-reference solver in ``helpers``; the batched vector-matroid and cut tables
+reference solver in ``helpers``; the MLVC relaxation's value against the
+brute-force MLVC optimum; the batched vector-matroid and cut tables
 against single evaluations; the s-t cuts of the integer max-flow against
 every cut of weighted multigraphs; graphic base polytope membership by
 min cuts against every vertex set; and the inversion counts of the balance
@@ -18,7 +19,7 @@ from operator import and_
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ordolab import (
@@ -42,8 +43,8 @@ from ordolab import (
 
 from ordolab import flow, matroids, sfm
 from ordolab.core import SetFunctionOracle, solve_exact
-from ordolab.mlvc import _count_inversions, build_poset
-from ordolab.simplex import LpInfeasible, LpUnbounded, simplex_minimize
+from ordolab.mlvc import _count_inversions, build_lp, build_poset, mlvc_brute_optimum, solve_lp
+from ordolab.simplex import simplex_minimize
 
 from helpers import (
     _solve_square,
@@ -97,13 +98,16 @@ oracles = st.one_of(
 
 @st.composite
 def small_lps(draw):
+    """LPs where x = 0 is feasible: '<=' rows with b >= 0 and '>=' rows
+    with b <= 0, so each row's own slack or surplus is a start basis."""
     n = draw(st.integers(1, 4))
     coeff = st.integers(-3, 3).map(Fraction)
     objective = [draw(coeff) for _ in range(n)]
-    rows = [
-        ([draw(coeff) for _ in range(n)], draw(st.sampled_from(("<=", ">=", "=="))), draw(coeff))
-        for _ in range(draw(st.integers(1, 4)))
-    ]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        sense = draw(st.sampled_from(("<=", ">=")))
+        b = abs(draw(coeff))
+        rows.append(([draw(coeff) for _ in range(n)], sense, b if sense == "<=" else -b))
     return objective, rows
 
 
@@ -263,14 +267,13 @@ def test_graphic_base_membership_matches_brute_force(G, data):
 
 @st.composite
 def table_matroids(draw):
-    """Rational or GF(p) vector matroids, m = 0-8, k = 1-5, entries small
-    or up to 10^12 (beyond int64 once multiplied out: the object path)."""
+    """Rational vector matroids, m = 0-8, k = 1-5, entries small or up to
+    10^12 (beyond int64 once multiplied out: the object path)."""
     m = draw(st.integers(0, 8))
     k = draw(st.integers(1, 5))
     bound = draw(st.sampled_from((3, 10**12)))
-    prime = draw(st.sampled_from((None, 2, 3, 7, 2**61 - 1)))
     entry = st.integers(-bound, bound)
-    return VectorMatroid([draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(k)], prime)
+    return VectorMatroid([draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(k)])
 
 
 @pytest.mark.parametrize("block", [matroids.ANNIHILATOR_BLOCK, 16], ids=["one-block", "many-blocks"])
@@ -319,15 +322,25 @@ def test_large_coprime_denominators_take_the_object_path():
 def test_simplex_matches_vertex_enumeration(lp):
     objective, rows = lp
     verdict, optimum = brute_lp(objective, rows)
-    try:
-        value, x = simplex_minimize(objective, sparse_rows(rows))
-    except LpInfeasible:
-        assert verdict == "infeasible"
-    except LpUnbounded:
-        assert verdict == "unbounded"
-    else:
-        assert (verdict, value) == ("optimal", optimum)
-        assert sum(c * v for c, v in zip(objective, x)) == value
+    start = [len(objective) + i for i in range(len(rows))]
+    if verdict == "unbounded":
+        with pytest.raises(CertificateError):
+            simplex_minimize(objective, sparse_rows(rows), start)
+        return
+    value, x = simplex_minimize(objective, sparse_rows(rows), start)
+    assert (verdict, value) == ("optimal", optimum)
+    assert sum(c * v for c, v in zip(objective, x)) == value
+
+
+@PROPERTY
+@example(Graph(2, ((0, 0), (0, 1))))
+@example(Graph(3, ((0, 1), (1, 0), (0, 1))))
+@example(Graph(4, ((1, 2),)))
+@given(multigraphs(max_vertices=6, max_edges=8))
+def test_lp_value_is_a_certified_lower_bound(G):
+    # loops, parallel edges and isolated vertices included: a loop's two
+    # cover rows are identical, and the start basis must still be nonsingular
+    assert solve_lp(build_lp(G)) <= mlvc_brute_optimum(G)
 
 
 @PROPERTY
