@@ -264,7 +264,7 @@ def _cmd_mlvc(args):
             "pair_probabilities": {
                 f"{a}<{b}": p for (a, b), p in sorted(report.probabilities.items())
             },
-            "worst_pair": list(report.worst_pair),
+            "worst_pair": None if report.worst_pair is None else list(report.worst_pair),
             "worst_probability": report.worst_probability,
             "flagged": [list(p) for p in report.flagged],
         }

@@ -5,6 +5,15 @@ relaxation.
 Jobs are numbered 0..n-1 for vertices and n..n+h-1 for hyperedges.  A
 hyperedge job is preceded by each of its vertices and nothing else, so a
 linear extension of the poset is exactly a feasible cover schedule.
+
+The sampler is one generator, ``_samples(poset, rng, count)``: a uniform
+vertex order, each hyperedge scheduled as soon as its last vertex is, and
+ties between hyperedges completed by the same vertex shuffled.  Its draws
+are those of ``rng.shuffle`` on the vertex list and on each tie list,
+taken draw for draw from ``rng.getrandbits``, so a seed fixes every
+schedule and the state ``rng`` is left in.  ``_sample`` is its one-sample
+view.  ``best_of_n`` costs the sampled vertex orders in numpy blocks and
+``balance_check`` counts inversions one numpy pass per trial.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -68,20 +78,24 @@ class SchedulingPoset:
         return a < n <= b and a in self.hypergraph.edges[b - n]
 
     def incomparable_pairs(self) -> list[tuple[int, int]]:
-        """Unordered incomparable job pairs.  Pairs of nested distinct
-        hyperedges are skipped: the smaller always completes first, so they
-        are comparable for scheduling purposes."""
-        out = []
-        total = self.n_jobs
-        for a in range(total):
-            for b in range(a + 1, total):
-                if self.precedes(a, b) or self.precedes(b, a):
-                    continue
-                sa, sb = self.job_members(a), self.job_members(b)
-                if sa != sb and (sa <= sb or sb <= sa):
-                    continue
-                out.append((a, b))
-        return out
+        """Unordered incomparable job pairs (a, b), a < b, in ascending
+        order.  Pairs of nested distinct hyperedges are skipped: the smaller
+        always completes first, so they are comparable for scheduling
+        purposes.  A vertex and a hyperedge holding it are comparable even
+        when the hyperedge is that vertex alone (a loop)."""
+        n, total = self.hypergraph.n, self.n_jobs
+        members = np.zeros((total, n), dtype=np.int32)  # job x vertex
+        members[np.arange(n), np.arange(n)] = 1
+        for j, e in enumerate(self.hypergraph.edges):
+            members[n + j, list(e)] = 1
+        shared = members @ members.T
+        a, b = np.triu_indices(total, 1)
+        inside, size = shared[a, b], shared.diagonal()
+        a_in_b = inside == size[a]
+        b_in_a = inside == size[b]
+        # equal member sets: repeated hyperedges, or a vertex below its loop
+        keep = ~(a_in_b | b_in_a) | (a_in_b & b_in_a & (a >= n))
+        return list(zip(a[keep].tolist(), b[keep].tolist()))
 
     def is_linear_extension(self, schedule: Sequence[int]) -> bool:
         if sorted(schedule) != list(range(self.n_jobs)):
@@ -102,27 +116,59 @@ def build_poset(H: Hypergraph) -> SchedulingPoset:
     return SchedulingPoset(H)
 
 
-def _sample(poset: SchedulingPoset, rng: random.Random) -> list[int]:
+def _samples(poset: SchedulingPoset, rng: random.Random, count: int) -> Iterator[list[int]]:
+    """``count`` sampled linear extensions, drawn lazily from ``rng``.
+
+    Each is a uniform random vertex order with every hyperedge scheduled
+    right after its last vertex; hyperedges completed by the same vertex are
+    put in random order.  The draws are exactly those of ``rng.shuffle`` on
+    the vertex list and then on each tie list in schedule order (CPython's
+    Fisher-Yates over ``_randbelow``, run inline on ``rng.getrandbits``;
+    lists of 0 or 1 items draw nothing), so the schedules and the state
+    ``rng`` is left in match ``count`` calls of ``_sample``.  Nothing is
+    drawn before a schedule is asked for.
+    """
     H = poset.hypergraph
     n = H.n
-    remaining = [len(e) for e in H.edges]
-    waiting: list[list[int]] = [[] for _ in range(n)]
+    sizes = [len(e) for e in H.edges]
+    waiting: list[list[int]] = [[] for _ in range(n)]  # hyperedges of each vertex, ascending
     for j, e in enumerate(H.edges):
         for v in e:
             waiting[v].append(j)
-    schedule: list[int] = []
-    order = list(range(n))
-    rng.shuffle(order)
-    for v in order:
-        schedule.append(v)
-        completed = []
-        for j in waiting[v]:
-            remaining[j] -= 1
-            if remaining[j] == 0:
-                completed.append(j)
-        rng.shuffle(completed)  # ties between edges broken at random
-        schedule.extend(n + j for j in completed)
-    return schedule
+    # rng.shuffle of a list of length L draws, for i = L - 1 down to 1, an
+    # r below b = i + 1 from k = b.bit_length() bits: the last L - 1 steps
+    top = max([n, *map(len, waiting)])
+    steps = [(i, i + 1, (i + 1).bit_length()) for i in range(top - 1, 0, -1)]
+    getrandbits = rng.getrandbits
+
+    def shuffle(x: list[int]) -> None:
+        for i, b, k in steps[top - len(x):]:
+            r = getrandbits(k)
+            while r >= b:
+                r = getrandbits(k)
+            x[i], x[r] = x[r], x[i]
+
+    for _ in range(count):
+        remaining = sizes.copy()
+        order = list(range(n))
+        shuffle(order)
+        schedule: list[int] = []
+        for v in order:
+            schedule.append(v)
+            completed = []
+            for j in waiting[v]:
+                remaining[j] -= 1
+                if not remaining[j]:
+                    completed.append(n + j)
+            if len(completed) > 1:
+                shuffle(completed)  # ties between edges broken at random
+            schedule += completed
+        yield schedule
+
+
+def _sample(poset: SchedulingPoset, rng: random.Random) -> list[int]:
+    """One sampled linear extension: the one-sample view of ``_samples``."""
+    return next(_samples(poset, rng, 1))
 
 
 def exact_pair_probability(poset: SchedulingPoset, a: int, b: int) -> Fraction | None:
@@ -147,8 +193,8 @@ class BalanceReport:
     trials: int
     floor: Fraction
     probabilities: dict      # (a, b) unordered pair -> empirical P(a before b)
-    worst_pair: tuple[int, int]
-    worst_probability: float
+    worst_pair: tuple[int, int] | None          # None when no pair is incomparable
+    worst_probability: float | None
     flagged: tuple[tuple[int, int], ...]
 
 
@@ -159,9 +205,9 @@ def largest_float_below(q: Fraction) -> float:
     return math.nextafter(below, -math.inf) if below >= q else below
 
 
-def _count_inversions(H: Hypergraph, pairs: list[tuple[int, int]], trials: int, seed: int) -> dict:
-    """For every incomparable pair (a, b) of ``pairs``, the number of
-    sampled schedules that put a before b; one numpy pass over the pairs
+def _count_inversions(H: Hypergraph, pairs: list[tuple[int, int]], trials: int, seed: int) -> np.ndarray:
+    """For every incomparable pair (a, b) of ``pairs``, in order, the number
+    of sampled schedules that put a before b; one numpy pass over the pairs
     per trial."""
     poset = build_poset(H)
     first = np.array([a for a, _ in pairs], dtype=np.intp)
@@ -169,17 +215,17 @@ def _count_inversions(H: Hypergraph, pairs: list[tuple[int, int]], trials: int, 
     hits = np.zeros(len(pairs), dtype=np.int64)
     slot = np.empty(poset.n_jobs, dtype=np.intp)
     position = np.arange(poset.n_jobs)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        slot[_sample(poset, rng)] = position
+    for schedule in _samples(poset, random.Random(seed), trials):
+        slot[schedule] = position
         hits += slot[first] < slot[second]
-    return dict(zip(pairs, hits.tolist()))
+    return hits
 
 
 def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> BalanceReport:
     """Estimate, for every incomparable job pair, the probability of each
     relative order; flag a pair if its estimate plus three standard errors
-    still falls below the 1/(1 + max edge size) floor.
+    still falls below the 1/(1 + max edge size) floor.  With no
+    incomparable pair, the worst pair and its probability are None.
 
     ``jobs`` splits the trials across worker processes with per-worker
     seeds derived from (seed, worker index); the aggregate is deterministic
@@ -198,24 +244,31 @@ def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> B
         share = [s for s in share if s]
         seeds = [seed * 1_000_003 + w for w in range(len(share))]
         with ProcessPoolExecutor(max_workers=len(share)) as pool:
-            partials = list(pool.map(_count_inversions, [H] * len(share), [pairs] * len(share), share, seeds))
-        counts = {p: sum(c[p] for c in partials) for p in pairs}
+            counts = sum(pool.map(_count_inversions, [H] * len(share), [pairs] * len(share), share, seeds))
     else:
         counts = _count_inversions(H, pairs, trials, seed)
     floor = Fraction(1, 1 + H.max_edge_size)
     below = largest_float_below(floor)
-    probabilities = {p: counts[p] / trials for p in pairs}
+    p = counts / trials
+    probabilities = dict(zip(pairs, p.tolist()))
+    # entry 2i is P(a before b) for pairs[i] = (a, b), entry 2i + 1 is
+    # P(b before a)
+    directed = np.column_stack((p, 1 - p)).ravel()
+
+    def direction(k: int) -> tuple[int, int]:
+        a, b = pairs[k // 2]
+        return (b, a) if k % 2 else (a, b)
+
+    worst_pair = worst_p = None
+    if pairs:
+        k = int(directed.argmin())  # the first minimum
+        worst_p, worst_pair = float(directed[k]), direction(k)
+    # p + 3 sigma >= p, so only directions with p <= below can be flagged
     flagged = []
-    worst_pair = None
-    worst_p = None
-    for a, b in pairs:
-        for p, pair in ((probabilities[(a, b)], (a, b)), (1 - probabilities[(a, b)], (b, a))):
-            sigma = (p * (1 - p) / trials) ** 0.5
-            if p + 3 * sigma <= below:
-                flagged.append(pair)
-            if worst_p is None or p < worst_p:
-                worst_p = p
-                worst_pair = pair
+    for k in np.flatnonzero(directed <= below).tolist():
+        q = float(directed[k])
+        if q + 3 * (q * (1 - q) / trials) ** 0.5 <= below:
+            flagged.append(direction(k))
     return BalanceReport(
         trials=trials,
         floor=floor,
@@ -226,24 +279,33 @@ def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> B
     )
 
 
+#: most schedule entries best_of_n holds at once (about 256 KiB as intp)
+SAMPLE_BLOCK_ENTRIES = 2**15
+
+
 def best_of_n(G: Graph, n_samples: int, seed: int = 0) -> tuple[Ordering, int]:
-    """Best MLVC labeling among n sampled linear extensions' vertex orders.
-    Deterministic for a fixed seed."""
+    """Best MLVC labeling among n sampled linear extensions' vertex orders,
+    the first on a tie.  Deterministic for a fixed seed.  The samples are
+    costed in blocks, sum over edges of max(pos[u], pos[v]) per row."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     poset = build_poset(Hypergraph.from_graph(G))
-    rng = random.Random(seed)
-    best_val = None
-    best_pi = None
-    for _ in range(n_samples):
-        schedule = _sample(poset, rng)
-        vertex_order = [j for j in schedule if j < G.n]
-        pi = Ordering.from_sequence(vertex_order)
-        val = mlvc_objective(G, pi)
-        if best_val is None or val < best_val:
-            best_val = val
-            best_pi = pi
-    return best_pi, best_val
+    n = G.n
+    u, v = np.array(G.edges, dtype=np.intp).reshape(-1, 2).T
+    labels = np.arange(1, n + 1)
+    block = max(1, SAMPLE_BLOCK_ENTRIES // max(1, poset.n_jobs))
+    samples = _samples(poset, random.Random(seed), n_samples)
+    best_val = best_order = None
+    while schedules := list(islice(samples, block)):
+        sampled = np.array(schedules, dtype=np.intp).reshape(len(schedules), poset.n_jobs)
+        orders = sampled[sampled < n].reshape(len(schedules), n)  # vertex orders, row by row
+        pos = np.empty_like(orders)
+        np.put_along_axis(pos, orders, labels, axis=1)
+        costs = np.maximum(pos[:, u], pos[:, v]).sum(axis=1)
+        i = int(costs.argmin())
+        if best_val is None or costs[i] < best_val:
+            best_val, best_order = int(costs[i]), orders[i].tolist()
+    return Ordering.from_sequence(best_order), best_val
 
 
 def mlvc_brute_optimum(G: Graph) -> int:

@@ -11,9 +11,10 @@ x >= 0, starting from a feasible basis that the caller names.
 2. Candidate.  The primal point and the row duals (the reduced costs of
    each row's slack or surplus) are read off the final tableau and
    rounded to rationals with ``Fraction.limit_denominator``.
-3. Certificate.  The candidate is checked in exact Fractions: x >= 0
-   satisfying every row, duals y with the sign each sense requires,
-   A^T y <= c and c.x = b.y.
+3. Certificate.  The candidate is checked exactly: x >= 0 satisfying
+   every row, duals y with the sign each sense requires, A^T y <= c and
+   c.x = b.y.  The rows are checked in integers, each row scaled by its
+   own denominator and x and y put over common denominators.
 4. Recovery.  If the rounded candidate fails, the final basis is solved
    exactly by ``core.solve_exact``, the integer Gauss-Jordan solver that
    also finishes the Wolfe search in ``sfm`` (B x_B = b, B^T y = c_B).
@@ -26,6 +27,7 @@ pivot is taken in Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -113,17 +115,22 @@ class _Lp:
     tableau: structural columns, then one slack or surplus per row."""
 
     def __init__(self, objective, rows):
-        self.c = [Fraction(v) for v in objective]
+        self.c = [_exact(v) for v in objective]
         self.n = n = len(self.c)
         self.rows: list[tuple[list[tuple[int, Fraction]], str]] = []
         self.rhs: list[Fraction] = []
+        #: each row times its own scale s, in integers: (terms, rhs, s)
+        self.scaled: list[tuple[list[tuple[int, int]], int, int]] = []
         for terms, sense, rhs in rows:
             if sense not in ("<=", ">="):
                 raise ValueError(f"row sense must be '<=' or '>=', not {sense!r}")
             if any(not 0 <= j < n for j, _ in terms):
                 raise ValueError("term column outside the objective")
-            self.rows.append(([(j, Fraction(v)) for j, v in terms if v], sense))
-            self.rhs.append(Fraction(rhs))
+            terms, rhs = [(j, _exact(v)) for j, v in terms if v], _exact(rhs)
+            self.rows.append((terms, sense))
+            self.rhs.append(rhs)
+            scale = lcm(rhs.denominator, *(v.denominator for _, v in terms))
+            self.scaled.append(([(j, _times(v, scale)) for j, v in terms], _times(rhs, scale), scale))
         #: the coefficient of row i's own column n + i
         self.sign = [1 if sense == "<=" else -1 for _, sense in self.rows]
 
@@ -189,21 +196,41 @@ def _rational(v: float) -> Fraction:
     return Fraction(v).limit_denominator(ROUND_DENOMINATOR)
 
 
+def _exact(v) -> int | Fraction:
+    """v if it is already an int or a Fraction, else its exact Fraction."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _times(v: int | Fraction, scale: int) -> int:
+    """v * scale for a multiple scale of v's denominator."""
+    return v.numerator * (scale // v.denominator)
+
+
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
 def _is_optimal(lp: _Lp, x: list[Fraction], y: list[Fraction]) -> bool:
     """x is feasible (x >= 0, every row holds in its sense), y has each
-    row's sign (<= 0 on '<=', >= 0 on '>='), A^T y <= c and c.x = b.y."""
+    row's sign (<= 0 on '<=', >= 0 on '>='), A^T y <= c and c.x = b.y.
+
+    The rows are checked in integers: x = X / D over a common denominator
+    D, row i is scaled by its s_i, and y_i / s_i = Z_i / F over a common
+    F, so row i holds when its scaled terms against X compare with its
+    scaled rhs times D, and F A^T y is the sum of the scaled rows times Z."""
     if any(v < 0 for v in x):
         return False
-    aty = [Fraction(0)] * lp.n
-    for (terms, sense), b, yi in zip(lp.rows, lp.rhs, y):
-        lhs = sum((v * x[j] for j, v in terms if x[j]), Fraction(0))
-        if sense == "<=" and (lhs > b or yi > 0) or sense == ">=" and (lhs < b or yi < 0):
+    D = lcm(*(v.denominator for v in x))
+    X = [_times(v, D) for v in x]
+    F = lcm(*(yi.denominator * s for yi, (_, _, s) in zip(y, lp.scaled)))
+    Z = [_times(yi, F // s) for yi, (_, _, s) in zip(y, lp.scaled)]
+    aty = [0] * lp.n  # F A^T y
+    for (terms, b, _), (_, sense), zi in zip(lp.scaled, lp.rows, Z):
+        lhs, bD = sum(a * X[j] for j, a in terms), b * D
+        if sense == "<=" and (lhs > bD or zi > 0) or sense == ">=" and (lhs < bD or zi < 0):
             return False
-        if yi:
-            for j, v in terms:
-                aty[j] += v * yi
-    return all(a <= cj for a, cj in zip(aty, lp.c)) and _dot(lp.c, x) == _dot(lp.rhs, y)
+        if zi:
+            for j, a in terms:
+                aty[j] += a * zi
+    return (all(a * cj.denominator <= cj.numerator * F for a, cj in zip(aty, lp.c))
+            and _dot(lp.c, x) == _dot(lp.rhs, y))

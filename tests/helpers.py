@@ -2,7 +2,8 @@
 test-only generators (labelled trees, sampled linear extensions).
 
 These deliberately avoid the library's solver code paths: optima come from
-enumerating every permutation or subset directly.
+enumerating every permutation or subset directly, and sampled schedules
+from ``reference_sample``, the sampler's plain per-sample loop.
 """
 
 import heapq
@@ -10,7 +11,16 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from ordolab import GroundSet, Ordering, SetFunctionOracle, build_poset
+from ordolab import (
+    BalanceReport,
+    Graph,
+    GroundSet,
+    Hypergraph,
+    Ordering,
+    SetFunctionOracle,
+    build_poset,
+    mlvc_objective,
+)
 from ordolab.mlvc import _sample
 
 
@@ -224,16 +234,58 @@ def all_trees(n: int):
         yield edges
 
 
+def reference_sample(poset, rng: random.Random) -> list[int]:
+    """One sampled linear extension by the plain loop: a shuffled vertex
+    order, each edge appended once its last vertex is, and every list of
+    completed edges shuffled with ``rng.shuffle``."""
+    H = poset.hypergraph
+    n = H.n
+    remaining = [len(e) for e in H.edges]
+    waiting: list[list[int]] = [[] for _ in range(n)]
+    for j, e in enumerate(H.edges):
+        for v in e:
+            waiting[v].append(j)
+    schedule: list[int] = []
+    order = list(range(n))
+    rng.shuffle(order)
+    for v in order:
+        schedule.append(v)
+        completed = []
+        for j in waiting[v]:
+            remaining[j] -= 1
+            if remaining[j] == 0:
+                completed.append(j)
+        rng.shuffle(completed)  # ties between edges broken at random
+        schedule.extend(n + j for j in completed)
+    return schedule
+
+
+def incomparable_pairs_by_loop(poset) -> list[tuple[int, int]]:
+    """Reference pair set, one test per job pair in ascending order: skip
+    precedence and nested distinct hyperedges."""
+    out = []
+    total = poset.n_jobs
+    for a in range(total):
+        for b in range(a + 1, total):
+            if poset.precedes(a, b) or poset.precedes(b, a):
+                continue
+            sa, sb = poset.job_members(a), poset.job_members(b)
+            if sa != sb and (sa <= sb or sb <= sa):
+                continue
+            out.append((a, b))
+    return out
+
+
 def count_inversions_by_pairs(H, trials: int, seed: int) -> dict:
     """Reference inversion count, one Python loop over the pairs per trial:
-    for every incomparable pair (a, b), the number of sampled schedules
-    that put a before b, drawing the same samples as the library."""
+    for every incomparable pair (a, b), the number of reference schedules
+    that put a before b."""
     poset = build_poset(H)
-    pairs = poset.incomparable_pairs()
+    pairs = incomparable_pairs_by_loop(poset)
     counts = {p: 0 for p in pairs}
     rng = random.Random(seed)
     for _ in range(trials):
-        schedule = _sample(poset, rng)
+        schedule = reference_sample(poset, rng)
         slot = [0] * poset.n_jobs
         for i, job in enumerate(schedule):
             slot[job] = i
@@ -241,6 +293,77 @@ def count_inversions_by_pairs(H, trials: int, seed: int) -> dict:
             if slot[a] < slot[b]:
                 counts[(a, b)] += 1
     return counts
+
+
+def best_of_n_by_loop(G, n_samples: int, seed: int = 0):
+    """Reference best-of-N: the first cheapest vertex order of the
+    reference schedules, costed one sample at a time."""
+    poset = build_poset(Hypergraph.from_graph(G))
+    rng = random.Random(seed)
+    best_val = best_pi = None
+    for _ in range(n_samples):
+        pi = Ordering.from_sequence([j for j in reference_sample(poset, rng) if j < G.n])
+        val = mlvc_objective(G, pi)
+        if best_val is None or val < best_val:
+            best_val, best_pi = val, pi
+    return best_pi, best_val
+
+
+def balance_check_by_loop(H, trials: int, seed: int = 0, jobs: int = 1):
+    """Reference balance report from the reference inversion counts, with
+    the library's per-worker shares and seeds for ``jobs`` > 1, its pair
+    order, its flag rule and its first-minimum worst pair."""
+    share = [trials // jobs + (w < trials % jobs) for w in range(jobs)]
+    share = [s for s in share if s]
+    seeds = [seed] if jobs == 1 else [seed * 1_000_003 + w for w in range(len(share))]
+    partials = [count_inversions_by_pairs(H, s, w) for s, w in zip(share, seeds)]
+    pairs = list(partials[0])
+    floor = Fraction(1, 1 + H.max_edge_size)
+    probabilities = {p: sum(c[p] for c in partials) / trials for p in pairs}
+    flagged, worst = [], None
+    for (a, b), p_ab in probabilities.items():
+        for p, pair in ((p_ab, (a, b)), (1 - p_ab, (b, a))):
+            if p + 3 * (p * (1 - p) / trials) ** 0.5 < floor:
+                flagged.append(pair)
+            if worst is None or p < worst[0]:
+                worst = (p, pair)
+    return BalanceReport(
+        trials=trials,
+        floor=floor,
+        probabilities=probabilities,
+        worst_pair=worst and worst[1],
+        worst_probability=worst and worst[0],
+        flagged=tuple(flagged),
+    )
+
+
+def random_regular_graph(n: int, d: int, rng: random.Random):
+    """A random simple d-regular graph by the configuration model, redrawn
+    until no pairing makes a loop or a repeated edge."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(edges) == n * d // 2:
+            return Graph(n, tuple(sorted(edges)))
+
+
+def is_optimal_by_fractions(objective, rows, x, y) -> bool:
+    """The simplex certificate in plain Fraction arithmetic: x >= 0 holds
+    every (terms, sense, rhs) row, y has each row's sign (<= 0 on '<=',
+    >= 0 on '>='), A^T y <= c and c.x = b.y."""
+    if any(v < 0 for v in x):
+        return False
+    aty = [Fraction(0)] * len(objective)
+    for (terms, sense, b), yi in zip(rows, y):
+        lhs = sum((Fraction(v) * x[j] for j, v in terms), Fraction(0))
+        if sense == "<=" and (lhs > b or yi > 0) or sense == ">=" and (lhs < b or yi < 0):
+            return False
+        for j, v in terms:
+            aty[j] += Fraction(v) * yi
+    cx = sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0))
+    by = sum((Fraction(b) * yi for (_, _, b), yi in zip(rows, y)), Fraction(0))
+    return all(a <= c for a, c in zip(aty, objective)) and cx == by
 
 
 def in_graphic_base_polytope(G, x) -> bool:

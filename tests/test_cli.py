@@ -297,6 +297,16 @@ def test_balance_alone_is_a_valid_action(tmp_path):
     assert report["results"]["balance"]["floor"] == "1/3"
 
 
+@pytest.mark.parametrize("text", ["1 0\n", "1 1\n1 1\n"], ids=["single-vertex", "single-loop"])
+def test_balance_without_incomparable_pairs(tmp_path, text):
+    path = write(tmp_path, "one.graph", text)
+    report, code = run_cli(["mlvc", "--input", path, "--balance", "10"])
+    assert code == 0
+    balance = report["results"]["balance"]
+    assert balance["pair_probabilities"] == {} and balance["flagged"] == []
+    assert balance["worst_pair"] is None and balance["worst_probability"] is None
+
+
 def test_verify_single_criterion():
     report, code = run_cli(["verify", "--criterion", "1"])
     assert code == 0

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from ordolab.core import ParseError
 from ordolab.mlvc import LP_SOLVER_VAR_CAP, _sample, largest_float_below
 from ordolab.simplex import simplex_minimize
 
-from helpers import sample_extension, sparse_rows
+from helpers import random_regular_graph, sample_extension, sparse_rows
 
 from ordolab.instances import complete_bipartite, complete_graph, cycle_graph, path_graph
 
@@ -147,6 +148,21 @@ def test_balance_check_parallel_jobs_deterministic():
     a = balance_check(H, 2000, seed=1, jobs=2)
     b = balance_check(H, 2000, seed=1, jobs=2)
     assert a.probabilities == b.probabilities
+
+
+def test_balance_check_memory_stays_per_trial():
+    # 4-regular, n = 40, 6980 pairs: about 1.2 MiB traced at the peak with
+    # the inversions counted per trial, about 47 MiB with a 400 x 6980
+    # matrix of every trial's slots at once
+    H = Hypergraph.from_graph(random_regular_graph(40, 4, random.Random(40)))
+    tracemalloc.start()
+    try:
+        report = balance_check(H, 400, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len(report.probabilities) == 6980
 
 
 def test_best_of_n_k3_always_8():
@@ -290,6 +306,15 @@ def test_simplex_unbounded():
 def test_simplex_rejects_a_column_outside_the_objective():
     with pytest.raises(ValueError):
         simplex_minimize([Fraction(1)], [([(1, Fraction(1))], ">=", Fraction(1))], [1])
+
+
+@pytest.mark.parametrize("sense, coefficient, dual", [("<=", -1, Fraction(1, 2)), (">=", 1, Fraction(-1, 2))])
+def test_certificate_rejects_a_wrong_signed_dual(sense, coefficient, dual):
+    # min x s.t. one row through 0 at x = 0: the wrong-signed dual meets
+    # A^T y <= c and c.x = b.y = 0, so only its sign fails the check
+    lp = simplex._Lp([Fraction(1)], [([(0, Fraction(coefficient))], sense, Fraction(0))])
+    assert simplex._is_optimal(lp, [Fraction(0)], [Fraction(0)])
+    assert not simplex._is_optimal(lp, [Fraction(0)], [dual])
 
 
 def test_simplex_recovers_a_large_denominator(monkeypatch):

@@ -8,10 +8,13 @@ reference solver in ``helpers``; the MLVC relaxation's value against the
 brute-force MLVC optimum; the batched vector-matroid and cut tables
 against single evaluations; the s-t cuts of the integer max-flow against
 every cut of weighted multigraphs; graphic base polytope membership by
-min cuts against every vertex set; and the inversion counts of the balance
-check against the reference pair loop.
+min cuts against every vertex set; the latency-cover sampler against the
+reference per-sample loop, draw for draw, with its pair set, inversion
+counts, best-of-N and balance reports; and the integer certificate of the
+simplex against the same check in Fractions.
 """
 
+import random
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -30,6 +33,8 @@ from ordolab import (
     GraphicMatroid,
     Hypergraph,
     VectorMatroid,
+    balance_check,
+    best_of_n,
     compute_principal_partition,
     constrained_min,
     exact_mlop_dp,
@@ -41,13 +46,23 @@ from ordolab import (
     weighted_mlop_objective,
 )
 
-from ordolab import flow, matroids, sfm
+from ordolab import flow, matroids, mlvc, sfm, simplex
 from ordolab.core import SetFunctionOracle, solve_exact
-from ordolab.mlvc import _count_inversions, build_lp, build_poset, mlvc_brute_optimum, solve_lp
+from ordolab.mlvc import (
+    _count_inversions,
+    _sample,
+    _samples,
+    build_lp,
+    build_poset,
+    mlvc_brute_optimum,
+    solve_lp,
+)
 from ordolab.simplex import simplex_minimize
 
 from helpers import (
     _solve_square,
+    balance_check_by_loop,
+    best_of_n_by_loop,
     brute_lp,
     brute_min_offset,
     brute_mlop,
@@ -56,7 +71,10 @@ from helpers import (
     count_inversions_by_pairs,
     cut_weight,
     in_graphic_base_polytope,
+    incomparable_pairs_by_loop,
+    is_optimal_by_fractions,
     loop_dp,
+    reference_sample,
     sparse_rows,
 )
 
@@ -97,11 +115,10 @@ oracles = st.one_of(
 
 
 @st.composite
-def small_lps(draw):
+def small_lps(draw, coeff=st.integers(-3, 3).map(Fraction)):
     """LPs where x = 0 is feasible: '<=' rows with b >= 0 and '>=' rows
     with b <= 0, so each row's own slack or surplus is a start basis."""
     n = draw(st.integers(1, 4))
-    coeff = st.integers(-3, 3).map(Fraction)
     objective = [draw(coeff) for _ in range(n)]
     rows = []
     for _ in range(draw(st.integers(1, 4))):
@@ -288,16 +305,74 @@ def test_batched_vector_table_matches_evaluate(block, f):
 
 @st.composite
 def hypergraphs(draw):
-    n = draw(st.integers(1, 6))
-    edge = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n)
-    return Hypergraph(n, tuple(draw(st.lists(edge, max_size=6))))
+    """Hypergraphs on 0-9 vertices: size-1 edges (a graph's loops), repeated
+    and nested hyperedges, isolated vertices."""
+    n = draw(st.integers(0, 9))
+    if not n:
+        return Hypergraph(0, ())
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.frozensets(vertex, min_size=1, max_size=4), max_size=10))
+    for i in draw(st.lists(st.integers(0, len(edges) - 1), max_size=3) if edges else st.just([])):
+        edges.append(edges[i] | draw(st.frozensets(vertex, max_size=2)))  # a repeat or a superset
+    return Hypergraph(n, tuple(draw(st.permutations(edges))))
 
 
 @PROPERTY
 @given(hypergraphs(), st.integers(1, 30), st.integers(0, 2**32))
 def test_inversion_counts_match_the_pair_loop(H, trials, seed):
     pairs = build_poset(H).incomparable_pairs()
-    assert _count_inversions(H, pairs, trials, seed) == count_inversions_by_pairs(H, trials, seed)
+    hits = _count_inversions(H, pairs, trials, seed)
+    assert dict(zip(pairs, hits.tolist())) == count_inversions_by_pairs(H, trials, seed)
+
+
+@PROPERTY
+@given(hypergraphs(), st.integers(0, 6), st.integers(0, 2**32))
+def test_samples_match_the_reference_loop_draw_for_draw(H, count, seed):
+    poset = build_poset(H)
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert list(_samples(poset, rng, count)) == [reference_sample(poset, reference) for _ in range(count)]
+    assert rng.getstate() == reference.getstate()
+
+
+@PROPERTY
+@given(st.integers(1, 70), st.integers(0, 40), st.integers(0, 2**32))
+def test_inline_draws_match_random_shuffle(n, loops, seed):
+    # n vertices and `loops` loops at vertex 0: the sample is the shuffled
+    # vertex list with the loops, shuffled in turn, right after vertex 0
+    rng = random.Random(seed)
+    order, ties = list(range(n)), list(range(n, n + loops))
+    rng.shuffle(order)
+    rng.shuffle(ties)
+    at = order.index(0) + 1
+    poset, sampled = build_poset(Hypergraph(n, (frozenset({0}),) * loops)), random.Random(seed)
+    assert _sample(poset, sampled) == order[:at] + ties + order[at:]
+    assert sampled.getstate() == rng.getstate()
+
+
+@PROPERTY
+@given(hypergraphs())
+def test_incomparable_pairs_match_the_pair_loop(H):
+    poset = build_poset(H)
+    assert poset.incomparable_pairs() == incomparable_pairs_by_loop(poset)
+
+
+@pytest.mark.parametrize("block", [mlvc.SAMPLE_BLOCK_ENTRIES, 1], ids=["one-block", "block-per-sample"])
+@PROPERTY
+@example(Graph(0, ()), 3, 0)
+@given(multigraphs(max_vertices=9, max_edges=14), st.integers(1, 40), st.integers(0, 2**32))
+def test_best_of_n_matches_the_reference(block, G, samples, seed):
+    with mock.patch.object(mlvc, "SAMPLE_BLOCK_ENTRIES", block):
+        assert best_of_n(G, samples, seed) == best_of_n_by_loop(G, samples, seed)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@PROPERTY
+@given(hypergraphs(), st.integers(1, 30), st.integers(0, 2**32))
+def test_balance_check_matches_the_reference(jobs, H, trials, seed):
+    report = balance_check(H, trials, seed, jobs)
+    expected = balance_check_by_loop(H, trials, seed, jobs)
+    assert report == expected
+    assert list(report.probabilities) == list(expected.probabilities)
 
 
 def test_large_coprime_denominators_take_the_object_path():
@@ -330,6 +405,22 @@ def test_simplex_matches_vertex_enumeration(lp):
     value, x = simplex_minimize(objective, sparse_rows(rows), start)
     assert (verdict, value) == ("optimal", optimum)
     assert sum(c * v for c, v in zip(objective, x)) == value
+
+
+@PROPERTY
+@given(small_lps(coeff=fractions), st.data())
+def test_integer_certificate_matches_the_fraction_check(lp, data):
+    # the rounded candidate of the final tableau, and that candidate with
+    # one entry of x or y moved
+    objective, rows = lp
+    rows = sparse_rows(rows)
+    model = simplex._Lp(objective, rows)
+    T, basis = model.tableau([len(objective) + i for i in range(len(rows))])
+    assume(simplex._search(T, basis) is None)
+    x, y = model.rounded_candidate(T, basis)
+    moved = data.draw(st.sampled_from((x, y)))
+    moved[data.draw(st.integers(0, len(moved) - 1))] += data.draw(st.sampled_from((0, Fraction(1, 3), -1)))
+    assert simplex._is_optimal(model, x, y) == is_optimal_by_fractions(objective, rows, x, y)
 
 
 @PROPERTY
