@@ -232,7 +232,7 @@ class SetFunctionOracle:
     """
 
     #: ``_base_membership(x)``, for classes that decide exactly whether x
-    #: lies in the base polytope (``GraphicMatroid``: by min cuts); None
+    #: lies in the base polytope (``GraphicMatroid``: by orientations); None
     #: elsewhere.  ``sfm.min_norm_base`` certifies a base of such a class
     #: by that test, and other bases by a Wolfe finish that assumes f is
     #: submodular.

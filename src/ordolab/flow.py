@@ -1,4 +1,5 @@
-"""Exact maximum flows on undirected multigraphs with integer capacities.
+"""Exact maximum flows and load-bounded orientations on undirected
+multigraphs with integer capacities.
 
 ``FlowNetwork.min_cut`` runs Dinic's algorithm (Dinic 1970): breadth-first
 levels in the residual graph, then a blocking flow along level-increasing
@@ -18,15 +19,20 @@ flow, so no residual path leaves it.  A failed check raises
 ``CertificateError``; a caller that knows the cut function compares the
 value with it as well.
 
-Two users: a graph's cut function takes its s-t cuts here
+``forest_violation`` bounds the weight inside every vertex set by one
+orientation moved from root to root (Hakimi 1965); an edge's share on its
+tail is the residual capacity of an arc, and each verdict is checked in
+integers.
+
+Two users: a graph's cut function takes its s-t cuts from ``min_cut``
 (``CutFunction._st_min_cut``), and the graphic matroid decides whether a
-point lies in its base polytope by one min cut per vertex, on one network
-whose terminal capacities change between cuts
+point lies in its base polytope by ``forest_violation``
 (``GraphicMatroid._base_membership``).
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Sequence
 
 from .core import CertificateError
@@ -36,8 +42,7 @@ class FlowNetwork:
     """An undirected multigraph on vertices 0..n-1 with nonnegative integer
     edge capacities.  Parallel edges are merged and self-loops dropped;
     neither changes a cut.  ``edges`` lists the distinct vertex pairs in the
-    order of their first appearance, and ``capacities[i]`` may be changed
-    between cuts: each cut reads the capacities anew."""
+    order of their first appearance, with their summed ``capacities``."""
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]], capacities: Sequence[int]):
         merged: dict[tuple[int, int], int] = {}
@@ -137,3 +142,101 @@ def _certify(net: FlowNetwork, flow: list[int], s: int, t: int) -> tuple[int, in
     if level[t] >= 0:
         raise CertificateError("t is reachable from s in the residual graph: flow not maximum")
     return sum(1 << v for v in range(net.n) if level[v] >= 0), excess[t]
+
+
+def forest_violation(
+    n: int, edges: Sequence[tuple[int, int]], weights: Sequence[int], unit: int
+) -> int | None:
+    """None when w(E(U)) <= unit * (|U| - 1) for every nonempty vertex set U
+    (a loop at v lies in E({v})), else a bitmask U that violates it; the
+    weights w are nonnegative integers.
+
+    One orientation splits each edge's weight into integer shares on its
+    endpoints; load(v) sums v's shares.  For each root r = 0, ..., n - 2,
+    with capacity 0 at r and ``unit`` elsewhere, excess load moves along
+    shortest paths of arcs that leave a vertex through a positive share to
+    a vertex with slack, and the shares are then checked in integers: each
+    is >= 0, each edge's sum to its weight, load(r) = 0 and every load <=
+    unit.  That proves the bound for every U that holds r, as w(E(U)) <=
+    load(U); U = {n - 1} holds only loops, checked to weigh 0.  Excess that
+    cannot move reaches a U with no slack and no share on an edge leaving
+    it, so w(E(U)) = load(U) > capacity(U) >= unit * (|U| - 1), which is
+    checked on the given edges before U is returned.  A failed check raises
+    ``CertificateError``."""
+    for (u, v), w in zip(edges, weights):
+        if u == v and w:
+            return _violating(n, edges, weights, unit, 1 << u)
+    net = FlowNetwork(n, edges, weights)
+    # share[2i] sits on the tail of arc 2i (u of edge i = (u, v)), share[2i + 1]
+    # on v; moving share along arc a lowers share[a], like residual capacity
+    share, load = [], [0] * n
+    for (u, v), w in zip(net.edges, net.capacities):
+        on_u = load[u] <= load[v]
+        share += (w, 0) if on_u else (0, w)
+        load[u if on_u else v] += w
+    cap = [unit] * n
+    for r in range(n - 1):
+        cap[r - 1], cap[r] = unit, 0  # r - 1 = -1 is vertex n - 1, never a root
+        for v in range(n):
+            if load[v] > cap[v]:
+                reached = _drain(net, share, load, cap, v)
+                if reached:
+                    return _violating(n, edges, weights, unit, reached)
+        _check_orientation(net, share, r, unit)
+    return None
+
+
+def _drain(net: FlowNetwork, share: list[int], load: list[int], cap: list[int], s: int) -> int:
+    """Move load off s along shortest paths of positive-share arcs to
+    vertices with slack until load(s) <= cap(s); 0 then, else the bitmask
+    of the vertices s reaches when no vertex with slack is left."""
+    head, out = net._head, net._out
+    while load[s] > cap[s]:
+        parent = [-1] * net.n  # the arc that reached each vertex
+        parent[s] = -2
+        queue = [s]
+        t = -1
+        for v in queue:
+            for a in out[v]:
+                w = head[a]
+                if share[a] > 0 and parent[w] == -1:
+                    parent[w] = a
+                    if load[w] < cap[w]:
+                        t = w
+                        break
+                    queue.append(w)
+            if t >= 0:
+                break
+        if t < 0:
+            return sum(1 << v for v in queue)
+        path = []
+        v = t
+        while v != s:
+            path.append(parent[v])
+            v = head[parent[v] ^ 1]
+        delta = min(load[s] - cap[s], cap[t] - load[t], *(share[a] for a in path))
+        for a in path:
+            share[a] -= delta
+            share[a ^ 1] += delta
+        load[s] -= delta
+        load[t] += delta
+    return 0
+
+
+def _check_orientation(net: FlowNetwork, share: list[int], root: int, unit: int) -> None:
+    """CertificateError unless the shares orient every edge of ``net`` with
+    load(root) = 0 and every load <= unit."""
+    if min(share, default=0) < 0 or list(map(add, share[::2], share[1::2])) != net.capacities:
+        raise CertificateError("orientation shares do not split an edge's weight")
+    # out[v] lists the arcs whose tail is v, each holding v's share
+    load = [sum(map(share.__getitem__, arcs)) for arcs in net._out]
+    if load[root] or max(load) > unit:
+        raise CertificateError("orientation exceeds a vertex capacity")
+
+
+def _violating(n: int, edges: Sequence[tuple[int, int]], weights: Sequence[int], unit: int, U: int) -> int:
+    """U, once w(E(U)) > unit * (|U| - 1) is checked; else CertificateError."""
+    inside = sum(w for (u, v), w in zip(edges, weights) if (U >> u) & 1 and (U >> v) & 1)
+    if not 0 < U < 1 << n or inside <= unit * (U.bit_count() - 1):
+        raise CertificateError("vertex set does not violate the forest bound")
+    return U

@@ -21,7 +21,7 @@ from .core import (
     mask_of,
     narrowed,
 )
-from .flow import FlowNetwork
+from .flow import FlowNetwork, forest_violation
 
 
 class Matroid(SetFunctionOracle):
@@ -84,8 +84,8 @@ class GraphicMatroid(Matroid):
     A single query rebuilds a union-find structure, and one union-find pass
     ranks all prefixes of an ordering (``_prefix_values``); the dense table
     is filled in one batched pass instead (see ``_scaled_table``).  Base
-    polytope membership is decided exactly by min cuts
-    (``_base_membership``).
+    polytope membership is decided exactly by one orientation of the
+    scaled point moved from root to root (``_base_membership``).
     """
 
     def __init__(self, graph: Graph):
@@ -123,45 +123,20 @@ class GraphicMatroid(Matroid):
 
     def _base_membership(self, x: Sequence[Fraction]) -> bool:
         """Whether x lies in the base polytope {x : x(X) <= r(X), x(E) =
-        r(E)}, decided exactly.  With x >= 0, zero on every loop and x(E) =
-        r(E), it does exactly when x(E(U)) <= |U| - 1 for every nonempty
-        vertex set U (Edmonds' forest polytope).  Scaled by L, the lcm of
-        the denominators, 2L(|U| - x(E(U))) + 2L x(E) is the capacity of
-        the cut around {s} + U in a network with capacity L x_e on each
-        edge e, L d_x(w) from s to each vertex w (d_x its x-weighted
-        degree) and 2L from each w to t; a min cut with the i-th vertex
-        forced to the s side and the earlier ones to the t side covers
-        every U whose first vertex is the i-th (Padberg and Wolsey, "Trees
-        and cuts", 1983).  Every such cut must be at least 2L(x(E) + 1)."""
-        edges = self.graph.edges
-        if any(xe < 0 for xe in x) or any(xe for xe, (u, v) in zip(x, edges) if u == v):
-            return False
-        if sum(x) != self.full_rank:
+        r(E)}, decided exactly.  With x >= 0 and x(E) = r(E), it does
+        exactly when x(E(U)) <= |U| - 1 for every nonempty vertex set U
+        (Edmonds' forest polytope; a loop at v lies in E({v})).  Scaled by
+        L, the lcm of the denominators, that is decided by
+        ``flow.forest_violation``: True rests on n - 1 orientations of the
+        weights L x_e, one per root r < n - 1, each checked in integers to
+        put no load on r and at most L on every vertex, so L x(E(U)) <=
+        L(|U| - 1) for every U that holds r (Hakimi 1965); False rests on a
+        vertex set checked in integers to violate the bound."""
+        if any(xe < 0 for xe in x) or sum(x) != self.full_rank:
             return False
         L = lcm(*(Fraction(xe).denominator for xe in x))
         weights = [int(xe * L) for xe in x]
-        n = self.graph.n
-        s, t = n, n + 1
-        degree = [0] * n
-        for (u, v), w in zip(edges, weights):
-            if u != v:
-                degree[u] += w
-                degree[v] += w
-        bound = sum(degree) + 2 * L  # 2L(x(E) + 1)
-        # above any cut that crosses no forced edge
-        forced = sum(weights) + sum(degree) + 2 * L * n + 1
-        terminals = tuple((s, w) for w in range(n)) + tuple((w, t) for w in range(n))
-        network = FlowNetwork(n + 2, edges + terminals, weights + degree + [2 * L] * n)
-        capacities = network.capacities
-        source = len(capacities) - 2 * n  # the edges s-w, then w-t, come last
-        sink = source + n
-        # a single vertex U never violates, so the last vertex needs no cut
-        for i in range(n - 1):
-            capacities[source + i] = forced
-            if network.min_cut(s, t)[1] < bound:
-                return False
-            capacities[source + i], capacities[sink + i] = degree[i], forced
-        return True
+        return forest_violation(self.graph.n, self.graph.edges, weights, L) is None
 
     def _scaled_table(self) -> tuple[int, np.ndarray]:
         """All 2^m ranks, adding one edge at a time to every edge set built

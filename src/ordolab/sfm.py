@@ -19,8 +19,8 @@ vertex reads f on the m + 1 prefixes of its order through the oracle's
 ``_prefix_values`` (one union-find pass for a graphic matroid).
 
 - A class with an exact base polytope test, ``_base_membership`` (the
-  graphic matroid, by one checked max-flow per vertex, ``flow``), rounds
-  the search's point: the elements sorted by it take the slopes of the
+  graphic matroid, by n - 1 checked orientations, ``flow``), rounds the
+  search's point: the elements sorted by it take the slopes of the
   lower convex hull of f along that order.  The rounded point is certified
   when every lower level set is tight and the membership test accepts it,
   which makes it the minimum-norm base whether or not f is submodular.  If
@@ -42,8 +42,8 @@ table; other symmetric oracles minimize their contraction as above.
 References: Fujishige, Math. OR 1980 (lexicographically optimal base) and
 Submodular Functions and Optimization, 2nd ed. 2005, Thm 7.15; Nagano,
 Kawahara, Aihara, ICML 2011; Wolfe, Math. Prog. 1976; Chakrabarty, Jain,
-Kothari, NeurIPS 2014; Padberg and Wolsey, Math. Prog. 1983 (trees and
-cuts).
+Kothari, NeurIPS 2014; Hakimi, J. Franklin Inst. 1965 (orientations with
+bounded in-degrees).
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .core import (
     SetFunctionOracle,
     int_dtype,
     iter_bits,
-    mask_of,
     max_abs,
     popcounts,
     solve_exact,
@@ -111,9 +110,10 @@ def min_norm_base(f: SetFunctionOracle, method: str = "auto") -> list[Fraction]:
     CertificateError.  ``"enumerate"`` reads it off the dense table (up to
     EXACT_SOLVER_CAP; certified for any oracle), ``"wolfe"`` runs the
     Fujishige-Wolfe search, and ``"auto"`` picks by EXACT_SOLVER_CAP.  On
-    the Wolfe path a graphic matroid's base is certified by flows (tight
-    level sets and exact base polytope membership, with no assumption on
-    f); for other classes the certificate relies on f being submodular."""
+    the Wolfe path a graphic matroid's base is certified by orientations
+    (tight level sets and exact base polytope membership, with no
+    assumption on f); for other classes the certificate relies on f being
+    submodular."""
     if method == "auto":
         method = "enumerate" if f.m <= EXACT_SOLVER_CAP else "wolfe"
     if method == "enumerate":
@@ -390,11 +390,15 @@ def _certified(f: SetFunctionOracle, x: list[Fraction]) -> bool:
     with values lam_1 < ... < lam_k, <x, y> = sum_i (lam_i - lam_{i+1})
     y(L_i) + lam_k y(E) >= <x, x>, as y(L_i) <= h(L_i) = x(L_i): x is the
     point of B(h) of least norm, whether or not f is submodular (Fujishige
-    2005, lexicographically optimal base)."""
+    2005, lexicographically optimal base).  The level sets are the
+    prefixes of one stable sort of x that end before a larger value."""
     g0 = f(0)
-    for lam in set(x):
-        level = [e for e, xe in enumerate(x) if xe <= lam]
-        if sum(x[e] for e in level) != f(mask_of(level)) - g0:
+    order = sorted(range(len(x)), key=x.__getitem__)
+    level, total = 0, 0
+    for k, e in enumerate(order):
+        level |= 1 << e
+        total += x[e]
+        if (k + 1 == len(order) or x[order[k + 1]] != x[e]) and total != f(level) - g0:
             return False
     return f._base_membership(x)
 

@@ -10,6 +10,7 @@ import heapq
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 from ordolab import (
     BalanceReport,
@@ -19,8 +20,10 @@ from ordolab import (
     Ordering,
     SetFunctionOracle,
     build_poset,
+    mask_of,
     mlvc_objective,
 )
+from ordolab.flow import FlowNetwork
 from ordolab.mlvc import _sample
 
 
@@ -376,6 +379,55 @@ def in_graphic_base_polytope(G, x) -> bool:
     for U in range(1, 1 << G.n):
         inside = sum(xe for xe, (u, v) in zip(x, G.edges) if (U >> u) & 1 and (U >> v) & 1)
         if inside > U.bit_count() - 1:
+            return False
+    return True
+
+
+def graphic_membership_by_min_cuts(G, x) -> bool:
+    """x in the base polytope of G's graphic matroid, by the min-cut
+    sequence of Padberg and Wolsey ("Trees and cuts", 1983).  With x >= 0,
+    zero on every loop and x(E) = r(E), x lies in it exactly when x(E(U))
+    <= |U| - 1 for every nonempty vertex set U.  Scaled by L, the lcm of the
+    denominators, 2L(|U| - x(E(U))) + 2L x(E) is the capacity of the cut
+    around {s} + U in a network with capacity L x_e on each edge e,
+    L d_x(w) from s to each vertex w (d_x its x-weighted degree) and 2L from
+    each w to t; a min cut with the i-th vertex forced to the s side and the
+    earlier ones to the t side covers every U whose first vertex is the
+    i-th, and must be at least 2L(x(E) + 1)."""
+    n, edges = G.n, list(G.edges)
+    if any(xe < 0 for xe in x) or any(xe for xe, (u, v) in zip(x, edges) if u == v):
+        return False
+    if sum(x) != n - len(G.components()):
+        return False
+    L = lcm(*(Fraction(xe).denominator for xe in x))
+    weights = [int(xe * L) for xe in x]
+    s, t = n, n + 1
+    degree = [0] * n
+    for (u, v), w in zip(edges, weights):
+        if u != v:
+            degree[u] += w
+            degree[v] += w
+    bound = sum(degree) + 2 * L  # 2L(x(E) + 1)
+    # above any cut that crosses no forced edge
+    forced = sum(weights) + sum(degree) + 2 * L * n + 1
+    source, sink = list(degree), [2 * L] * n
+    terminals = [(s, w) for w in range(n)] + [(w, t) for w in range(n)]
+    # a single vertex U never violates, so the last vertex needs no cut
+    for i in range(n - 1):
+        source[i] = forced
+        network = FlowNetwork(n + 2, edges + terminals, weights + source + sink)
+        if network.min_cut(s, t)[1] < bound:
+            return False
+        source[i], sink[i] = degree[i], forced
+    return True
+
+
+def level_sets_tight_by_scan(f, x) -> bool:
+    """Whether x(L) = f(L) - f(empty) on every lower level set L = {x <= lam},
+    each set found by a scan of all of x per distinct value."""
+    for lam in set(x):
+        level = [e for e, xe in enumerate(x) if xe <= lam]
+        if sum(x[e] for e in level) != f(mask_of(level)) - f(0):
             return False
     return True
 

@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from math import lcm
 
 import pytest
 from fractions import Fraction
 
 from ordolab import (
+    CertificateError,
     CutFunction,
     DualMatroid,
     Graph,
@@ -15,12 +17,14 @@ from ordolab import (
     fundamental_circuit,
     is_uniform_via_mlop,
     mask_of,
+    min_norm_base,
     parse_matrix,
 )
+from ordolab import flow
 from ordolab.core import ParseError
 
-from helpers import is_submodular
-from ordolab.instances import bowtie, complete_graph, cycle_graph, random_connected_graph
+from helpers import graphic_membership_by_min_cuts, is_submodular
+from ordolab.instances import bowtie, complete_graph, cycle_graph, path_graph, random_connected_graph
 
 K3 = complete_graph(3)
 
@@ -97,6 +101,45 @@ def test_graphic_rank_matches_oriented_incidence_rank():
         incidence = VectorMatroid(rows)
         for S in range(1 << G.m):
             assert graphic.rank(S) == incidence.rank(S)
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_orientation_membership_matches_min_cuts_at_graph_scale(n):
+    G = random_connected_graph(n, 2 * n, random.Random(n))
+    f = GraphicMatroid(G)
+    x = min_norm_base(f, method="wolfe")
+    assert f._base_membership(x) and graphic_membership_by_min_cuts(G, x)
+    # moving 1/(2L) onto the least entry from the largest overfills the
+    # tight level set {x <= min x}
+    L = lcm(*(xe.denominator for xe in x))
+    i, j = x.index(max(x)), x.index(min(x))
+    assert x[i] > x[j]
+    y = list(x)
+    y[i] -= Fraction(1, 2 * L)
+    y[j] += Fraction(1, 2 * L)
+    assert not f._base_membership(y) and not graphic_membership_by_min_cuts(G, y)
+
+
+def test_a_corrupted_orientation_fails_the_certificate(monkeypatch):
+    drain, drained = flow._drain, []
+
+    def corrupted(net, share, load, cap, s):
+        drained.append(s)
+        reached = drain(net, share, load, cap, s)
+        share[0] += 1
+        return reached
+
+    monkeypatch.setattr(flow, "_drain", corrupted)
+    with pytest.raises(CertificateError):
+        GraphicMatroid(path_graph(3))._base_membership([Fraction(1), Fraction(1)])
+    assert drained
+
+
+def test_a_set_that_does_not_violate_fails_the_certificate(monkeypatch):
+    # the path's one base is in the polytope, so no vertex set violates
+    monkeypatch.setattr(flow, "_drain", lambda net, share, load, cap, s: 1 << s)
+    with pytest.raises(CertificateError):
+        GraphicMatroid(path_graph(3))._base_membership([Fraction(1), Fraction(1)])
 
 
 def test_corank_formula():

@@ -8,7 +8,8 @@ reference solver in ``helpers``; the MLVC relaxation's value against the
 brute-force MLVC optimum; the batched vector-matroid and cut tables
 against single evaluations; the s-t cuts of the integer max-flow against
 every cut of weighted multigraphs; graphic base polytope membership by
-min cuts against every vertex set; the latency-cover sampler against the
+load-bounded orientations against every vertex set and against the
+replaced min-cut sequence; the latency-cover sampler against the
 reference per-sample loop, draw for draw, with its pair set, inversion
 counts, best-of-N and balance reports; and the integer certificate of the
 simplex against the same check in Fractions.
@@ -70,9 +71,11 @@ from helpers import (
     brute_weighted_mlop,
     count_inversions_by_pairs,
     cut_weight,
+    graphic_membership_by_min_cuts,
     in_graphic_base_polytope,
     incomparable_pairs_by_loop,
     is_optimal_by_fractions,
+    level_sets_tight_by_scan,
     loop_dp,
     reference_sample,
     sparse_rows,
@@ -280,6 +283,55 @@ def test_graphic_base_membership_matches_brute_force(G, data):
         assert not f._base_membership(y)
     for y in (y, moved(amount)):
         assert f._base_membership(y) == in_graphic_base_polytope(G, y)
+
+
+@PROPERTY
+@given(multigraphs(max_vertices=7, max_edges=10), st.data())
+def test_orientation_membership_matches_the_min_cut_reference(G, data):
+    # loops, parallel edges, isolated vertices and several components all
+    # come from drawing the edges freely
+    f = GraphicMatroid(G)
+    x = min_norm_base(f, method="enumerate")
+    points = [x]
+    if f.m >= 2:
+        L = lcm(*(xe.denominator for xe in x))
+        for _ in range(3):
+            i, j = data.draw(st.lists(st.integers(0, f.m - 1), min_size=2, max_size=2, unique=True))
+            amount = data.draw(st.sampled_from((Fraction(1, 2 * L), Fraction(-1, 2 * L))) | fractions)
+            y = list(x)
+            y[i] -= amount
+            y[j] += amount
+            points.append(y)
+    for y in points:
+        inside = in_graphic_base_polytope(G, y)
+        assert f._base_membership(y) == graphic_membership_by_min_cuts(G, y) == inside
+        assert sfm._certified(f, y) == (level_sets_tight_by_scan(f, y) and inside)
+
+
+@st.composite
+def integer_weighted(draw, max_vertices=6, max_edges=10):
+    """A multigraph with an integer weight 0-6 on each edge."""
+    G = draw(multigraphs(max_vertices, max_edges))
+    return G, draw(st.lists(st.integers(0, 6), min_size=G.m, max_size=G.m))
+
+
+@PROPERTY
+@given(integer_weighted(), st.integers(1, 4))
+# the only overfull sets hold the first and the last vertex
+@example((Graph(2, ((0, 1),)), [2]), 1)
+@example((Graph(3, ((0, 2), (2, 0), (1, 2))), [1, 1, 0]), 1)
+def test_forest_violation_matches_every_vertex_set(graph, unit):
+    G, weights = graph
+
+    def violates(U):
+        inside = sum(w for (u, v), w in zip(G.edges, weights) if (U >> u) & 1 and (U >> v) & 1)
+        return inside > unit * (U.bit_count() - 1)
+
+    U = flow.forest_violation(G.n, G.edges, weights, unit)
+    if U is None:
+        assert not any(violates(S) for S in range(1, 1 << G.n))
+    else:
+        assert 0 < U < 1 << G.n and violates(U)
 
 
 @st.composite
