@@ -51,9 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
-from math import comb, lcm
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -67,7 +65,7 @@ from .core import (
     int_dtype,
     iter_bits,
     max_abs,
-    popcounts,
+    size_order,
     solve_exact,
 )
 
@@ -123,14 +121,6 @@ def min_norm_base(f: SetFunctionOracle, method: str = "auto") -> list[Fraction]:
     raise ValueError(f"unknown method {method!r}")
 
 
-@lru_cache(maxsize=4)
-def _size_order(m: int) -> tuple[np.ndarray, list[int]]:
-    """All m-bit masks by size, ascending within a size; block offsets."""
-    order = np.argsort(popcounts(m), kind="stable")
-    order.flags.writeable = False
-    return order, [0, *accumulate(comb(m, k) for k in range(m + 1))]
-
-
 def _lower_hull(g: Sequence) -> list[int]:
     """The strict vertices k of the lower convex hull of the points
     (k, g[k]), ascending; collinear points are not vertices."""
@@ -148,7 +138,7 @@ def _lower_hull(g: Sequence) -> list[int]:
 def _table_base(f: SetFunctionOracle) -> list[Fraction]:
     table = f.dense_values()
     D, m = f.dense_denominator, f.m
-    order, starts = _size_order(m)
+    order, starts = size_order(m)
     by_size = table[order]
     g = np.minimum.reduceat(by_size, starts[:-1]).tolist()
     hull = _lower_hull(g)

@@ -1,10 +1,10 @@
 """Exact and approximate solvers for the linear ordering objective.
 
 ``exact_mlop_dp`` is the brute-force ground truth of the whole library: a
-subset dynamic program over all 2^m prefix sets.  ``approx_monotone_mlop``
+subset DP over all 2^m prefix sets, one keyed minimum per block of equal
+sizes, whose read-back ordering is re-costed exactly.  ``approx_monotone_mlop``
 orders the ground set along a linear extension of the principal partition
-and certifies the result with exact lower/upper bounds and the guarantee
-factor 2 - (1 + linearity)/(1 + m).
+and certifies it with exact bounds and the factor 2 - (1 + linearity)/(1 + m).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from .core import (
     mask_of,
     max_abs,
     mlop_objective,
-    popcounts,
-    unscale,
+    size_order,
 )
 from .matroids import GraphicMatroid, Matroid, fundamental_circuit
 from .partition import PrincipalPartition, compute_principal_partition, linearity_stats
@@ -56,67 +55,76 @@ def uniform_closed_form(k: int, m: int) -> int:
     return k * (k + 1) // 2 + k * (m - k)
 
 
-def _dp_tables(table: np.ndarray, m: int, costs: Sequence[int] | None):
-    """Shared subset-DP core on an integer table, by popcount layers:
-    best(S) = min over e in S of best(S - e) + table[S] * cost(e), with
-    choice(S) the smallest such e (cost 1 when unweighted)."""
-    costs = costs or (1,) * m
-    # bounds every best(S) and candidate, and every cost
-    bound = m * (max_abs(table) + 1) * max(costs)
-    dtype = int_dtype(bound + 1)
-    best = np.zeros(1 << m, dtype=int_dtype(bound))
-    choice = np.zeros(1 << m, dtype=np.int8)
-    sizes = popcounts(m)
+#: (mask, element) pairs one pass of the subset DP gathers at once
+DP_BLOCK_ENTRIES = 1 << 16
+
+
+def _dp_tables(table: np.ndarray, m: int, costs: Sequence[int]):
+    """The subset DP best(S) = min over e in S of best(S - e) + table[S] *
+    cost(e) as (key, w), key[S] = best(S) * 2^w + e with w = m.bit_length():
+    keys order by value, then by e, so one minimum keeps the least e.
+    Masks go by size in blocks of at most DP_BLOCK_ENTRIES (mask, element)
+    pairs, each gathering the keys of all S ^ (1 << e), clearing their tags
+    and adding table[S] * cost(e) * 2^w + e.  An S + e not yet computed
+    holds s * 2^w; as |best(S)| <= |S| A C (A = max|table|, C = max cost),
+    a real candidate minus a sentinel one is at most (|S| - 1) A C +
+    A (C - 1) - s <= m A C - s < 0 for s = m A C + 1.  Every candidate lies
+    within (2 s + 1) * 2^w, which picks the dtype."""
+    w = m.bit_length()
+    s = m * max_abs(table) * max(costs, default=1) + 1
+    dtype = int_dtype((2 * s + 1) << w)
+    key = np.full(1 << m, s << w, dtype=dtype)
+    key[0] = 0
+    bits = 1 << np.arange(m)[:, None]
+    weights = np.array([c << w for c in costs], dtype=dtype)[:, None]
+    tags = np.arange(m, dtype=dtype)[:, None]
+    order, starts = size_order(m)
+    step = max(1, DP_BLOCK_ENTRIES // max(m, 1))
     for k in range(1, m + 1):
-        layer = np.flatnonzero(sizes == k)
-        charge = table[layer].astype(dtype)
-        layer_best = np.full(len(layer), bound + 1, dtype=dtype)
-        layer_choice = np.zeros(len(layer), dtype=np.int8)
-        for e in range(m):
-            # ascending e with a strict < keeps the smallest minimizing e
-            holders = np.flatnonzero((layer >> e) & 1)
-            cand = best[layer[holders] ^ (1 << e)].astype(dtype) + charge[holders] * costs[e]
-            better = cand < layer_best[holders]
-            layer_best[holders[better]] = cand[better]
-            layer_choice[holders[better]] = e
-        best[layer] = layer_best
-        choice[layer] = layer_choice
-    return best, choice
+        for lo in range(starts[k], starts[k + 1], step):
+            rows = order[lo : min(lo + step, starts[k + 1])]
+            cand = key[rows ^ bits]
+            cand &= ~((1 << w) - 1)
+            cand += table[rows].astype(dtype) * weights
+            cand += tags
+            key[rows] = cand.min(axis=0)
+    return key, w
 
 
-def _exact_dp(f: SetFunctionOracle, costs: tuple[int, ...] | None):
-    """The subset DP on f's table and one optimal ordering read back from
-    its choices (unit costs when ``costs`` is None)."""
-    m = f.m
-    if m == 0:
-        return 0, Ordering(())
-    best, choice = _dp_tables(f.dense_values(), m, costs)
-    seq_rev = []
-    S = f.full_mask
+def _exact_dp(f: SetFunctionOracle, costs: tuple[int, ...]):
+    """The subset DP on f's table: the value key[E] >> w and one optimal
+    ordering read back through the tags key[S] & (2^w - 1).  Its cost is
+    recomputed in integers from the table; a tag outside its set, or a
+    cost other than the value, raises CertificateError."""
+    table = f.dense_values()
+    key, w = _dp_tables(table, f.m, costs)
+    value = residual = int(key[f.full_mask]) >> w
+    seq, S = [], f.full_mask
     while S:
-        e = int(choice[S])
-        seq_rev.append(e)
+        e = int(key[S]) & ((1 << w) - 1)
+        if not (S >> e) & 1:
+            raise CertificateError("subset DP tag names an element outside its set")
+        residual -= int(table[S]) * costs[e]
+        seq.append(e)
         S ^= 1 << e
-    value = unscale(best[f.full_mask], f.dense_denominator)
-    return value, Ordering.from_sequence(tuple(reversed(seq_rev)))
+    if residual:
+        raise CertificateError("read-back ordering does not achieve the subset DP value")
+    D = f.dense_denominator
+    return (value if D == 1 else Fraction(value, D)), Ordering.from_sequence(seq[::-1])
 
 
 def exact_mlop_dp(f: SetFunctionOracle):
-    """Exact optimum of the prefix-sum objective, with one optimal ordering.
-
-    Runs the dynamic program best(S) = f(S) + min over e in S of best(S - e)
-    over all 2^m subsets, up to EXACT_SOLVER_CAP elements.
-    """
-    return _exact_dp(f, None)
+    """Exact optimum of the prefix-sum objective, with one optimal ordering,
+    by the subset DP over all 2^m sets (up to EXACT_SOLVER_CAP elements)."""
+    return _exact_dp(f, (1,) * f.m)
 
 
 def exact_weighted_mlop_dp(f: SetFunctionOracle, costs: Sequence[int]):
     """Exact optimum of the cost-weighted prefix objective."""
     if len(costs) != f.m:
         raise ValueError("cost vector length does not match ground set")
-    for c in costs:
-        if not isinstance(c, int) or c <= 0:
-            raise ValueError("costs must be strictly positive integers")
+    if not all(isinstance(c, int) and c > 0 for c in costs):
+        raise ValueError("costs must be strictly positive integers")
     return _exact_dp(f, tuple(costs))
 
 

@@ -2,8 +2,9 @@
 test-only generators (labelled trees, sampled linear extensions).
 
 These deliberately avoid the library's solver code paths: optima come from
-enumerating every permutation or subset directly, and sampled schedules
-from ``reference_sample``, the sampler's plain per-sample loop.
+enumerating every permutation or subset directly, sampled schedules from
+``reference_sample``, the sampler's plain per-sample loop, and subset-DP
+tables from ``layer_loop_dp_tables``, the DP's former numpy layer loop.
 """
 
 import heapq
@@ -11,6 +12,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
+
+import numpy as np
 
 from ordolab import (
     BalanceReport,
@@ -23,6 +26,7 @@ from ordolab import (
     mask_of,
     mlvc_objective,
 )
+from ordolab.core import int_dtype, max_abs
 from ordolab.flow import FlowNetwork
 from ordolab.mlvc import _sample
 
@@ -90,6 +94,34 @@ def loop_dp(f, costs=None):
         seq.append(choice[S])
         S ^= 1 << choice[S]
     return best[-1], Ordering.from_sequence(seq[::-1])
+
+
+def layer_loop_dp_tables(table, m, costs=None):
+    """The subset DP's former kernel, one numpy pass per (popcount layer,
+    element): best(S) = min over e in S of best(S - e) + table[S] * cost(e),
+    with choice(S) the smallest such e.  Returns (best, choice)."""
+    costs = costs or (1,) * m
+    # bounds every best(S) and candidate, and every cost
+    bound = m * (max_abs(table) + 1) * max(costs, default=1)
+    dtype = int_dtype(bound + 1)
+    best = np.zeros(1 << m, dtype=int_dtype(bound))
+    choice = np.zeros(1 << m, dtype=np.int8)
+    sizes = np.array([S.bit_count() for S in range(1 << m)])
+    for k in range(1, m + 1):
+        layer = np.flatnonzero(sizes == k)
+        charge = table[layer].astype(dtype)
+        layer_best = np.full(len(layer), bound + 1, dtype=dtype)
+        layer_choice = np.zeros(len(layer), dtype=np.int8)
+        for e in range(m):
+            # ascending e with a strict < keeps the smallest minimizing e
+            holders = np.flatnonzero((layer >> e) & 1)
+            cand = best[layer[holders] ^ (1 << e)].astype(dtype) + charge[holders] * costs[e]
+            better = cand < layer_best[holders]
+            layer_best[holders[better]] = cand[better]
+            layer_choice[holders[better]] = e
+        best[layer] = layer_best
+        choice[layer] = layer_choice
+    return best, choice
 
 
 def cut_weight(G, S):

@@ -6,7 +6,8 @@ Fraction-weighted cut oracles, plus contractions of them, small random LPs
 and square linear systems, checked against the enumerations and the
 reference solver in ``helpers``; the MLVC relaxation's value against the
 brute-force MLVC optimum; the batched vector-matroid and cut tables
-against single evaluations; the s-t cuts of the integer max-flow against
+against single evaluations; the keyed subset DP against its former
+layer loop on raw integer tables; the s-t cuts of the integer max-flow against
 every cut of weighted multigraphs; graphic base polytope membership by
 load-bounded orientations against every vertex set and against the
 replaced min-cut sequence; the latency-cover sampler against the
@@ -22,6 +23,7 @@ from math import lcm
 from operator import and_
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -47,8 +49,9 @@ from ordolab import (
     weighted_mlop_objective,
 )
 
-from ordolab import flow, matroids, mlvc, sfm, simplex
-from ordolab.core import SetFunctionOracle, solve_exact
+from ordolab import flow, matroids, mlvc, sfm, simplex, solve
+from ordolab.core import SetFunctionOracle, max_abs, solve_exact
+from ordolab.instances import random_connected_graph
 from ordolab.mlvc import (
     _count_inversions,
     _sample,
@@ -61,6 +64,7 @@ from ordolab.mlvc import (
 from ordolab.simplex import simplex_minimize
 
 from helpers import (
+    TableOracle,
     _solve_square,
     balance_check_by_loop,
     best_of_n_by_loop,
@@ -75,6 +79,7 @@ from helpers import (
     in_graphic_base_polytope,
     incomparable_pairs_by_loop,
     is_optimal_by_fractions,
+    layer_loop_dp_tables,
     level_sets_tight_by_scan,
     loop_dp,
     reference_sample,
@@ -234,6 +239,50 @@ def test_exact_weighted_dp_matches_brute(f, data):
     value, sigma = exact_weighted_mlop_dp(f, costs)
     assert value == brute_weighted_mlop(f, costs) == weighted_mlop_objective(f, costs, sigma)
     assert (value, sigma) == loop_dp(f, costs)
+
+
+@st.composite
+def raw_tables(draw):
+    """An integer table on 0-10 elements with f(empty) = 0, its entries in
+    [-2, 2], [-50, 50] or up to 10^18 in magnitude (exact Python ints in the
+    DP), and unit or random 1-6 costs."""
+    m = draw(st.integers(0, 10))
+    bound = draw(st.sampled_from([2, 50, 10**18]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    values = [0] + [rng.randint(-bound, bound) for _ in range((1 << m) - 1)]
+    costs = (1,) * m if draw(st.booleans()) else tuple(rng.randint(1, 6) for _ in range(m))
+    return TableOracle(values), costs
+
+
+def assert_keys_decode_to(key, w, best, choice):
+    assert [int(k) >> w for k in key] == [int(b) for b in best]
+    assert [int(k) & ((1 << w) - 1) for k in key] == [int(c) for c in choice]
+
+
+@pytest.mark.parametrize("block", [solve.DP_BLOCK_ENTRIES, 16], ids=["one-block", "many-blocks"])
+@PROPERTY
+@given(raw_tables())
+def test_keyed_dp_matches_the_layer_loop(block, case):
+    f, costs = case
+    table = f.dense_values()
+    with mock.patch.object(solve, "DP_BLOCK_ENTRIES", block):
+        key, w = solve._dp_tables(table, f.m, costs)
+        value, sigma = exact_weighted_mlop_dp(f, costs)
+    assert_keys_decode_to(key, w, *layer_loop_dp_tables(table, f.m, costs))
+    assert (value, sigma) == loop_dp(f, costs)
+    if f.m >= 4 and max_abs(table) >= 2**57:  # (2 s + 1) * 2^w > 2^63
+        assert key.dtype == object
+
+
+@pytest.mark.parametrize("n, m", [(10, 16), (11, 18)])
+def test_keyed_dp_matches_the_layer_loop_at_scale(n, m):
+    rng = np.random.default_rng(m)
+    graphic = GraphicMatroid(random_connected_graph(n, m, random.Random(m))).dense_values()
+    noise = rng.integers(-50, 51, 1 << m)
+    noise[0] = 0
+    for table, costs in ((graphic, (1,) * m), (noise, tuple(int(c) for c in rng.integers(1, 7, m)))):
+        key, w = solve._dp_tables(table, m, costs)
+        assert_keys_decode_to(key, w, *layer_loop_dp_tables(table, m, costs))
 
 
 @PROPERTY

@@ -26,7 +26,7 @@ from ordolab import (
     uniform_closed_form,
     weighted_mlop_objective,
 )
-from ordolab import solve
+from ordolab import cli, solve
 
 from helpers import brute_mlop, brute_weighted_mlop
 from ordolab.instances import (
@@ -87,6 +87,33 @@ def test_dp_below_random_orderings():
 def test_dp_cap():
     with pytest.raises(ValueError, match=r"exceeds the exact cap \(20\)"):
         exact_mlop_dp(ModularOracle(m=21))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [("value", "does not achieve"), ("tag", "outside its set")],
+)
+def test_corrupted_dp_key_fails_closed(tmp_path, monkeypatch, corrupt, message):
+    """One wrong key at the full set, a value one too low or a tag naming
+    no element, raises CertificateError, and the CLI exits 1."""
+    real = solve._dp_tables
+
+    def corrupted(table, m, costs):
+        key, w = real(table, m, costs)
+        key = key.copy()
+        if corrupt == "value":
+            key[-1] -= 1 << w
+        else:
+            key[-1] |= (1 << w) - 1  # the tag 2^w - 1 >= m
+        return key, w
+
+    monkeypatch.setattr(solve, "_dp_tables", corrupted)
+    with pytest.raises(CertificateError, match=message):
+        exact_mlop_dp(GraphicMatroid(bowtie()))
+    path = tmp_path / "k3.graph"
+    path.write_text("3 3\n1 2\n2 3\n1 3\n")
+    report, code = cli.run(["solve", "--input", str(path)])
+    assert code == 1 and message in report["error"]
 
 
 def test_weighted_dp_matches_permutation_scan():
