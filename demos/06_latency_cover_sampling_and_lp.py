@@ -37,7 +37,7 @@ for G, name in ((cycle_graph(4), "C4"), (cycle_graph(5), "C5")):
     _, value = best_of_n(G, 500, seed=0)
     print(f"{name}: best of 500 samples = {value}, optimum = {mlvc_brute_optimum(G)}")
 
-# The LP relaxation: a float simplex, its optimum certified exactly.
+# The LP relaxation: its optimum certified by a constructed primal-dual pair.
 model = build_lp(cycle_graph(4))
 print(f"\nC4 relaxation: {model.num_vars} variables, "
       f"{model.num_constraints} constraints, optimum = {solve_lp(model)}")

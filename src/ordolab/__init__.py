@@ -32,6 +32,7 @@ from .gomoryhu import (
     tree_mlop,
 )
 from .matroids import (
+    CoverageFunction,
     CutFunction,
     DualMatroid,
     GraphicMatroid,

@@ -70,10 +70,11 @@ def narrowed(table: np.ndarray) -> np.ndarray:
     return table.astype(int_dtype(max_abs(table)), copy=False)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=EXACT_SOLVER_CAP + 1)
 def size_order(m: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """All m-bit masks by size, ascending within a size (intp), and the
-    offset of each size's block."""
+    offset of each size's block.  Cached for every size its callers pass,
+    m <= EXACT_SOLVER_CAP."""
     counts = np.zeros(1, dtype=np.int8)
     for _ in range(m):
         counts = np.concatenate([counts, counts + 1])

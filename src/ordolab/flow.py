@@ -19,20 +19,26 @@ flow, so no residual path leaves it.  A failed check raises
 ``CertificateError``; a caller that knows the cut function compares the
 value with it as well.
 
-``forest_violation`` bounds the weight inside every vertex set by one
-orientation moved from root to root (Hakimi 1965); an edge's share on its
-tail is the residual capacity of an arc, and each verdict is checked in
-integers.
+An orientation splits each edge's weight into integer shares on its two
+endpoints; a vertex's load sums its shares.  ``bounded_orientation`` finds
+one with every load within a given capacity, and ``forest_violation``
+bounds the weight inside every vertex set by one orientation moved from
+root to root (Hakimi 1965).  Both start from the same greedy shares and
+move excess load along paths of positive shares (``_drain``); an edge's
+share on its tail is the residual capacity of an arc, and each verdict is
+checked in integers.
 
-Two users: a graph's cut function takes its s-t cuts from ``min_cut``
-(``CutFunction._st_min_cut``), and the graphic matroid decides whether a
+Three users: a graph's cut function takes its s-t cuts from ``min_cut``
+(``CutFunction._st_min_cut``), the graphic matroid decides whether a
 point lies in its base polytope by ``forest_violation``
-(``GraphicMatroid._base_membership``).
+(``GraphicMatroid._base_membership``), and the MLVC relaxation's dual
+spreads each edge over its endpoints by ``bounded_orientation``
+(``mlvc.solve_lp``).
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, gt
 from typing import Sequence
 
 from .core import CertificateError
@@ -167,13 +173,7 @@ def forest_violation(
         if u == v and w:
             return _violating(n, edges, weights, unit, 1 << u)
     net = FlowNetwork(n, edges, weights)
-    # share[2i] sits on the tail of arc 2i (u of edge i = (u, v)), share[2i + 1]
-    # on v; moving share along arc a lowers share[a], like residual capacity
-    share, load = [], [0] * n
-    for (u, v), w in zip(net.edges, net.capacities):
-        on_u = load[u] <= load[v]
-        share += (w, 0) if on_u else (0, w)
-        load[u if on_u else v] += w
+    share, load = _greedy_shares(net)
     cap = [unit] * n
     for r in range(n - 1):
         cap[r - 1], cap[r] = unit, 0  # r - 1 = -1 is vertex n - 1, never a root
@@ -182,8 +182,42 @@ def forest_violation(
                 reached = _drain(net, share, load, cap, v)
                 if reached:
                     return _violating(n, edges, weights, unit, reached)
-        _check_orientation(net, share, r, unit)
+        _check_orientation(net, share, cap)
     return None
+
+
+def bounded_orientation(
+    n: int, edges: Sequence[tuple[int, int]], weights: Sequence[int], cap: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """(pairs, share): integer shares of each edge's weight on its two
+    endpoints with load(v) <= cap[v] at every vertex, checked in integers;
+    the weights are nonnegative integers.  As in ``FlowNetwork``, loops are
+    dropped and parallel edges merged: ``pairs`` lists the distinct vertex
+    pairs (u, v), u < v, and share[2i], share[2i + 1] sit on u and v of
+    pairs[i].  When the weights sum to the capacities, every load equals
+    its capacity.  Excess that cannot move reaches a vertex set U whose
+    inside weight exceeds cap(U), so no such orientation exists (Hakimi
+    1965), and ``CertificateError`` is raised."""
+    net = FlowNetwork(n, edges, weights)
+    share, load = _greedy_shares(net)
+    for v in range(n):
+        if load[v] > cap[v] and _drain(net, share, load, cap, v):
+            raise CertificateError("no orientation keeps every load within its capacity")
+    _check_orientation(net, share, cap)
+    return net.edges, share
+
+
+def _greedy_shares(net: FlowNetwork) -> tuple[list[int], list[int]]:
+    """(share, load) with each edge's whole weight on its endpoint of least
+    load so far.  share[2i] sits on the tail of arc 2i (u of edge i = (u,
+    v)), share[2i + 1] on v; moving share along arc a lowers share[a], like
+    residual capacity."""
+    share, load = [], [0] * net.n
+    for (u, v), w in zip(net.edges, net.capacities):
+        on_u = load[u] <= load[v]
+        share += (w, 0) if on_u else (0, w)
+        load[u if on_u else v] += w
+    return share, load
 
 
 def _drain(net: FlowNetwork, share: list[int], load: list[int], cap: list[int], s: int) -> int:
@@ -223,14 +257,14 @@ def _drain(net: FlowNetwork, share: list[int], load: list[int], cap: list[int], 
     return 0
 
 
-def _check_orientation(net: FlowNetwork, share: list[int], root: int, unit: int) -> None:
+def _check_orientation(net: FlowNetwork, share: list[int], cap: Sequence[int]) -> None:
     """CertificateError unless the shares orient every edge of ``net`` with
-    load(root) = 0 and every load <= unit."""
+    load(v) <= cap[v] at every vertex."""
     if min(share, default=0) < 0 or list(map(add, share[::2], share[1::2])) != net.capacities:
         raise CertificateError("orientation shares do not split an edge's weight")
     # out[v] lists the arcs whose tail is v, each holding v's share
     load = [sum(map(share.__getitem__, arcs)) for arcs in net._out]
-    if load[root] or max(load) > unit:
+    if any(map(gt, load, cap)):
         raise CertificateError("orientation exceeds a vertex capacity")
 
 

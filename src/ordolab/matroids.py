@@ -1,5 +1,6 @@
 """Concrete rank oracles: graphic, uniform, vector, dual, parallel
-extensions, and the symmetric cut function of a weighted graph."""
+extensions; the symmetric cut function of a weighted graph and the
+coverage function of a graph."""
 
 from __future__ import annotations
 
@@ -376,6 +377,31 @@ class CutFunction(SetFunctionOracle):
         if value != self.scale * self(side):
             raise CertificateError("flow value differs from the cut function")
         return side, Fraction(value, self.scale)
+
+
+class CoverageFunction(SetFunctionOracle):
+    """cov(X) = the number of edges with an endpoint in X.
+
+    Monotone, submodular and normalized; the ground set is the vertex set.
+    Edge weights are ignored, and a loop at v counts once when v is in X.
+    The dense table is filled in one pass per edge.
+    """
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        super().__init__(GroundSet(graph.n))
+
+    def evaluate(self, subset: int) -> int:
+        return sum(((subset >> u) | (subset >> v)) & 1 for u, v in self.graph.edges)
+
+    def _scaled_table(self) -> tuple[int, np.ndarray]:
+        """All 2^n values, one numpy OR pass per edge adding 1 wherever
+        the edge meets the set."""
+        masks = np.arange(1 << self.m, dtype=np.int64)
+        table = np.zeros(1 << self.m, dtype=int_dtype(self.graph.m))
+        for u, v in self.graph.edges:
+            table += (((masks >> u) | (masks >> v)) & 1).astype(table.dtype)
+        return 1, table
 
 
 def fundamental_circuit(M: Matroid, basis: int, e: int) -> int:

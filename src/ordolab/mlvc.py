@@ -1,6 +1,7 @@
 """Latency-cover machinery: the scheduling poset, the balanced
 linear-extension sampler, a best-of-N randomized solver, and the exact LP
-relaxation.
+relaxation, whose optimum is certified by a primal-dual pair built from
+the coverage function's minimum-norm base (``solve_lp``), not searched for.
 
 Jobs are numbered 0..n-1 for vertices and n..n+h-1 for hyperedges.  A
 hyperedge job is preceded by each of its vertices and nothing else, so a
@@ -20,15 +21,19 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import Graph, Ordering, ParseError, _nonblank_lines, mlvc_objective
-from .simplex import simplex_minimize
+from .flow import bounded_orientation
+from .matroids import CoverageFunction
+from .sfm import min_norm_base
+from .simplex import certify_optimum
 
 
 @dataclass(frozen=True)
@@ -331,12 +336,11 @@ class LpModel:
 
     Variables u[e, t] (edge e still uncovered at time t) and x[v, t]
     (vertex v scheduled at time t), t = 1..n.  Objective: minimize the sum
-    of all u.  Constraints: at most one vertex per time step; u[e, t] +
-    sum over t' < t of x[v, t'] >= 1 for every v in e.
-
-    ``basis`` is a feasible start basis for ``simplex_minimize`` at x = 0,
-    u = 1: each pack row's slack, and for each edge and step, u[e, t] on
-    the first endpoint's cover row and the surplus on the second's.
+    of all u.  Constraints: at most one vertex per time step (the n pack
+    rows); u[e, t] + sum over t' < t of x[v, t'] >= 1 for every v in e (the
+    cover rows, edge by edge, first endpoint then second, t ascending; a
+    loop has two identical sets).  ``solve_lp`` certifies its optimum and
+    ``emit_lp`` writes it out for external solvers.
     """
 
     graph: Graph
@@ -346,7 +350,6 @@ class LpModel:
     #: ascending column order
     rows: list[tuple[list[tuple[int, Fraction]], str, Fraction]]
     row_names: list[str]
-    basis: list[int]
 
     @property
     def num_vars(self) -> int:
@@ -365,40 +368,96 @@ def build_lp(G: Graph) -> LpModel:
     var_names += [f"x_v{v}_t{t}" for v in range(n) for t in steps]
     rows = [([(first_x + v * n + t - 1, one) for v in range(n)], "<=", one) for t in steps]
     row_names = [f"pack_t{t}" for t in steps]
-    # row i's slack or surplus is column len(var_names) + i; by position in
-    # the edge pair, so that a loop's two cover rows get u and the surplus
-    basis = [len(var_names) + i for i in range(n)]
-    for ei, (a, b) in enumerate(G.edges):
-        for first, v in ((True, a), (False, b)):
+    for ei, edge in enumerate(G.edges):
+        for v in edge:
             for t in steps:
                 x_before = [(first_x + v * n + tp - 1, one) for tp in range(1, t)]
-                basis.append(ei * n + t - 1 if first else len(var_names) + len(rows))
                 rows.append(([(ei * n + t - 1, one)] + x_before, ">=", one))
                 row_names.append(f"cover_e{ei}_v{v}_t{t}")
     objective = [one] * first_x + [Fraction(0)] * (n * n)
-    return LpModel(graph=G, var_names=var_names, objective=objective, rows=rows, row_names=row_names,
-                   basis=basis)
-
-
-#: Largest model the dense tableau solver accepts.
-LP_SOLVER_VAR_CAP = 200
+    return LpModel(graph=G, var_names=var_names, objective=objective, rows=rows, row_names=row_names)
 
 
 def solve_lp(model: LpModel) -> Fraction:
-    """Exact LP optimum, certified.  A one-phase float simplex, started
-    from the model's feasible basis at x = 0, u = 1, finds the optimal
-    basis; its primal point and row duals, rounded to rationals (or solved
-    exactly from the basis when rounding fails), must pass an exact
-    primal-dual check, else CertificateError.  The relaxation is always
-    feasible and bounded, so there is no other verdict.  For a d-regular
-    graph on n vertices the value is d n (n + 1) / 4."""
-    if model.num_vars > LP_SOLVER_VAR_CAP:
-        raise ValueError(
-            f"model has {model.num_vars} variables, beyond the dense solver "
-            f"cap ({LP_SOLVER_VAR_CAP}); use emit_lp and an external solver"
-        )
-    value, _ = simplex_minimize(model.objective, model.rows, model.basis)
-    return value
+    """Exact LP optimum, certified by a constructed primal-dual pair that
+    must pass ``simplex.certify_optimum`` on the model's rows, else
+    CertificateError; nothing is searched for.  The optimum equals
+    ``pp_lower_bound`` of the coverage function cov(X) = #edges meeting X,
+    and both halves of the pair are read off cov's minimum-norm base x*.
+
+    - Primal: the cells of x*, highest value first, are the Sidney blocks;
+      a block of k vertices after offset o schedules each of them 1/k at
+      every step o + 1..o + k, and u[e, t] = 1 - min over v in e of the
+      part of v scheduled before t.
+    - Dual: an orientation theta splits each edge over its endpoints with
+      every vertex's load equal to x*_v (``flow.bounded_orientation``;
+      Hakimi 1965); a loop puts 1/2 on each of its two cover rows.  With
+      mu_1 the largest x*_v and mu_t the (t - 1)-th largest for t >= 2, the
+      cover row of (e, v, t) gets theta[e, v] min(1, mu_t / x*_v) (0 where
+      x*_v = 0) and pack row t gets -(mu_{t+1} + ... + mu_n).  Per step this
+      is Charikar's densest-subgraph LP (APPROX 2000).
+
+    For a d-regular graph on n vertices the value is d n (n + 1) / 4."""
+    x, y = _lp_pair(model)
+    return certify_optimum(model.objective, model.rows, x, y)
+
+
+def _lp_pair(model: LpModel) -> tuple[list[Fraction], list[Fraction]]:
+    """The primal point and the row duals of ``solve_lp``, in the column
+    and row order of ``build_lp``."""
+    G, n = model.graph, model.graph.n
+    base = min_norm_base(CoverageFunction(G))
+    order = sorted(range(n), key=base.__getitem__, reverse=True)
+    # primal: X[v][t], the part of v scheduled in steps 1..t
+    x = [Fraction(0)] * model.num_vars
+    first_x, X = G.m * n, [[Fraction(0)] * (n + 1) for _ in range(n)]
+    offset = 0
+    for _, block in groupby(order, key=base.__getitem__):
+        block = list(block)
+        k = len(block)
+        for v in block:
+            for t in range(offset + 1, n + 1):
+                X[v][t] = min(Fraction(t - offset, k), Fraction(1))
+            for t in range(offset + 1, offset + k + 1):
+                x[first_x + v * n + t - 1] = Fraction(1, k)
+        offset += k
+    for ei, (a, b) in enumerate(G.edges):
+        for t in range(1, n + 1):
+            x[ei * n + t - 1] = 1 - min(X[a][t - 1], X[b][t - 1])
+    # dual
+    mu = [base[order[0]], *(base[v] for v in order[:-1])] if n else []
+    y = [-sum(mu[t:], Fraction(0)) for t in range(1, n + 1)]
+    for (a, b), shares in zip(G.edges, _edge_shares(G, base)):
+        for v, theta in zip((a, b), shares):
+            y += [theta * min(Fraction(1), mu_t / base[v]) if base[v] else Fraction(0) for mu_t in mu]
+    return x, y
+
+
+def _edge_shares(G: Graph, base: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
+    """For each edge (a, b), the parts of it on a and b, summing to 1, so
+    that every vertex's load is base[v]; a loop's parts are 1/2 and 1/2,
+    one per cover row.  Scaled by L, the lcm of the denominators, each edge
+    weighs L and a loop's weight is taken off its vertex's capacity; the
+    merged share of parallel copies is split evenly over them."""
+    L = math.lcm(*(b.denominator for b in base))
+    cap = [b.numerator * (L // b.denominator) for b in base]
+    for a, b in G.edges:
+        if a == b:
+            cap[a] -= L
+    pairs, share = bounded_orientation(G.n, G.edges, [L] * G.m, cap)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    copies = Counter((min(a, b), max(a, b)) for a, b in G.edges)
+    half = Fraction(1, 2)
+    shares = []
+    for a, b in G.edges:
+        if a == b:
+            shares.append((half, half))
+            continue
+        pair = (min(a, b), max(a, b))
+        i, whole = index[pair], copies[pair] * L
+        low, high = Fraction(share[2 * i], whole), Fraction(share[2 * i + 1], whole)
+        shares.append((low, high) if a < b else (high, low))
+    return shares
 
 
 def emit_lp(model: LpModel) -> str:

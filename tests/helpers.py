@@ -10,7 +10,7 @@ tables from ``layer_loop_dp_tables``, the DP's former numpy layer loop.
 import heapq
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import lcm
 
 import numpy as np
@@ -148,7 +148,7 @@ def brute_min_offset(f, lam):
 
 
 def sparse_rows(rows):
-    """Dense (coefficients, sense, rhs) rows as simplex_minimize takes them:
+    """Dense (coefficients, sense, rhs) rows as the LP model holds them:
     (terms, sense, rhs), terms the (column, coefficient) pairs of the
     nonzero coefficients."""
     return [([(j, v) for j, v in enumerate(coeffs) if v], sense, rhs) for coeffs, sense, rhs in rows]
@@ -168,42 +168,6 @@ def _solve_square(system, rhs):
                 factor = aug[r][col] / aug[col][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [aug[r][size] / aug[r][r] for r in range(size)]
-
-
-def _vertices(rows, n):
-    """Every vertex of {x >= 0 : rows}: the feasible points where n linearly
-    independent constraints (rows or bounds x_j >= 0) are tight."""
-    bounds = [([int(j == k) for k in range(n)], ">=", 0) for j in range(n)]
-    constraints = list(rows) + bounds
-    holds = {"<=": lambda a, b: a <= b, ">=": lambda a, b: a >= b, "==": lambda a, b: a == b}
-    found = set()
-    for chosen in combinations(constraints, n):
-        x = _solve_square([c for c, _, _ in chosen], [b for _, _, b in chosen])
-        if x is not None and all(
-            holds[sense](sum(a * v for a, v in zip(coeffs, x)), rhs) for coeffs, sense, rhs in constraints
-        ):
-            found.add(tuple(x))
-    return found
-
-
-def brute_lp(objective, rows):
-    """min objective . x subject to rows and x >= 0 by vertex enumeration:
-    ("infeasible", None), ("unbounded", None) or ("optimal", value).  The
-    region is pointed, so it is empty exactly when it has no vertex, and
-    the objective is unbounded exactly when some vertex of the recession
-    cone's slice {d >= 0 : A d against 0, sum d = 1} improves it."""
-    n = len(objective)
-
-    def cost(x):
-        return sum(Fraction(c) * v for c, v in zip(objective, x))
-
-    points = _vertices(rows, n)
-    if not points:
-        return "infeasible", None
-    cone = [(coeffs, sense, 0) for coeffs, sense, _ in rows] + [([1] * n, "==", 1)]
-    if any(cost(d) < 0 for d in _vertices(cone, n)):
-        return "unbounded", None
-    return "optimal", min(map(cost, points))
 
 
 def is_submodular(f, exhaustive_limit: int = 8, rng=None, samples: int = 2000):
@@ -384,7 +348,7 @@ def random_regular_graph(n: int, d: int, rng: random.Random):
 
 
 def is_optimal_by_fractions(objective, rows, x, y) -> bool:
-    """The simplex certificate in plain Fraction arithmetic: x >= 0 holds
+    """The LP optimality certificate in plain Fraction arithmetic: x >= 0 holds
     every (terms, sense, rhs) row, y has each row's sign (<= 0 on '<=',
     >= 0 on '>='), A^T y <= c and c.x = b.y."""
     if any(v < 0 for v in x):
@@ -413,6 +377,18 @@ def in_graphic_base_polytope(G, x) -> bool:
         if inside > U.bit_count() - 1:
             return False
     return True
+
+
+def in_coverage_base_polytope(G, x) -> bool:
+    """x in the base polytope of cov(X) = #edges meeting X, by enumerating
+    every vertex set X: x(X) <= cov(X), with equality at X = V."""
+    def cov(X):
+        return sum(1 for u, v in G.edges if (X >> u) & 1 or (X >> v) & 1)
+
+    full = (1 << G.n) - 1
+    if sum(x) != cov(full):
+        return False
+    return all(sum(x[v] for v in range(G.n) if (X >> v) & 1) <= cov(X) for X in range(1 << G.n))
 
 
 def graphic_membership_by_min_cuts(G, x) -> bool:

@@ -21,10 +21,10 @@ from ordolab import (
     regular_lp_value,
     solve_lp,
 )
-from ordolab import cli, simplex
+from ordolab import cli, mlvc
 from ordolab.core import ParseError
-from ordolab.mlvc import LP_SOLVER_VAR_CAP, _sample, largest_float_below
-from ordolab.simplex import simplex_minimize
+from ordolab.mlvc import _sample, largest_float_below
+from ordolab.simplex import certify_optimum
 
 from helpers import random_regular_graph, sample_extension, sparse_rows
 
@@ -219,9 +219,8 @@ def test_lp_weak_duality():
 
 def test_lp_var_cap():
     model = build_lp(complete_graph(8))
-    assert model.num_vars == 288 > LP_SOLVER_VAR_CAP
-    with pytest.raises(ValueError, match=r"beyond the dense solver cap \(200\)"):
-        solve_lp(model)
+    assert model.num_vars == 288
+    assert solve_lp(model) == 126 == regular_lp_value(7, 8)
 
 
 def test_emit_lp_sections():
@@ -251,113 +250,93 @@ def test_clique_gap_fractional_matches_lp_small():
 
 
 def test_simplex_infeasible():
-    # min x  s.t.  x + 2y <= 2, x <= 1: the start basis {x, slack 2} puts
-    # x = 2 and the second slack at -1
-    with pytest.raises(ValueError, match="start basis is infeasible"):
-        simplex_minimize(
+    # min x  s.t.  x + 2y <= 2, x <= 1: the point (2, 0) breaks the second row
+    with pytest.raises(CertificateError, match="violates a row"):
+        certify_optimum(
             [Fraction(1), Fraction(0)],
             sparse_rows([
                 ([Fraction(1), Fraction(2)], "<=", Fraction(2)),
                 ([Fraction(1), Fraction(0)], "<=", Fraction(1)),
             ]),
-            [0, 3],
-        )
-
-
-def test_simplex_rejects_a_singular_start_basis():
-    # x and y have parallel columns (1, 2) and (1, 2)
-    with pytest.raises(ValueError, match="start basis is singular"):
-        simplex_minimize(
-            [Fraction(1), Fraction(1)],
-            sparse_rows([
-                ([Fraction(1), Fraction(1)], "<=", Fraction(2)),
-                ([Fraction(2), Fraction(2)], "<=", Fraction(5)),
-            ]),
-            [0, 1],
+            [Fraction(2), Fraction(0)],
+            [Fraction(0), Fraction(0)],
         )
 
 
 def test_simplex_rejects_an_equality_row():
     with pytest.raises(ValueError, match="sense"):
-        simplex_minimize([Fraction(1)], sparse_rows([([Fraction(1)], "==", Fraction(0))]), [0])
+        certify_optimum([Fraction(1)], sparse_rows([([Fraction(1)], "==", Fraction(0))]), [Fraction(0)],
+                        [Fraction(0)])
 
 
 def test_simplex_known_optimum():
-    # min x + y  s.t.  x + 2y >= 4, 3x + y >= 6, from the first row's
-    # surplus and y: y = 6, surplus 8
-    value, (x, y) = simplex_minimize(
-        [Fraction(1), Fraction(1)],
-        sparse_rows([
-            ([Fraction(1), Fraction(2)], ">=", Fraction(4)),
-            ([Fraction(3), Fraction(1)], ">=", Fraction(6)),
-        ]),
-        [2, 1],
-    )
+    # min x + y  s.t.  x + 2y >= 4, 3x + y >= 6: both rows tight at
+    # (8/5, 6/5), with row duals (2/5, 1/5)
+    rows = sparse_rows([
+        ([Fraction(1), Fraction(2)], ">=", Fraction(4)),
+        ([Fraction(3), Fraction(1)], ">=", Fraction(6)),
+    ])
+    value = certify_optimum([Fraction(1), Fraction(1)], rows, [Fraction(8, 5), Fraction(6, 5)],
+                            [Fraction(2, 5), Fraction(1, 5)])
     assert value == Fraction(14, 5)
-    assert x + 2 * y >= 4 and 3 * x + y >= 6
 
 
 def test_simplex_unbounded():
-    # min -x  s.t.  x >= -1: x rises without bound from the surplus basis
-    with pytest.raises(CertificateError, match="improving ray"):
-        simplex_minimize([Fraction(-1)], sparse_rows([([Fraction(1)], ">=", Fraction(-1))]), [1])
-
-
-def test_simplex_rejects_a_column_outside_the_objective():
-    with pytest.raises(ValueError):
-        simplex_minimize([Fraction(1)], [([(1, Fraction(1))], ">=", Fraction(1))], [1])
+    # min -x  s.t.  x >= -1 has no optimum, so no dual y >= 0 meets y <= -1
+    rows = sparse_rows([([Fraction(1)], ">=", Fraction(-1))])
+    for y in (Fraction(0), Fraction(1)):
+        with pytest.raises(CertificateError, match=r"A\^T y > c"):
+            certify_optimum([Fraction(-1)], rows, [Fraction(0)], [y])
 
 
 @pytest.mark.parametrize("sense, coefficient, dual", [("<=", -1, Fraction(1, 2)), (">=", 1, Fraction(-1, 2))])
 def test_certificate_rejects_a_wrong_signed_dual(sense, coefficient, dual):
     # min x s.t. one row through 0 at x = 0: the wrong-signed dual meets
     # A^T y <= c and c.x = b.y = 0, so only its sign fails the check
-    lp = simplex._Lp([Fraction(1)], [([(0, Fraction(coefficient))], sense, Fraction(0))])
-    assert simplex._is_optimal(lp, [Fraction(0)], [Fraction(0)])
-    assert not simplex._is_optimal(lp, [Fraction(0)], [dual])
+    rows = [([(0, Fraction(coefficient))], sense, Fraction(0))]
+    assert certify_optimum([Fraction(1)], rows, [Fraction(0)], [Fraction(0)]) == 0
+    with pytest.raises(CertificateError, match="wrong sign"):
+        certify_optimum([Fraction(1)], rows, [Fraction(0)], [dual])
 
 
-def test_simplex_recovers_a_large_denominator(monkeypatch):
-    # the optimum 1/1234567 has a denominator beyond the rounding bound, so
-    # only the exact solve of the final basis certifies it
-    assert 1234567 > simplex.ROUND_DENOMINATOR
-    solve = simplex.solve_exact
-    solves = []
-
-    def counted(rows, rhs):
-        solves.append(rows)
-        return solve(rows, rhs)
-
-    monkeypatch.setattr(simplex, "solve_exact", counted)
-    value, x = simplex_minimize([Fraction(1)], sparse_rows([([Fraction(1234567)], ">=", Fraction(1))]), [0])
-    assert value == Fraction(1, 1234567) and x == [Fraction(1, 1234567)]
-    assert solves
-
-
-def stop_the_search(monkeypatch):
-    """Make the float search stop at its start basis, before any pivot."""
-    monkeypatch.setattr(simplex, "_search", lambda T, basis: None)
-
-
-def test_simplex_fails_closed_on_a_non_optimal_basis(monkeypatch):
-    # min -x  s.t.  x >= 1, x <= 3: the search stops at x = 1, the optimum is 3
-    stop_the_search(monkeypatch)
+def test_simplex_recovers_a_large_denominator():
+    # the optimum 1/1234567 and its dual are checked exactly; the dual
+    # rounded to denominators up to 10^6 fails
+    rows = sparse_rows([([Fraction(1234567)], ">=", Fraction(1))])
+    x = y = Fraction(1, 1234567)
+    assert certify_optimum([Fraction(1)], rows, [x], [y]) == x
     with pytest.raises(CertificateError):
-        simplex_minimize(
-            [Fraction(-1)],
-            sparse_rows([([Fraction(1)], ">=", Fraction(1)), ([Fraction(1)], "<=", Fraction(3))]),
-            [0, 2],
-        )
+        certify_optimum([Fraction(1)], rows, [x], [y.limit_denominator(10**6)])
+
+
+def test_simplex_fails_closed_on_a_non_optimal_basis():
+    # min -x  s.t.  x >= 1, x <= 3: the basis at x = 1 has the dual (-1, 0),
+    # wrong-signed; the optimum x = 3 has the dual (0, -1)
+    rows = sparse_rows([([Fraction(1)], ">=", Fraction(1)), ([Fraction(1)], "<=", Fraction(3))])
+    assert certify_optimum([Fraction(-1)], rows, [Fraction(3)], [Fraction(0), Fraction(-1)]) == -3
+    for y in ([Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]):
+        with pytest.raises(CertificateError):
+            certify_optimum([Fraction(-1)], rows, [Fraction(1)], y)
 
 
 def test_mlvc_lp_exits_1_without_a_certificate(tmp_path, monkeypatch):
-    # the start point x = 0, u = 1 is feasible but not optimal
+    # one unit of the first edge's share moved to its other endpoint: the
+    # shares still split the edge, but the loads are no longer x* = 1
     path = tmp_path / "c4.graph"
     path.write_text("4 4\n1 2\n2 3\n3 4\n4 1\n")
-    stop_the_search(monkeypatch)
+    orient = mlvc.bounded_orientation
+
+    def corrupted(*args):
+        pairs, share = orient(*args)
+        move = 1 if share[0] else -1
+        share[0] -= move
+        share[1] += move
+        return pairs, share
+
+    monkeypatch.setattr(mlvc, "bounded_orientation", corrupted)
     report, code = cli.run(["mlvc", "--lp", "--input", str(path)])
     assert code == 1
-    assert "optimality failed its exact certificate" in report["error"]
+    assert "LP dual" in report["error"]
 
 
 def test_hypergraph_parse():

@@ -1,21 +1,22 @@
-"""Property tests: the table-based solvers, the certified simplex, the
-exact linear solver and the exact max-flow against brute force.
+"""Property tests: the table-based solvers, the constructed MLVC LP
+certificate, the exact linear solver and the exact max-flow against brute
+force.
 
 Random graphic (with loops and parallel edges), vector and
-Fraction-weighted cut oracles, plus contractions of them, small random LPs
-and square linear systems, checked against the enumerations and the
-reference solver in ``helpers``; the MLVC relaxation's value against the
-brute-force MLVC optimum; the batched vector-matroid and cut tables
-against single evaluations; the keyed subset DP against its former
+Fraction-weighted cut oracles, plus contractions of them, and square
+linear systems, checked against the enumerations and the reference solver
+in ``helpers``; the MLVC relaxation's constructed primal-dual pair against
+the same check in Fractions, its value against the coverage function's
+principal-partition bound and the brute-force MLVC optimum, and its
+orientation against every vertex set; the batched vector-matroid and cut
+tables against single evaluations; the keyed subset DP against its former
 layer loop on raw integer tables; the s-t cuts of the integer max-flow against
 every cut of weighted multigraphs; graphic base polytope membership by
 load-bounded orientations against every vertex set and against the
-replaced min-cut sequence; the latency-cover sampler against the
+replaced min-cut sequence; and the latency-cover sampler against the
 reference per-sample loop, draw for draw, with its pair set, inversion
-counts, best-of-N and balance reports; and the integer certificate of the
-simplex against the same check in Fractions.
+counts, best-of-N and balance reports.
 """
-
 import random
 from fractions import Fraction
 from functools import reduce
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 from ordolab import (
     CertificateError,
     ContractedOracle,
+    CoverageFunction,
     CutFunction,
     Graph,
     GraphicMatroid,
@@ -45,11 +47,12 @@ from ordolab import (
     min_norm_base,
     minimize_offset,
     mlop_objective,
+    pp_lower_bound,
     st_min_cut,
     weighted_mlop_objective,
 )
 
-from ordolab import flow, matroids, mlvc, sfm, simplex, solve
+from ordolab import flow, matroids, mlvc, sfm, solve
 from ordolab.core import SetFunctionOracle, max_abs, solve_exact
 from ordolab.instances import random_connected_graph
 from ordolab.mlvc import (
@@ -61,14 +64,13 @@ from ordolab.mlvc import (
     mlvc_brute_optimum,
     solve_lp,
 )
-from ordolab.simplex import simplex_minimize
+from ordolab.simplex import certify_optimum
 
 from helpers import (
     TableOracle,
     _solve_square,
     balance_check_by_loop,
     best_of_n_by_loop,
-    brute_lp,
     brute_min_offset,
     brute_mlop,
     brute_partition,
@@ -76,6 +78,7 @@ from helpers import (
     count_inversions_by_pairs,
     cut_weight,
     graphic_membership_by_min_cuts,
+    in_coverage_base_polytope,
     in_graphic_base_polytope,
     incomparable_pairs_by_loop,
     is_optimal_by_fractions,
@@ -83,7 +86,6 @@ from helpers import (
     level_sets_tight_by_scan,
     loop_dp,
     reference_sample,
-    sparse_rows,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -120,20 +122,6 @@ oracles = st.one_of(
     vector_matroids(),
     weighted_cuts(),
 )
-
-
-@st.composite
-def small_lps(draw, coeff=st.integers(-3, 3).map(Fraction)):
-    """LPs where x = 0 is feasible: '<=' rows with b >= 0 and '>=' rows
-    with b <= 0, so each row's own slack or surplus is a start basis."""
-    n = draw(st.integers(1, 4))
-    objective = [draw(coeff) for _ in range(n)]
-    rows = []
-    for _ in range(draw(st.integers(1, 4))):
-        sense = draw(st.sampled_from(("<=", ">=")))
-        b = abs(draw(coeff))
-        rows.append(([draw(coeff) for _ in range(n)], sense, b if sense == "<=" else -b))
-    return objective, rows
 
 
 fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -383,6 +371,36 @@ def test_forest_violation_matches_every_vertex_set(graph, unit):
         assert 0 < U < 1 << G.n and violates(U)
 
 
+@PROPERTY
+@given(integer_weighted(), st.data())
+def test_bounded_orientation_matches_every_vertex_set(graph, data):
+    # loops are dropped, so an orientation exists exactly when no vertex set
+    # holds more non-loop weight than its capacity
+    G, weights = graph
+    cap = data.draw(st.lists(st.integers(-1, 8), min_size=G.n, max_size=G.n))
+
+    def inside(U):
+        return sum(w for (u, v), w in zip(G.edges, weights) if u != v and (U >> u) & 1 and (U >> v) & 1)
+
+    exists = all(inside(U) <= sum(cap[v] for v in range(G.n) if (U >> v) & 1) for U in range(1, 1 << G.n))
+    if not exists:
+        with pytest.raises(CertificateError):
+            flow.bounded_orientation(G.n, G.edges, weights, cap)
+        return
+    pairs, share = flow.bounded_orientation(G.n, G.edges, weights, cap)
+    load, merged = [0] * G.n, {}
+    for (u, v), w in zip(G.edges, weights):
+        if u != v:
+            key = (min(u, v), max(u, v))
+            merged[key] = merged.get(key, 0) + w
+    assert pairs == list(merged) and min(share, default=0) >= 0
+    for i, (u, v) in enumerate(pairs):
+        assert share[2 * i] + share[2 * i + 1] == merged[u, v]
+        load[u] += share[2 * i]
+        load[v] += share[2 * i + 1]
+    assert all(a <= c for a, c in zip(load, cap))
+
+
 @st.composite
 def table_matroids(draw):
     """Rational vector matroids, m = 0-8, k = 1-5, entries small or up to
@@ -494,45 +512,74 @@ def test_large_coprime_denominators_take_the_object_path():
 
 
 @PROPERTY
-@given(small_lps())
-def test_simplex_matches_vertex_enumeration(lp):
-    objective, rows = lp
-    verdict, optimum = brute_lp(objective, rows)
-    start = [len(objective) + i for i in range(len(rows))]
-    if verdict == "unbounded":
-        with pytest.raises(CertificateError):
-            simplex_minimize(objective, sparse_rows(rows), start)
-        return
-    value, x = simplex_minimize(objective, sparse_rows(rows), start)
-    assert (verdict, value) == ("optimal", optimum)
-    assert sum(c * v for c, v in zip(objective, x)) == value
-
-
-@PROPERTY
-@given(small_lps(coeff=fractions), st.data())
-def test_integer_certificate_matches_the_fraction_check(lp, data):
-    # the rounded candidate of the final tableau, and that candidate with
-    # one entry of x or y moved
-    objective, rows = lp
-    rows = sparse_rows(rows)
-    model = simplex._Lp(objective, rows)
-    T, basis = model.tableau([len(objective) + i for i in range(len(rows))])
-    assume(simplex._search(T, basis) is None)
-    x, y = model.rounded_candidate(T, basis)
+@given(multigraphs(max_vertices=5, max_edges=6), st.data())
+def test_integer_certificate_matches_the_fraction_check(G, data):
+    # the constructed pair of the MLVC relaxation with one entry of x or y
+    # moved
+    model = build_lp(G)
+    x, y = mlvc._lp_pair(model)
     moved = data.draw(st.sampled_from((x, y)))
     moved[data.draw(st.integers(0, len(moved) - 1))] += data.draw(st.sampled_from((0, Fraction(1, 3), -1)))
-    assert simplex._is_optimal(model, x, y) == is_optimal_by_fractions(objective, rows, x, y)
+    try:
+        certify_optimum(model.objective, model.rows, x, y)
+        certified = True
+    except CertificateError:
+        certified = False
+    assert certified == is_optimal_by_fractions(model.objective, model.rows, x, y)
 
 
 @PROPERTY
+@given(multigraphs(max_vertices=6, max_edges=9), st.data())
+def test_edge_shares_orient_exactly_the_coverage_base(G, data):
+    # every point of B(cov) is oriented with load y_v at each vertex (a
+    # loop's halves both on its vertex); a point outside raises
+    f = CoverageFunction(G)
+    x = min_norm_base(f, method="enumerate")
+    points = [x]
+    if G.n >= 2:
+        i, j = data.draw(st.lists(st.integers(0, G.n - 1), min_size=2, max_size=2, unique=True))
+        L = lcm(*(xe.denominator for xe in x))
+        for amount in (Fraction(1, 2 * L), data.draw(st.sampled_from((Fraction(-1, 2 * L), 0)) | fractions)):
+            y = list(x)
+            y[i] -= amount
+            y[j] += amount
+            points.append(y)
+        # the tight level set {x <= x_j} holds j and not i
+        if x[i] > x[j]:
+            assert not in_coverage_base_polytope(G, points[1])
+    for y in points:
+        if in_coverage_base_polytope(G, y):
+            load = [Fraction(0)] * G.n
+            for (a, b), (on_a, on_b) in zip(G.edges, mlvc._edge_shares(G, y)):
+                assert on_a >= 0 and on_b >= 0 and on_a + on_b == 1
+                load[a] += on_a
+                load[b] += on_b
+            assert load == y
+        else:
+            with pytest.raises(CertificateError):
+                mlvc._edge_shares(G, y)
+
+
+@PROPERTY
+@example(Graph(0, ()))
+@example(Graph(3, ()))
 @example(Graph(2, ((0, 0), (0, 1))))
 @example(Graph(3, ((0, 1), (1, 0), (0, 1))))
 @example(Graph(4, ((1, 2),)))
 @given(multigraphs(max_vertices=6, max_edges=8))
 def test_lp_value_is_a_certified_lower_bound(G):
-    # loops, parallel edges and isolated vertices included: a loop's two
-    # cover rows are identical, and the start basis must still be nonsingular
-    assert solve_lp(build_lp(G)) <= mlvc_brute_optimum(G)
+    # loops, parallel edges, isolated vertices and the empty graph included:
+    # a loop's two cover rows are identical, and each takes half of the
+    # loop's dual.  The constructed pair passes the plain Fraction check,
+    # its value is cov's principal-partition bound, and the MLVC optimum
+    # lies within 4/3 of it (the relaxation's integrality gap)
+    model = build_lp(G)
+    x, y = mlvc._lp_pair(model)
+    assert is_optimal_by_fractions(model.objective, model.rows, x, y)
+    value = solve_lp(model)
+    f = CoverageFunction(G)
+    assert value == pp_lower_bound(f, compute_principal_partition(f))
+    assert value <= mlvc_brute_optimum(G) <= Fraction(4, 3) * value
 
 
 @PROPERTY
@@ -625,3 +672,11 @@ def test_batched_cut_table_matches_evaluate(G):
     D, reference = SetFunctionOracle._scaled_table(f)
     assert f.dense_denominator == D
     assert list(table) == list(reference) == [f.evaluate(S) * D for S in range(1 << f.m)]
+
+
+@PROPERTY
+@given(multigraphs(max_vertices=7, max_edges=10))
+def test_batched_coverage_table_matches_evaluate(G):
+    f = CoverageFunction(G)
+    assert list(f.dense_values()) == [f.evaluate(S) for S in range(1 << f.m)]
+    assert f.dense_denominator == 1
