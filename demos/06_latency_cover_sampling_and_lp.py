@@ -11,10 +11,10 @@ d-regular graphs, with a 4/3 gap on cliques.
 
 from ordolab import (
     Hypergraph,
+    SchedulingPoset,
     balance_check,
     best_of_n,
     build_lp,
-    build_poset,
     clique_gap,
     emit_lp,
     exact_pair_probability,
@@ -25,7 +25,7 @@ from ordolab.instances import complete_graph, cycle_graph
 
 # Exact inversion probabilities vs a Monte-Carlo run on K4.
 H = Hypergraph.from_graph(complete_graph(4))
-poset = build_poset(H)
+poset = SchedulingPoset(H)
 report = balance_check(H, trials=20_000, seed=0)
 print(f"K4 sampler, floor {report.floor}, worst empirical "
       f"{report.worst_probability:.3f}, flagged pairs: {list(report.flagged)}")

@@ -4,7 +4,6 @@ minimum linear ordering problems over submodular set functions."""
 from .core import (
     EXACT_SOLVER_CAP,
     CertificateError,
-    ContractedOracle,
     Graph,
     GroundSet,
     ModularOracle,
@@ -53,7 +52,6 @@ from .mlvc import (
     balance_check,
     best_of_n,
     build_lp,
-    build_poset,
     clique_gap,
     emit_lp,
     exact_pair_probability,
@@ -80,8 +78,6 @@ from .reductions import (
 )
 from .sfm import (
     SfmResult,
-    check_symmetry,
-    constrained_min,
     min_norm_base,
     minimize_offset,
     st_min_cut,

@@ -49,10 +49,10 @@ from .matroids import (
 )
 from .mlvc import (
     Hypergraph,
+    SchedulingPoset,
     balance_check,
     best_of_n,
     build_lp,
-    build_poset,
     clique_gap,
     exact_pair_probability,
     mlvc_brute_optimum,
@@ -261,7 +261,7 @@ def criterion_9_oracle_balance():
         ("shared-vertex 3-edges", Hypergraph(5, (frozenset({0, 1, 2}), frozenset({2, 3, 4})))),
     ]
     for label, H in instances:
-        poset = build_poset(H)
+        poset = SchedulingPoset(H)
         report = balance_check(H, trials, seed=9)
         for (a, b), emp in report.probabilities.items():
             exact = exact_pair_probability(poset, a, b)

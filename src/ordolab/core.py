@@ -228,10 +228,8 @@ class SetFunctionOracle:
     memoised table, so they may be shared across threads.  ``dense_values``
     builds the one integer table that every enumeration-based solver reads;
     subclasses with a faster way to fill all 2^m entries override
-    ``_scaled_table``, those with a faster exact s-t cut (the max-flow of a
-    graph's cut function) override ``_st_min_cut``, and those that extend a
-    prefix by one element cheaply (union-find for a graphic matroid)
-    override ``_prefix_values``.
+    ``_scaled_table``, and those that extend a prefix by one element cheaply
+    (union-find for a graphic matroid) override ``_prefix_values``.
     """
 
     #: ``_base_membership(x)``, for classes that decide exactly whether x
@@ -276,10 +274,8 @@ class SetFunctionOracle:
         the narrowest numpy integer type holding every entry, or object
         (exact Python ints) when int64 could overflow.  Callers choose the
         dtype of their own arithmetic the same way, from a bound computed
-        up front, so every dtype runs the same code.  A contraction of an
-        oracle within the cap derives its table from the base's table instead
-        of calling the oracle.  Grounds beyond EXACT_SOLVER_CAP raise
-        ValueError.
+        up front, so every dtype runs the same code.  Grounds beyond
+        EXACT_SOLVER_CAP raise ValueError.
         """
         if self._dense is None:
             if self.m > EXACT_SOLVER_CAP:
@@ -300,15 +296,6 @@ class SetFunctionOracle:
         ints = [v.numerator * (D // v.denominator) for v in values]
         return D, narrowed(np.array(ints, dtype=object))
 
-    def _st_min_cut(self, s: int, t: int) -> tuple[int, Fraction]:
-        """(X, f(X)) for the smallest X minimizing f over the sets with s in
-        X and t out of X, by submodular minimization of the contraction;
-        subclasses with an exact combinatorial way override it."""
-        from .sfm import constrained_min  # sfm builds on this module
-
-        res = constrained_min(self, Fraction(0), include=1 << s, exclude=1 << t)
-        return res.minimal_minimizer, res.min_value
-
 
 class ModularOracle(SetFunctionOracle):
     """f(S) = sum of per-element weights; f(S) = |S| by default."""
@@ -323,45 +310,6 @@ class ModularOracle(SetFunctionOracle):
 
     def evaluate(self, subset: int):
         return sum(self.weights[e] for e in iter_bits(subset))
-
-
-class ContractedOracle(SetFunctionOracle):
-    """f'(S) = f(U | S) - f(U) on a relabelled sub-ground.
-
-    ``kept`` lists the surviving original elements; new label i corresponds
-    to original element kept[i].  With U = 0 this is plain restriction.
-    """
-
-    def __init__(self, base: SetFunctionOracle, fixed_mask: int, kept: Sequence[int]):
-        if fixed_mask & mask_of(kept):
-            raise ValueError("fixed elements overlap kept elements")
-        self.base = base
-        self.fixed_mask = fixed_mask
-        self.kept = tuple(kept)
-        self._offset = base(fixed_mask)
-        super().__init__(GroundSet(len(self.kept)))
-
-    def embed(self, subset: int) -> int:
-        mask = 0
-        for i in iter_bits(subset):
-            mask |= 1 << self.kept[i]
-        return mask
-
-    def evaluate(self, subset: int):
-        return self.base(self.fixed_mask | self.embed(subset)) - self._offset
-
-    def _scaled_table(self) -> tuple[int, np.ndarray]:
-        """Index remapping of the base's table when the base is within the
-        cap: entry S is base[U | embed(S)] - base[U]."""
-        if self.base.m > EXACT_SOLVER_CAP:
-            return super()._scaled_table()
-        base = self.base.dense_values()
-        index = np.full(1, self.fixed_mask, dtype=np.int64)
-        for e in self.kept:
-            index = np.concatenate([index, index | (1 << e)])
-        table = base[index].astype(int_dtype(2 * max_abs(base)))
-        table -= table[0]
-        return self.base.dense_denominator, narrowed(table)
 
 
 def _check_ground(f: SetFunctionOracle, sigma: Ordering) -> None:

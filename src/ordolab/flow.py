@@ -29,7 +29,7 @@ share on its tail is the residual capacity of an arc, and each verdict is
 checked in integers.
 
 Three users: a graph's cut function takes its s-t cuts from ``min_cut``
-(``CutFunction._st_min_cut``), the graphic matroid decides whether a
+(``sfm.st_min_cut``), the graphic matroid decides whether a
 point lies in its base polytope by ``forest_violation``
 (``GraphicMatroid._base_membership``), and the MLVC relaxation's dual
 spreads each edge over its endpoints by ``bounded_orientation``

@@ -1,16 +1,15 @@
-"""Gomory-Hu trees for symmetric submodular oracles, with the ordering
-bounds they induce.
+"""Gomory-Hu trees for graph cut functions, with the ordering bounds they
+induce.
 
 Construction uses Gusfield's scheme (no contraction; Gusfield, SIAM J.
 Comput. 1990, and Queyranne 1998 for symmetric submodular functions), one
-``sfm.st_min_cut`` per vertex: for a graph's cut function an exact integer
-maximum flow (Dinic 1970), checked before use, and for any other symmetric
-oracle a submodular minimization.  Every edge of the result is then
-re-checked against the defining cut property: the tree side of the edge
-must have the edge's weight w, and the minimum cut between its endpoints
-must be at least w.  The second half is read from the certified cut values
-Gusfield computed: a chain of solved vertex pairs, each of value at least
-w, joins the endpoints.  Only an edge without such a chain is cut again.
+``sfm.st_min_cut`` per vertex: an exact integer maximum flow (Dinic 1970),
+checked before use.  Every edge of the result is then re-checked against
+the defining cut property: the tree side of the edge must have the edge's
+weight w, and the minimum cut between its endpoints must be at least w.
+The second half is read from the certified cut values Gusfield computed:
+a chain of solved vertex pairs, each of value at least w, joins the
+endpoints.  Only an edge without such a chain is cut again.
 A tree that fails raises ``CertificateError``; there is no second
 construction.
 """
@@ -24,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .core import CertificateError, Graph, Ordering, SetFunctionOracle, mask_of
 from .matroids import CutFunction
-from .sfm import check_symmetry, st_min_cut
+from .sfm import st_min_cut
 from .solve import exact_mlop_dp
 
 
@@ -95,7 +94,7 @@ class GomoryHuTree:
 
 
 def _verify_cut_property(
-    f: SetFunctionOracle, tree: GomoryHuTree, solved: Mapping[frozenset[int], Fraction] | None = None
+    f: CutFunction, tree: GomoryHuTree, solved: Mapping[frozenset[int], Fraction] | None = None
 ) -> bool:
     """Every tree edge (s, t, w): its tree side X has f(X) = w, so the
     minimum s-t cut value is at most w, and it is at least w.  The lower
@@ -124,7 +123,7 @@ def _verify_cut_property(
 
 
 def _gusfield(
-    f: SetFunctionOracle, order: Sequence[int]
+    f: CutFunction, order: Sequence[int]
 ) -> tuple[GomoryHuTree, dict[frozenset[int], Fraction]]:
     """The tree, and the minimum cut value of every vertex pair whose s-t
     cut it solved.  Predecessor swaps and reassignments can put a weight on
@@ -150,18 +149,20 @@ def _gusfield(
     return GomoryHuTree(f.m, edges), solved
 
 
-def build_gh_tree(f: SetFunctionOracle, seed: int | None = None) -> GomoryHuTree:
-    """Gomory-Hu tree of a symmetric oracle with f(empty) = f(all) = 0.
+def build_gh_tree(f: CutFunction, seed: int | None = None) -> GomoryHuTree:
+    """Gomory-Hu tree of a graph's cut function, cut by checked flows; any
+    other oracle raises ValueError.  A cut function is symmetric, with
+    f(empty) = f(all) = 0, by construction.
 
     ``seed`` shuffles the pivot order (distinct seeds generally give
     distinct trees; their total weight is an invariant of f).  Every edge
     is verified against the cut property; a failure raises
     CertificateError.
     """
+    if not isinstance(f, CutFunction):
+        raise ValueError("Gomory-Hu trees are built for graph cut functions only")
     if f.m < 2:
         raise ValueError("need at least two ground elements")
-    if not check_symmetry(f):
-        raise ValueError("oracle is not symmetric with f(empty) = f(all) = 0")
     order = list(range(f.m))
     if seed is not None:
         random.Random(seed).shuffle(order)
@@ -201,7 +202,7 @@ def gh_upper_bound(f: SetFunctionOracle, tree: GomoryHuTree) -> tuple[Fraction, 
     return Fraction(value), sigma
 
 
-def tree_mlop(f: SetFunctionOracle, seed: int | None = None) -> tuple[GomoryHuTree, Fraction]:
+def tree_mlop(f: CutFunction, seed: int | None = None) -> tuple[GomoryHuTree, Fraction]:
     """Minimize, over all trees T on the ground set, the sum over tree edges
     of f evaluated at one side of the edge split.  Any Gomory-Hu tree is
     optimal and its total weight is the optimal value."""
@@ -246,7 +247,7 @@ def matching_certificate(
     return [(match_of_right[r], r) for r in range(n_edges)]
 
 
-def gh_weight_invariance(f: SetFunctionOracle, runs: int, seed: int = 0) -> bool:
+def gh_weight_invariance(f: CutFunction, runs: int, seed: int = 0) -> bool:
     """Build several trees under shuffled pivot orders and test that all
     total weights agree exactly."""
     if runs < 2:

@@ -11,7 +11,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
-    CertificateError,
     Graph,
     GroundSet,
     ParseError,
@@ -339,8 +338,9 @@ class CutFunction(SetFunctionOracle):
     Symmetric (f(S) = f(V - S)), submodular, and zero on both the empty set
     and the full vertex set.  The ground set is the vertex set.  The weights
     are kept as integers over their common denominator D: evaluation sums
-    integers, the dense table is filled in one pass per edge, and s-t cuts
-    come from an exact integer maximum flow (``flow.FlowNetwork``).
+    integers, the dense table is filled in one pass per edge, and
+    ``sfm.st_min_cut`` takes s-t cuts from an exact integer maximum flow on
+    ``network`` (``flow.FlowNetwork``).
     """
 
     def __init__(self, graph: Graph):
@@ -369,14 +369,6 @@ class CutFunction(SetFunctionOracle):
             table += c * (((masks >> u) ^ (masks >> v)) & 1).astype(table.dtype)
         g = gcd(self.scale, int(np.gcd.reduce(table)))
         return self.scale // g, narrowed(table // g)
-
-    def _st_min_cut(self, s: int, t: int) -> tuple[int, Fraction]:
-        """The smallest minimum s-t cut from the checked integer flow, whose
-        value must also equal D * f(side)."""
-        side, value = self.network.min_cut(s, t)
-        if value != self.scale * self(side):
-            raise CertificateError("flow value differs from the cut function")
-        return side, Fraction(value, self.scale)
 
 
 class CoverageFunction(SetFunctionOracle):

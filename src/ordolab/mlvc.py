@@ -63,6 +63,8 @@ class SchedulingPoset:
 
     Vertex jobs have processing time 1 and weight 0; edge jobs have
     processing time 0 and weight 1; v precedes e exactly when v is in e.
+    The schedule objective equals the latency-cover objective of the vertex
+    order.
     """
 
     hypergraph: Hypergraph
@@ -113,12 +115,6 @@ class SchedulingPoset:
             elif not self.hypergraph.edges[job - n] <= seen_vertices:
                 return False
         return True
-
-
-def build_poset(H: Hypergraph) -> SchedulingPoset:
-    """Validate and wrap a hypergraph as the scheduling poset; the schedule
-    objective equals the latency-cover objective of the vertex order."""
-    return SchedulingPoset(H)
 
 
 def _samples(poset: SchedulingPoset, rng: random.Random, count: int) -> Iterator[list[int]]:
@@ -214,7 +210,7 @@ def _count_inversions(H: Hypergraph, pairs: list[tuple[int, int]], trials: int, 
     """For every incomparable pair (a, b) of ``pairs``, in order, the number
     of sampled schedules that put a before b; one numpy pass over the pairs
     per trial."""
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     first = np.array([a for a, _ in pairs], dtype=np.intp)
     second = np.array([b for _, b in pairs], dtype=np.intp)
     hits = np.zeros(len(pairs), dtype=np.int64)
@@ -238,7 +234,7 @@ def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> B
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     pairs = poset.incomparable_pairs()
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -294,7 +290,7 @@ def best_of_n(G: Graph, n_samples: int, seed: int = 0) -> tuple[Ordering, int]:
     costed in blocks, sum over edges of max(pos[u], pos[v]) per row."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    poset = build_poset(Hypergraph.from_graph(G))
+    poset = SchedulingPoset(Hypergraph.from_graph(G))
     n = G.n
     u, v = np.array(G.edges, dtype=np.intp).reshape(-1, 2).T
     labels = np.arange(1, n + 1)

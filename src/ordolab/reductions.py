@@ -157,7 +157,9 @@ class ApexReduction:
 
     def recover_labeling(self, sigma: Ordering) -> Ordering:
         """Extract the vertex labeling from a good ordering of the apex
-        graph; isolated original vertices are appended at the end."""
+        graph; isolated original vertices are appended at the end.  An
+        ordering whose star ranks collide raises CertificateError: the
+        reduction claims that every optimal ordering is good."""
         matroid = GraphicMatroid(self.apex_graph)
         prefix = 0
         rank_at_edge = [0] * self.apex_graph.m
@@ -167,7 +169,7 @@ class ApexReduction:
         n = len(self.kept)
         labels = [rank_at_edge[self.star_edge_of[i]] for i in range(n)]
         if sorted(labels) != list(range(1, n + 1)):
-            raise ValueError("ordering is not good: star ranks collide")
+            raise CertificateError("ordering is not good: star ranks collide")
         positions = [0] * self.original.n
         for i, v in enumerate(self.kept):
             positions[v] = labels[i]

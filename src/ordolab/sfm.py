@@ -35,9 +35,9 @@ vertex reads f on the m + 1 prefixes of its order through the oracle's
 
 A failed check raises ``CertificateError``.
 
-``st_min_cut`` is dispatched per oracle class: a graph's cut function takes
-its s-t cuts from a checked integer max-flow (``flow``) and builds no
-table; other symmetric oracles minimize their contraction as above.
+``st_min_cut`` cuts graph cut functions only, by checked flows: an exact
+integer maximum flow (``flow``) whose value must equal the cut function on
+the flow's side, with no table built.
 
 References: Fujishige, Math. OR 1980 (lexicographically optimal base) and
 Submodular Functions and Optimization, 2nd ed. 2005, Thm 7.15; Nagano,
@@ -48,7 +48,6 @@ bounded in-degrees).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -60,7 +59,6 @@ import numpy as np
 from .core import (
     EXACT_SOLVER_CAP,
     CertificateError,
-    ContractedOracle,
     SetFunctionOracle,
     int_dtype,
     iter_bits,
@@ -68,10 +66,9 @@ from .core import (
     size_order,
     solve_exact,
 )
+from .matroids import CutFunction
 
 WOLFE_TOL = 1e-9
-#: random subsets ``check_symmetry`` compares with their complements
-SYMMETRY_SAMPLES = 16
 OUTSIDE_BASE_POLYTOPE = "min-norm base lies outside the base polytope: oracle not submodular?"
 
 
@@ -88,12 +85,12 @@ class SfmResult:
     maximal_minimizer: int
 
 
-def minimize_offset(f: SetFunctionOracle, lam: Fraction, method: str = "auto") -> SfmResult:
+def minimize_offset(f: SetFunctionOracle, lam: Fraction) -> SfmResult:
     """Exact global minimum of f(X) - lam*|X| over all subsets, read off the
-    minimum-norm base (``method`` as in ``min_norm_base``); both level sets
-    must attain it, else CertificateError."""
+    minimum-norm base; both level sets must attain it, else
+    CertificateError."""
     lam = Fraction(lam)
-    x = min_norm_base(f, method)
+    x = min_norm_base(f)
     value = f(0) + sum(min(xe - lam, 0) for xe in x)
     lo = sum(1 << e for e, xe in enumerate(x) if xe < lam)
     hi = sum(1 << e for e, xe in enumerate(x) if xe <= lam)
@@ -103,22 +100,15 @@ def minimize_offset(f: SetFunctionOracle, lam: Fraction, method: str = "auto") -
     return SfmResult(Fraction(value), lo, hi)
 
 
-def min_norm_base(f: SetFunctionOracle, method: str = "auto") -> list[Fraction]:
+def min_norm_base(f: SetFunctionOracle) -> list[Fraction]:
     """The exact minimum-norm base x* of B(f - f(empty)), certified, else
-    CertificateError.  ``"enumerate"`` reads it off the dense table (up to
-    EXACT_SOLVER_CAP; certified for any oracle), ``"wolfe"`` runs the
-    Fujishige-Wolfe search, and ``"auto"`` picks by EXACT_SOLVER_CAP.  On
-    the Wolfe path a graphic matroid's base is certified by orientations
+    CertificateError.  Up to EXACT_SOLVER_CAP it is read off the dense
+    table (certified for any oracle); beyond it the Fujishige-Wolfe search
+    runs.  There a graphic matroid's base is certified by orientations
     (tight level sets and exact base polytope membership, with no
     assumption on f); for other classes the certificate relies on f being
     submodular."""
-    if method == "auto":
-        method = "enumerate" if f.m <= EXACT_SOLVER_CAP else "wolfe"
-    if method == "enumerate":
-        return _table_base(f)
-    if method == "wolfe":
-        return _wolfe_base(f)
-    raise ValueError(f"unknown method {method!r}")
+    return _table_base(f) if f.m <= EXACT_SOLVER_CAP else _wolfe_base(f)
 
 
 def _lower_hull(g: Sequence) -> list[int]:
@@ -167,55 +157,21 @@ def _table_base(f: SetFunctionOracle) -> list[Fraction]:
     return [Fraction(w, L * D) for w in scaled]
 
 
-def constrained_min(
-    f: SetFunctionOracle,
-    lam: Fraction,
-    include: int = 0,
-    exclude: int = 0,
-) -> SfmResult:
-    """Minimum of f(X) - lam*|X| over sets with include <= X <= E - exclude."""
-    if include & exclude:
-        raise ValueError("include and exclude sets overlap")
-    if include < 0 or include >> f.m or exclude < 0 or exclude >> f.m:
-        raise ValueError("constraint sets outside ground set")
-    lam = Fraction(lam)
-    free = [e for e in range(f.m) if not ((include | exclude) >> e) & 1]
-    g = ContractedOracle(f, include, free)
-    inner = minimize_offset(g, lam)
-    offset = f(include) - lam * include.bit_count()
-    return SfmResult(
-        inner.min_value + offset,
-        include | g.embed(inner.minimal_minimizer),
-        include | g.embed(inner.maximal_minimizer),
-    )
+def st_min_cut(f: CutFunction, s: int, t: int) -> tuple[int, Fraction]:
+    """A minimum s-t cut of a graph's cut function: the smallest X with s in
+    X and t out of X, minimizing f(X).  Returns (cut set, value).
 
-
-def st_min_cut(f: SetFunctionOracle, s: int, t: int) -> tuple[int, Fraction]:
-    """A minimum s-t cut of a symmetric oracle: the smallest X with s in X,
-    t out of X, minimizing f(X).  Returns (cut set, value).
-
-    Dispatched per oracle class: a graph's ``CutFunction`` reads it off an
-    exact integer maximum flow, checked before use (``flow``), and builds
-    no table; any other oracle minimizes its contraction through
-    ``constrained_min``, on the dense table within the exact cap and by the
-    Wolfe path beyond it."""
+    Read off an exact integer maximum flow, checked before use (``flow``),
+    whose value must also equal D * f(side); no table is built.  Any other
+    oracle raises ValueError."""
+    if not isinstance(f, CutFunction):
+        raise ValueError("s-t cuts are taken from graph cut functions only")
     if s == t:
         raise ValueError("s and t must differ")
-    return f._st_min_cut(s, t)
-
-
-def check_symmetry(f: SetFunctionOracle) -> bool:
-    """Spot-check f(S) == f(complement) on SYMMETRY_SAMPLES subsets drawn
-    with a fixed seed, plus f(empty) == f(full) == 0."""
-    full = f.full_mask
-    if f(0) != 0 or f(full) != 0:
-        return False
-    rng = random.Random(0)
-    for _ in range(SYMMETRY_SAMPLES):
-        S = rng.randrange(1 << f.m)
-        if f(S) != f(full ^ S):
-            return False
-    return True
+    side, value = f.network.min_cut(s, t)
+    if value != f.scale * f(side):
+        raise CertificateError("flow value differs from the cut function")
+    return side, Fraction(value, f.scale)
 
 
 # ---------------------------------------------------------------------------

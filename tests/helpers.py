@@ -5,6 +5,8 @@ These deliberately avoid the library's solver code paths: optima come from
 enumerating every permutation or subset directly, sampled schedules from
 ``reference_sample``, the sampler's plain per-sample loop, and subset-DP
 tables from ``layer_loop_dp_tables``, the DP's former numpy layer loop.
+``wolfe_path`` sends ``min_norm_base`` down the Fujishige-Wolfe path on
+small grounds, to cross-check it against the table.
 """
 
 import heapq
@@ -12,6 +14,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
+from unittest import mock
 
 import numpy as np
 
@@ -21,11 +24,12 @@ from ordolab import (
     GroundSet,
     Hypergraph,
     Ordering,
+    SchedulingPoset,
     SetFunctionOracle,
-    build_poset,
     mask_of,
     mlvc_objective,
 )
+from ordolab import sfm
 from ordolab.core import int_dtype, max_abs
 from ordolab.flow import FlowNetwork
 from ordolab.mlvc import _sample
@@ -279,7 +283,7 @@ def count_inversions_by_pairs(H, trials: int, seed: int) -> dict:
     """Reference inversion count, one Python loop over the pairs per trial:
     for every incomparable pair (a, b), the number of reference schedules
     that put a before b."""
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     pairs = incomparable_pairs_by_loop(poset)
     counts = {p: 0 for p in pairs}
     rng = random.Random(seed)
@@ -297,7 +301,7 @@ def count_inversions_by_pairs(H, trials: int, seed: int) -> dict:
 def best_of_n_by_loop(G, n_samples: int, seed: int = 0):
     """Reference best-of-N: the first cheapest vertex order of the
     reference schedules, costed one sample at a time."""
-    poset = build_poset(Hypergraph.from_graph(G))
+    poset = SchedulingPoset(Hypergraph.from_graph(G))
     rng = random.Random(seed)
     best_val = best_pi = None
     for _ in range(n_samples):
@@ -443,4 +447,10 @@ def level_sets_tight_by_scan(f, x) -> bool:
 def sample_extension(H, seed: int = 0) -> list[int]:
     """One random linear extension: vertices in a uniform random order, each
     edge scheduled immediately once complete, edge ties shuffled."""
-    return _sample(build_poset(H), random.Random(seed))
+    return _sample(SchedulingPoset(H), random.Random(seed))
+
+
+def wolfe_path():
+    """A ``with`` block in which ``min_norm_base`` takes the Fujishige-Wolfe
+    path on every ground, however small."""
+    return mock.patch.object(sfm, "EXACT_SOLVER_CAP", -1)

@@ -31,9 +31,10 @@ from ordolab.instances import (
 )
 
 #: build_gh_tree(CutFunction(random_weighted_graph(n, 2n, Random(n))),
-#: seed=n) with every s-t cut solved by submodular minimization of the
-#: contracted cut function: on the dense table for n = 11 and 16, by the
-#: Wolfe path for n = 24.  The flow cuts must give the same trees.
+#: seed=n) as once computed with every s-t cut solved by submodular
+#: minimization of the contracted cut function: on the dense table for
+#: n = 11 and 16, by the Wolfe path for n = 24.  That path has since been
+#: removed; the flow cuts must still give the same trees.
 SFM_TREES = {
     11: [(3, 7, "14"), (2, 7, "11"), (5, 7, "23/2"), (1, 8, "6"), (6, 8, "8"), (4, 7, "10"),
          (9, 7, "11"), (10, 7, "13/2"), (8, 3, "13"), (7, 0, "19/2")],
@@ -101,7 +102,7 @@ def test_gh_cut_property_random():
 def test_gh_rejects_asymmetric_oracle():
     from ordolab import UniformMatroid
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="graph cut functions only"):
         build_gh_tree(UniformMatroid(4, 2))
 
 

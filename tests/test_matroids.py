@@ -107,7 +107,7 @@ def test_graphic_rank_matches_oriented_incidence_rank():
 def test_orientation_membership_matches_min_cuts_at_graph_scale(n):
     G = random_connected_graph(n, 2 * n, random.Random(n))
     f = GraphicMatroid(G)
-    x = min_norm_base(f, method="wolfe")
+    x = min_norm_base(f)
     assert f._base_membership(x) and graphic_membership_by_min_cuts(G, x)
     # moving 1/(2L) onto the least entry from the largest overfills the
     # tight level set {x <= min x}

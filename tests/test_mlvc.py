@@ -9,10 +9,10 @@ from ordolab import (
     CertificateError,
     Graph,
     Hypergraph,
+    SchedulingPoset,
     balance_check,
     best_of_n,
     build_lp,
-    build_poset,
     clique_gap,
     emit_lp,
     exact_pair_probability,
@@ -36,13 +36,13 @@ PRISM = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4)
 
 
 def test_build_poset_k2():
-    poset = build_poset(Hypergraph.from_graph(K2))
+    poset = SchedulingPoset(Hypergraph.from_graph(K2))
     assert poset.n_jobs == 3
     assert poset.precedes(0, 2) and poset.precedes(1, 2)
 
 
 def test_build_poset_k3():
-    poset = build_poset(Hypergraph.from_graph(K3))
+    poset = SchedulingPoset(Hypergraph.from_graph(K3))
     assert poset.n_jobs == 6
     assert sum(
         poset.precedes(v, e) for v in range(3) for e in range(3, 6)
@@ -52,7 +52,7 @@ def test_build_poset_k3():
 def test_build_poset_triple_hyperedge():
     H = Hypergraph(3, (frozenset({0, 1, 2}),))
     assert H.max_edge_size == 3
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     assert poset.n_jobs == 4
 
 
@@ -64,7 +64,7 @@ def test_empty_hyperedge_rejected():
 def test_sample_extensions_are_linear_extensions():
     rng = random.Random(31)
     H = Hypergraph.from_graph(complete_graph(4))
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     for _ in range(200):
         schedule = _sample(poset, rng)
         assert poset.is_linear_extension(schedule)
@@ -79,7 +79,7 @@ def test_sample_k2_edge_always_last():
 def test_sample_vertex_marginal_uniform():
     rng = random.Random(32)
     H = Hypergraph.from_graph(K3)
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     first_counts = [0, 0, 0]
     trials = 30_000
     for _ in range(trials):
@@ -91,7 +91,7 @@ def test_sample_vertex_marginal_uniform():
 
 
 def test_exact_pair_probability_k3_edge_vs_vertex():
-    poset = build_poset(Hypergraph.from_graph(K3))
+    poset = SchedulingPoset(Hypergraph.from_graph(K3))
     # edge {0,1} is job 3; vertex 2 incomparable with it
     assert exact_pair_probability(poset, 3, 2) == Fraction(1, 3)
     assert exact_pair_probability(poset, 2, 3) == Fraction(2, 3)
@@ -99,24 +99,24 @@ def test_exact_pair_probability_k3_edge_vs_vertex():
 
 def test_exact_pair_probability_disjoint_edges():
     H = Hypergraph(4, (frozenset({0, 1}), frozenset({2, 3})))
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     assert exact_pair_probability(poset, 4, 5) == Fraction(1, 2)
 
 
 def test_exact_pair_probability_sharing_triples():
     H = Hypergraph(5, (frozenset({0, 1, 2}), frozenset({2, 3, 4})))
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     assert exact_pair_probability(poset, 5, 6) == Fraction(1, 2)
 
 
 def test_exact_pair_probability_comparable_is_none():
-    poset = build_poset(Hypergraph.from_graph(K2))
+    poset = SchedulingPoset(Hypergraph.from_graph(K2))
     assert exact_pair_probability(poset, 0, 2) is None
 
 
 def test_nested_hyperedges_treated_as_comparable():
     H = Hypergraph(3, (frozenset({0, 1}), frozenset({0, 1, 2})))
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     assert (3, 4) not in poset.incomparable_pairs()
 
 
@@ -125,7 +125,7 @@ def test_balance_check_k4():
     report = balance_check(H, 20_000, seed=33)
     assert report.floor == Fraction(1, 3)
     assert not report.flagged
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     for (a, b), emp in report.probabilities.items():
         exact = float(exact_pair_probability(poset, a, b))
         sigma = (exact * (1 - exact) / report.trials) ** 0.5

@@ -3,8 +3,7 @@ certificate, the exact linear solver and the exact max-flow against brute
 force.
 
 Random graphic (with loops and parallel edges), vector and
-Fraction-weighted cut oracles, plus contractions of them, and square
-linear systems, checked against the enumerations and the reference solver
+Fraction-weighted cut oracles, and square linear systems, checked against the enumerations and the reference solver
 in ``helpers``; the MLVC relaxation's constructed primal-dual pair against
 the same check in Fractions, its value against the coverage function's
 principal-partition bound and the brute-force MLVC optimum, and its
@@ -31,17 +30,16 @@ from hypothesis import strategies as st
 
 from ordolab import (
     CertificateError,
-    ContractedOracle,
     CoverageFunction,
     CutFunction,
     Graph,
     GraphicMatroid,
     Hypergraph,
+    SchedulingPoset,
     VectorMatroid,
     balance_check,
     best_of_n,
     compute_principal_partition,
-    constrained_min,
     exact_mlop_dp,
     exact_weighted_mlop_dp,
     min_norm_base,
@@ -60,7 +58,6 @@ from ordolab.mlvc import (
     _sample,
     _samples,
     build_lp,
-    build_poset,
     mlvc_brute_optimum,
     solve_lp,
 )
@@ -86,6 +83,7 @@ from helpers import (
     level_sets_tight_by_scan,
     loop_dp,
     reference_sample,
+    wolfe_path,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -174,14 +172,17 @@ def test_minimize_offset_matches_brute_scan(f, lam):
 @given(oracles, lambdas)
 def test_minimize_offset_wolfe_matches_brute_scan(f, lam):
     # the certified min-norm path, empty grounds included
-    assert_matches_brute_scan(minimize_offset(f, lam, method="wolfe"), f, lam)
+    with wolfe_path():
+        res = minimize_offset(f, lam)
+    assert_matches_brute_scan(res, f, lam)
 
 
 @PROPERTY
 @given(oracles)
 def test_min_norm_base_is_the_same_exact_base_on_both_paths(f):
-    x = min_norm_base(f, method="enumerate")
-    assert min_norm_base(f, method="wolfe") == x
+    x = min_norm_base(f)
+    with wolfe_path():
+        assert min_norm_base(f) == x
     assert sum(x) == f(f.full_mask)
     for S in range(1 << f.m):
         assert sum(x[e] for e in range(f.m) if (S >> e) & 1) <= f(S)
@@ -192,23 +193,6 @@ def test_min_norm_base_is_the_same_exact_base_on_both_paths(f):
 def test_principal_partition_matches_the_brute_force_hull(f):
     pp = compute_principal_partition(f)
     assert (pp.sets, pp.critical_values) == brute_partition(f)
-
-
-@PROPERTY
-@given(oracles, lambdas, st.data())
-def test_constrained_min_matches_brute_scan(f, lam, data):
-    labels = data.draw(st.lists(st.sampled_from("ixf"), min_size=f.m, max_size=f.m))
-    include = sum(1 << e for e, c in enumerate(labels) if c == "i")
-    exclude = sum(1 << e for e, c in enumerate(labels) if c == "x")
-    res = constrained_min(f, lam, include=include, exclude=exclude)
-    feasible = [S for S in range(1 << f.m) if S & include == include and not S & exclude]
-    best = min(f(S) - lam * S.bit_count() for S in feasible)
-    argmins = [S for S in feasible if f(S) - lam * S.bit_count() == best]
-    inter, union = argmins[0], 0
-    for S in argmins:
-        inter &= S
-        union |= S
-    assert (res.min_value, res.minimal_minimizer, res.maximal_minimizer) == (best, inter, union)
 
 
 @PROPERTY
@@ -274,18 +258,6 @@ def test_keyed_dp_matches_the_layer_loop_at_scale(n, m):
 
 
 @PROPERTY
-@given(oracles, lambdas, st.data())
-def test_contracted_tables_match_the_base(f, lam, data):
-    labels = data.draw(st.lists(st.sampled_from("ufk"), min_size=f.m, max_size=f.m))
-    fixed = sum(1 << e for e, c in enumerate(labels) if c == "u")
-    kept = [e for e, c in enumerate(labels) if c == "k"]
-    g = ContractedOracle(f, fixed, kept)
-    assert list(g.dense_values()) == [g(S) * g.dense_denominator for S in range(1 << g.m)]
-    assert exact_mlop_dp(g)[0] == brute_mlop(g)[0]
-    assert_matches_brute_scan(minimize_offset(g, lam), g, lam)
-
-
-@PROPERTY
 @given(multigraphs(max_vertices=6, max_edges=10))
 def test_batched_graphic_table_matches_evaluate(G):
     f = GraphicMatroid(G)
@@ -297,7 +269,7 @@ def test_batched_graphic_table_matches_evaluate(G):
 @given(multigraphs(max_vertices=6, max_edges=9), st.data())
 def test_graphic_base_membership_matches_brute_force(G, data):
     f = GraphicMatroid(G)
-    x = min_norm_base(f, method="enumerate")
+    x = min_norm_base(f)
     assert f._base_membership(x) and in_graphic_base_polytope(G, x)
     assert sfm._certified(f, x)
     assume(f.m >= 2)
@@ -328,7 +300,7 @@ def test_orientation_membership_matches_the_min_cut_reference(G, data):
     # loops, parallel edges, isolated vertices and several components all
     # come from drawing the edges freely
     f = GraphicMatroid(G)
-    x = min_norm_base(f, method="enumerate")
+    x = min_norm_base(f)
     points = [x]
     if f.m >= 2:
         L = lcm(*(xe.denominator for xe in x))
@@ -439,7 +411,7 @@ def hypergraphs(draw):
 @PROPERTY
 @given(hypergraphs(), st.integers(1, 30), st.integers(0, 2**32))
 def test_inversion_counts_match_the_pair_loop(H, trials, seed):
-    pairs = build_poset(H).incomparable_pairs()
+    pairs = SchedulingPoset(H).incomparable_pairs()
     hits = _count_inversions(H, pairs, trials, seed)
     assert dict(zip(pairs, hits.tolist())) == count_inversions_by_pairs(H, trials, seed)
 
@@ -447,7 +419,7 @@ def test_inversion_counts_match_the_pair_loop(H, trials, seed):
 @PROPERTY
 @given(hypergraphs(), st.integers(0, 6), st.integers(0, 2**32))
 def test_samples_match_the_reference_loop_draw_for_draw(H, count, seed):
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     rng, reference = random.Random(seed), random.Random(seed)
     assert list(_samples(poset, rng, count)) == [reference_sample(poset, reference) for _ in range(count)]
     assert rng.getstate() == reference.getstate()
@@ -463,7 +435,7 @@ def test_inline_draws_match_random_shuffle(n, loops, seed):
     rng.shuffle(order)
     rng.shuffle(ties)
     at = order.index(0) + 1
-    poset, sampled = build_poset(Hypergraph(n, (frozenset({0}),) * loops)), random.Random(seed)
+    poset, sampled = SchedulingPoset(Hypergraph(n, (frozenset({0}),) * loops)), random.Random(seed)
     assert _sample(poset, sampled) == order[:at] + ties + order[at:]
     assert sampled.getstate() == rng.getstate()
 
@@ -471,7 +443,7 @@ def test_inline_draws_match_random_shuffle(n, loops, seed):
 @PROPERTY
 @given(hypergraphs())
 def test_incomparable_pairs_match_the_pair_loop(H):
-    poset = build_poset(H)
+    poset = SchedulingPoset(H)
     assert poset.incomparable_pairs() == incomparable_pairs_by_loop(poset)
 
 
@@ -503,8 +475,6 @@ def test_large_coprime_denominators_take_the_object_path():
     assert f.dense_denominator == 7 * primes[0] * primes[1] * primes[2] * primes[3]
     for lam in (Fraction(0), Fraction(1, 3), Fraction(1, 1000039)):
         assert_matches_brute_scan(minimize_offset(f, lam), f, lam)
-    res = constrained_min(f, Fraction(0), include=0b0001, exclude=0b0100)
-    assert res.min_value == min(f(S) for S in range(16) if S & 0b0101 == 0b0001)
     value, sigma = exact_mlop_dp(f)
     assert value == brute_mlop(f)[0] == mlop_objective(f, sigma)
     costs = [3, 1, 2, 5]
@@ -534,7 +504,7 @@ def test_edge_shares_orient_exactly_the_coverage_base(G, data):
     # every point of B(cov) is oriented with load y_v at each vertex (a
     # loop's halves both on its vertex); a point outside raises
     f = CoverageFunction(G)
-    x = min_norm_base(f, method="enumerate")
+    x = min_norm_base(f)
     points = [x]
     if G.n >= 2:
         i, j = data.draw(st.lists(st.integers(0, G.n - 1), min_size=2, max_size=2, unique=True))

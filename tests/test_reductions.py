@@ -247,6 +247,18 @@ def test_apex_good_property_star_ranks_distinct():
     assert len(set(star_ranks.values())) == len(red.star_edge_of)
 
 
+def test_colliding_star_ranks_fail_the_certificate():
+    # both original edges first span the path (rank 2); the first star edge
+    # then reaches the hub and each later one closes a cycle, so every star
+    # rank is 3
+    red = mlvc_to_weighted_graphic(path_graph(3))
+    stars = set(red.star_edge_of)
+    first = [e for e in range(red.apex_graph.m) if e not in stars]
+    sigma = Ordering.from_sequence(first + list(red.star_edge_of))
+    with pytest.raises(CertificateError, match="star ranks collide"):
+        red.recover_labeling(sigma)
+
+
 def test_composed_chain_structure():
     # the K2 chain expands to m + n + (k - 1) n = 1 + 2 + 10 * 2 = 23
     # elements, beyond any sensible exhaustive budget; check the algebra of

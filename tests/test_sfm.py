@@ -1,4 +1,5 @@
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -14,13 +15,11 @@ from ordolab import (
     SetFunctionOracle,
     UniformMatroid,
     VectorMatroid,
-    check_symmetry,
-    constrained_min,
     minimize_offset,
     st_min_cut,
 )
 
-from helpers import TableOracle, brute_min_offset
+from helpers import TableOracle, brute_min_offset, wolfe_path
 from ordolab import sfm
 from ordolab.instances import path_graph, random_connected_graph, triangle_with_bridge
 
@@ -98,36 +97,6 @@ def test_maximal_minimizer_monotone_in_lambda():
         prev = cur
 
 
-def test_constrained_equals_unconstrained_when_empty():
-    res = constrained_min(TB, Fraction(2, 3))
-    free = minimize_offset(TB, Fraction(2, 3))
-    assert res == free
-
-
-def test_constrained_min_include_exclude():
-    cut = CutFunction(path_graph(3))
-    res = constrained_min(cut, Fraction(0), include=0b001, exclude=0b100)
-    assert res.min_value == 1
-    assert res.minimal_minimizer == 0b001
-    assert res.maximal_minimizer == 0b011
-
-
-def test_constrained_min_bridge_forced():
-    # brute scan over the 8 feasible sets: E attains r(E) - |E| = 3 - 4 = -1
-    best = min(
-        TB(0b1000 | S) - (0b1000 | S).bit_count()
-        for S in range(8)
-    )
-    res = constrained_min(TB, Fraction(1), include=0b1000)
-    assert res.min_value == best == -1
-    assert res.maximal_minimizer == 0b1111
-
-
-def test_constrained_min_rejects_overlap():
-    with pytest.raises(ValueError):
-        constrained_min(TB, Fraction(0), include=0b1, exclude=0b1)
-
-
 def test_st_min_cut_path():
     cut = CutFunction(path_graph(3))
     side, value = st_min_cut(cut, 0, 2)
@@ -163,6 +132,12 @@ def test_st_min_cut_rejects_equal_endpoints():
         st_min_cut(cut, 1, 1)
 
 
+@pytest.mark.parametrize("f", [UniformMatroid(4, 2), ModularOracle(m=3)], ids=["uniform", "modular"])
+def test_only_cut_functions_are_cut_by_flow(f):
+    with pytest.raises(ValueError, match="graph cut functions only"):
+        st_min_cut(f, 0, 1)
+
+
 class TwoSeparateMinima(SetFunctionOracle):
     """f({0}) = f({1}) = -1, f = 0 elsewhere: not submodular, and the
     intersection of the two minimizers is not a minimizer."""
@@ -182,33 +157,28 @@ def test_non_submodular_oracle_fails_the_lattice_certificate():
 def test_non_submodular_oracle_fails_the_min_norm_certificate():
     # the level sets of x* = 0 attain the value 0; only the base polytope
     # check x*({e}) <= f({e}) = -1 exposes the oracle
-    with pytest.raises(CertificateError, match="base polytope"):
-        minimize_offset(TwoSeparateMinima(), Fraction(0), method="wolfe")
+    with pytest.raises(CertificateError, match="base polytope"), wolfe_path():
+        minimize_offset(TwoSeparateMinima(), Fraction(0))
 
 
-@pytest.mark.parametrize("method", ["enumerate", "wolfe"])
-def test_monotone_non_submodular_table_fails_the_base_polytope_check(method):
+@pytest.mark.parametrize("path", [nullcontext, wolfe_path], ids=["enumerate", "wolfe"])
+def test_monotone_non_submodular_table_fails_the_base_polytope_check(path):
     # the per-size minima 0, 0, 0, 1 have unique nested argmins {}, {0, 1}
     # and E, so the hull accepts the table; only x* = (0, 0, 1) exceeding
     # f({2}) = 0 exposes it
     f = TableOracle([0, 0, 0, 0, 0, 1, 1, 1])
-    with pytest.raises(CertificateError, match="base polytope"):
-        minimize_offset(f, Fraction(0), method=method)
+    with pytest.raises(CertificateError, match="base polytope"), path():
+        minimize_offset(f, Fraction(0))
 
 
-@pytest.mark.parametrize("method", ["enumerate", "wolfe"])
-def test_supermodular_oracle_fails_at_every_lambda(method):
+@pytest.mark.parametrize("path", [nullcontext, wolfe_path], ids=["enumerate", "wolfe"])
+def test_supermodular_oracle_fails_at_every_lambda(path):
     # the base certifies the oracle as a whole, so even lambda = 0, where
     # the empty set is the true minimizer, raises
     f = TableOracle([0, 1, 1, 3])
     for lam in (Fraction(0), Fraction(3, 2), Fraction(5)):
-        with pytest.raises(CertificateError):
-            minimize_offset(f, lam, method=method)
-
-
-def test_check_symmetry():
-    assert check_symmetry(CutFunction(path_graph(4)))
-    assert not check_symmetry(UniformMatroid(3, 2))
+        with pytest.raises(CertificateError), path():
+            minimize_offset(f, lam)
 
 
 @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)])
@@ -217,18 +187,20 @@ def test_wolfe_path_agrees_with_enumeration(lam):
     for _ in range(3):
         G = random_connected_graph(5, rng.randint(4, 8), rng)
         f = GraphicMatroid(G)
-        exact = minimize_offset(f, lam, method="enumerate")
-        wolfe = minimize_offset(f, lam, method="wolfe")
+        exact = minimize_offset(f, lam)
+        with wolfe_path():
+            wolfe = minimize_offset(f, lam)
         assert wolfe.min_value == exact.min_value
         assert wolfe.minimal_minimizer == exact.minimal_minimizer
         assert wolfe.maximal_minimizer == exact.maximal_minimizer
 
 
 def test_auto_switches_to_wolfe_beyond_cap():
-    # the large-ground path on a small ground; "auto" picks it beyond
-    # EXACT_SOLVER_CAP (test_approx_beyond_exact_cap_graphic)
+    # the large-ground path on a small ground; min_norm_base takes it
+    # beyond EXACT_SOLVER_CAP (test_approx_beyond_exact_cap_graphic)
     f = GraphicMatroid(path_graph(7))  # 6 edges
-    res = minimize_offset(f, Fraction(1, 2), method="wolfe")
+    with wolfe_path():
+        res = minimize_offset(f, Fraction(1, 2))
     assert res.min_value == 0
     assert res.minimal_minimizer == 0
 
@@ -256,12 +228,16 @@ def test_exact_finish_completes_a_float_search_stopped_early(monkeypatch):
     for f in (graphic, vector):
         for lam in (Fraction(0), Fraction(1, 2), Fraction(4, 7), Fraction(1)):
             finishes.clear()
-            assert minimize_offset(f, lam, method="wolfe") == minimize_offset(f, lam)
+            with wolfe_path():
+                wolfe = minimize_offset(f, lam)
+            assert wolfe == minimize_offset(f, lam)
             assert len(finishes) == 1
 
 
 def test_graphic_wolfe_base_is_rounded_and_flow_certified(monkeypatch):
     finishes = counted_finishes(monkeypatch)
     f = GraphicMatroid(random_connected_graph(8, 16, random.Random(16)))
-    assert sfm.min_norm_base(f, method="wolfe") == sfm.min_norm_base(f, method="enumerate")
+    with wolfe_path():
+        x = sfm.min_norm_base(f)
+    assert x == sfm.min_norm_base(f)
     assert finishes == []
