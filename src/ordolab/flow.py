@@ -1,11 +1,20 @@
 """Exact maximum flows and load-bounded orientations on undirected
-multigraphs with integer capacities.
+multigraphs with integer capacities, all found by one search.
 
-``FlowNetwork.min_cut`` runs Dinic's algorithm (Dinic 1970): breadth-first
-levels in the residual graph, then a blocking flow along level-increasing
-arcs, found by an iterative depth-first search with one current-arc pointer
-per vertex, so no recursion limit is reached however long a path gets.
-Every flow is checked in integers before it is used:
+An orientation splits each edge's weight into integer shares on its two
+endpoints; a vertex's load sums its shares.  ``_drain`` moves excess load
+off a vertex along shortest paths of positive shares to vertices with
+slack, one breadth-first search per path that stops at the first vertex
+with slack (Edmonds and Karp 1972); an edge's share on its tail is the
+residual capacity of an arc.  ``bounded_orientation`` finds shares with
+every load within a given capacity, and ``forest_violation`` bounds the
+weight inside every vertex set by one orientation moved from root to root
+(Hakimi 1965).  Both start from the same greedy shares, and each verdict
+is checked in integers.
+
+``FlowNetwork.min_cut`` drains a load on s larger than any cut into t, the
+only vertex with room for it, with every residual capacity starting at the
+edge's capacity.  The flow is checked in integers before it is used:
 
 - each edge carries at most its capacity, in either direction;
 - flow is conserved at every vertex other than s and t;
@@ -18,15 +27,6 @@ minimum cut that contains s: a minimum cut is saturated by every maximum
 flow, so no residual path leaves it.  A failed check raises
 ``CertificateError``; a caller that knows the cut function compares the
 value with it as well.
-
-An orientation splits each edge's weight into integer shares on its two
-endpoints; a vertex's load sums its shares.  ``bounded_orientation`` finds
-one with every load within a given capacity, and ``forest_violation``
-bounds the weight inside every vertex set by one orientation moved from
-root to root (Hakimi 1965).  Both start from the same greedy shares and
-move excess load along paths of positive shares (``_drain``); an edge's
-share on its tail is the residual capacity of an arc, and each verdict is
-checked in integers.
 
 Three users: a graph's cut function takes its s-t cuts from ``min_cut``
 (``sfm.st_min_cut``), the graphic matroid decides whether a
@@ -48,7 +48,9 @@ class FlowNetwork:
     """An undirected multigraph on vertices 0..n-1 with nonnegative integer
     edge capacities.  Parallel edges are merged and self-loops dropped;
     neither changes a cut.  ``edges`` lists the distinct vertex pairs in the
-    order of their first appearance, with their summed ``capacities``."""
+    order of their first appearance, with their summed ``capacities``; the
+    orientations of this module use the same arcs, and ``min_cut`` runs
+    their search."""
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]], capacities: Sequence[int]):
         merged: dict[tuple[int, int], int] = {}
@@ -69,66 +71,18 @@ class FlowNetwork:
     def min_cut(self, s: int, t: int) -> tuple[int, int]:
         """(X, value): the smallest minimum s-t cut X, a bitmask containing
         s, and its capacity, read off a checked maximum flow; s != t."""
-        return _certify(self, _dinic(self, s, t), s, t)
+        return _certify(self, _max_flow(self, s, t), s, t)
 
 
-def _levels(net: FlowNetwork, residual: list[int], s: int) -> list[int]:
-    """Breadth-first distance from s along arcs with residual capacity;
-    -1 where unreachable."""
-    head, out = net._head, net._out
-    level = [-1] * net.n
-    level[s] = 0
-    queue = [s]
-    for v in queue:
-        below = level[v] + 1
-        for a in out[v]:
-            w = head[a]
-            if level[w] < 0 and residual[a] > 0:
-                level[w] = below
-                queue.append(w)
-    return level
-
-
-def _dinic(net: FlowNetwork, s: int, t: int) -> list[int]:
+def _max_flow(net: FlowNetwork, s: int, t: int) -> list[int]:
     """A maximum s-t flow: the net flow along each edge (u, v), negative when
-    it runs from v to u."""
-    head, out = net._head, net._out
+    it runs from v to u.  s holds more load than any cut carries and only t
+    has room for it, so draining s saturates a minimum cut; the residual
+    capacities are the shares of ``_drain``."""
     residual = [c for c in net.capacities for _ in range(2)]
-    while True:
-        level = _levels(net, residual, s)
-        if level[t] < 0:
-            break
-        current = [0] * net.n
-        path: list[int] = []
-        v = s
-        while True:
-            if v == t:
-                delta = min(residual[a] for a in path)
-                for a in path:
-                    residual[a] -= delta
-                    residual[a ^ 1] += delta
-                # resume from the tail of the first saturated arc
-                k = next(j for j, a in enumerate(path) if not residual[a])
-                v = head[path[k] ^ 1]
-                del path[k:]
-                continue
-            arcs, i, below = out[v], current[v], level[v] + 1
-            end = len(arcs)
-            while i < end:
-                a = arcs[i]
-                if residual[a] > 0 and level[head[a]] == below:
-                    break
-                i += 1
-            current[v] = i
-            if i < end:
-                path.append(a)
-                v = head[a]
-            elif path:
-                # dead end: retreat and skip the arc that led here
-                v = head[path.pop() ^ 1]
-                current[v] += 1
-            else:
-                break
+    load, cap = [0] * net.n, [0] * net.n
+    load[s] = cap[t] = sum(net.capacities) + 1
+    _drain(net, residual, load, cap, s)
     return [c - residual[2 * i] for i, c in enumerate(net.capacities)]
 
 
@@ -144,10 +98,19 @@ def _certify(net: FlowNetwork, flow: list[int], s: int, t: int) -> tuple[int, in
     if any(excess[v] for v in range(net.n) if v != s and v != t):
         raise CertificateError("flow is not conserved")
     residual = [r for c, x in zip(net.capacities, flow) for r in (c - x, c + x)]
-    level = _levels(net, residual, s)
-    if level[t] >= 0:
+    head, out = net._head, net._out
+    reached = [False] * net.n
+    reached[s] = True
+    queue = [s]
+    for v in queue:
+        for a in out[v]:
+            w = head[a]
+            if residual[a] > 0 and not reached[w]:
+                reached[w] = True
+                queue.append(w)
+    if reached[t]:
         raise CertificateError("t is reachable from s in the residual graph: flow not maximum")
-    return sum(1 << v for v in range(net.n) if level[v] >= 0), excess[t]
+    return sum(1 << v for v in queue), excess[t]
 
 
 def forest_violation(

@@ -3,10 +3,11 @@ induce.
 
 Construction uses Gusfield's scheme (no contraction; Gusfield, SIAM J.
 Comput. 1990, and Queyranne 1998 for symmetric submodular functions), one
-``sfm.st_min_cut`` per vertex: an exact integer maximum flow (Dinic 1970),
-checked before use.  Every edge of the result is then re-checked against
-the defining cut property: the tree side of the edge must have the edge's
-weight w, and the minimum cut between its endpoints must be at least w.
+``sfm.st_min_cut`` per vertex: an exact integer maximum flow by shortest
+augmenting paths (``flow``), checked before use.  Every edge of the result
+is then re-checked against the defining cut property: the tree side of the
+edge must have the edge's weight w, and the minimum cut between its
+endpoints must be at least w.
 The second half is read from the certified cut values Gusfield computed:
 a chain of solved vertex pairs, each of value at least w, joins the
 endpoints.  Only an edge without such a chain is cut again.

@@ -339,8 +339,8 @@ class CutFunction(SetFunctionOracle):
     and the full vertex set.  The ground set is the vertex set.  The weights
     are kept as integers over their common denominator D: evaluation sums
     integers, the dense table is filled in one pass per edge, and
-    ``sfm.st_min_cut`` takes s-t cuts from an exact integer maximum flow on
-    ``network`` (``flow.FlowNetwork``).
+    ``sfm.st_min_cut`` takes s-t cuts from an exact integer maximum flow by
+    shortest augmenting paths on ``network`` (``flow.FlowNetwork``).
     """
 
     def __init__(self, graph: Graph):

@@ -36,8 +36,9 @@ vertex reads f on the m + 1 prefixes of its order through the oracle's
 A failed check raises ``CertificateError``.
 
 ``st_min_cut`` cuts graph cut functions only, by checked flows: an exact
-integer maximum flow (``flow``) whose value must equal the cut function on
-the flow's side, with no table built.
+integer maximum flow (``flow``, shortest augmenting paths, the search that
+also builds the graphic orientations) whose value must equal the cut
+function on the flow's side, with no table built.
 
 References: Fujishige, Math. OR 1980 (lexicographically optimal base) and
 Submodular Functions and Optimization, 2nd ed. 2005, Thm 7.15; Nagano,
@@ -161,9 +162,9 @@ def st_min_cut(f: CutFunction, s: int, t: int) -> tuple[int, Fraction]:
     """A minimum s-t cut of a graph's cut function: the smallest X with s in
     X and t out of X, minimizing f(X).  Returns (cut set, value).
 
-    Read off an exact integer maximum flow, checked before use (``flow``),
-    whose value must also equal D * f(side); no table is built.  Any other
-    oracle raises ValueError."""
+    Read off an exact integer maximum flow by shortest augmenting paths,
+    checked before use (``flow``), whose value must also equal D * f(side);
+    no table is built.  Any other oracle raises ValueError."""
     if not isinstance(f, CutFunction):
         raise ValueError("s-t cuts are taken from graph cut functions only")
     if s == t:

@@ -37,7 +37,9 @@ class BoundCertificate:
     """Certified sandwich for one approximation run.
 
     lower <= exact optimum <= achieved <= upper, and
-    upper <= guarantee * lower, all as exact rationals.
+    upper <= guarantee * lower, all as exact rationals.  The chain
+    lower <= achieved <= upper <= guarantee * lower is checked on
+    construction (CertificateError otherwise), except in the trivial case.
     """
 
     lower: Fraction
@@ -45,6 +47,13 @@ class BoundCertificate:
     guarantee: Fraction
     achieved: Fraction
     trivial: bool = False
+
+    def __post_init__(self):
+        if not self.trivial and not self.lower <= self.achieved <= self.upper <= self.guarantee * self.lower:
+            raise CertificateError(
+                f"bound chain violated: lower {self.lower}, achieved {self.achieved}, "
+                f"upper {self.upper}, guarantee {self.guarantee}"
+            )
 
 
 def uniform_closed_form(k: int, m: int) -> int:

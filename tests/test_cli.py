@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from ordolab import CertificateError, cli, sfm
+from ordolab import CertificateError, cli, sfm, solve
 from ordolab.gomoryhu import GomoryHuTree
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
@@ -255,6 +256,16 @@ def test_certificate_failure_exit_code(tmp_path, monkeypatch):
     report, code = run_cli(["approx", "--input", path])
     assert code == 1
     assert "lattice" in report["error"]
+
+
+def test_upper_bound_below_the_achieved_value_exits_1(tmp_path, monkeypatch):
+    # the triangle with a bridge reads lower 7, achieved 8 and upper 8;
+    # an upper bound of 15/2 keeps lower <= upper and breaks achieved <= upper
+    monkeypatch.setattr(solve, "pp_upper_bound", lambda f, pp: Fraction(15, 2))
+    path = write(tmp_path, "tb.graph", TB_TEXT)
+    report, code = run_cli(["approx", "--input", path])
+    assert code == 1
+    assert "bound chain" in report["error"]
 
 
 def test_varying_gomory_hu_weight_exits_1(tmp_path, monkeypatch):

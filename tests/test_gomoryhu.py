@@ -237,14 +237,14 @@ def test_side_values_alone_do_not_certify_a_tree(monkeypatch):
 
 
 def test_shifted_flow_exits_1(tmp_path, monkeypatch):
-    dinic = flow._dinic
+    max_flow = flow._max_flow
 
     def shifted(net, s, t):
-        x = dinic(net, s, t)
+        x = max_flow(net, s, t)
         x[0] += 1
         return x
 
-    monkeypatch.setattr(flow, "_dinic", shifted)
+    monkeypatch.setattr(flow, "_max_flow", shifted)
     path = tmp_path / "p4.graph"
     path.write_text("4 3\n1 2\n2 3\n3 4\n")
     report, code = cli.run(["ghtree", "--input", str(path)])

@@ -600,10 +600,27 @@ def terminals(draw, n):
     return s, draw(st.integers(0, n - 1).filter(lambda t: t != s))
 
 
+@st.composite
+def cut_problems(draw):
+    """(G, s, t): a weighted multigraph and two distinct terminals."""
+    G = draw(weighted_multigraphs())
+    return (G, *draw(terminals(G.n)))
+
+
+BIG = 10**12
+
+
 @PROPERTY
-@given(weighted_multigraphs(), st.data())
-def test_flow_cut_is_the_smallest_minimum_cut(G, data):
-    s, t = data.draw(terminals(G.n))
+@given(cut_problems())
+# weights 1 and 10^12 side by side: light edges decide the cut between heavy
+# paths, light and heavy parallel edges beside a heavy loop, and a light
+# fractional edge (D = 3) between heavy ones
+@example((Graph(4, ((0, 1), (1, 3), (0, 2), (2, 3), (1, 2)), (BIG, BIG, BIG, 1, 1)), 0, 3))
+@example((Graph(4, ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3)), (BIG, 1, BIG, 1, BIG)), 0, 3))
+@example((Graph(3, ((0, 1), (1, 2), (0, 1), (0, 0)), (BIG, BIG, 1, BIG)), 2, 0))
+@example((Graph(5, ((0, 1), (1, 2), (3, 4), (2, 3)), (BIG, 1, BIG, Fraction(1, 3))), 4, 0))
+def test_flow_cut_is_the_smallest_minimum_cut(problem):
+    G, s, t = problem
     f = CutFunction(G)
     side, value = st_min_cut(f, s, t)
     cuts = [S for S in range(1 << G.n) if (S >> s) & 1 and not (S >> t) & 1]
@@ -621,14 +638,14 @@ def test_a_shifted_flow_fails_the_certificate(G, data):
     assume(f.network.edges)
     s, t = data.draw(terminals(G.n))
     i = data.draw(st.integers(0, len(f.network.edges) - 1))
-    dinic = flow._dinic
+    max_flow = flow._max_flow
 
     def shifted(net, s, t):
-        x = dinic(net, s, t)
+        x = max_flow(net, s, t)
         x[i] += 1
         return x
 
-    with mock.patch.object(flow, "_dinic", shifted), pytest.raises(CertificateError):
+    with mock.patch.object(flow, "_max_flow", shifted), pytest.raises(CertificateError):
         st_min_cut(f, s, t)
 
 
