@@ -230,6 +230,8 @@ def _cmd_reduce(args):
 def _cmd_mlvc(args):
     if args.sample is None and not args.lp and args.balance is None:
         raise ValueError("choose at least one of --sample N, --lp, --balance N")
+    if args.emit and not args.lp:
+        raise ValueError("--emit writes the LP relaxation: it needs --lp")
     instance = parse_instance(args.input, args.kind)
     results = {}
     if args.sample is not None:

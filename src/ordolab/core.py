@@ -233,10 +233,10 @@ class SetFunctionOracle:
     """
 
     #: ``_base_membership(x)``, for classes that decide exactly whether x
-    #: lies in the base polytope (``GraphicMatroid``: by orientations); None
-    #: elsewhere.  ``sfm.min_norm_base`` certifies a base of such a class
-    #: by that test, and other bases by a Wolfe finish that assumes f is
-    #: submodular.
+    #: lies in the base polytope (``GraphicMatroid`` and
+    #: ``CoverageFunction``: by orientations); None elsewhere.
+    #: ``sfm.min_norm_base`` certifies a base of such a class by that test,
+    #: and other bases by a Wolfe finish that assumes f is submodular.
     _base_membership = None
 
     def __init__(self, ground: GroundSet):

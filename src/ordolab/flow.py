@@ -29,11 +29,11 @@ flow, so no residual path leaves it.  A failed check raises
 value with it as well.
 
 Three users: a graph's cut function takes its s-t cuts from ``min_cut``
-(``sfm.st_min_cut``), the graphic matroid decides whether a
-point lies in its base polytope by ``forest_violation``
-(``GraphicMatroid._base_membership``), and the MLVC relaxation's dual
-spreads each edge over its endpoints by ``bounded_orientation``
-(``mlvc.solve_lp``).
+(``sfm.st_min_cut``), the graphic matroid decides base polytope membership
+by ``forest_violation`` (``GraphicMatroid._base_membership``), and the
+coverage function spreads each edge over its endpoints by
+``bounded_orientation`` (``CoverageFunction._edge_shares``), to decide its
+base polytope membership and for the MLVC relaxation's dual.
 """
 
 from __future__ import annotations

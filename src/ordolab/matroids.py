@@ -11,6 +11,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
+    CertificateError,
     Graph,
     GroundSet,
     ParseError,
@@ -21,7 +22,7 @@ from .core import (
     mask_of,
     narrowed,
 )
-from .flow import FlowNetwork, forest_violation
+from .flow import FlowNetwork, bounded_orientation, forest_violation
 
 
 class Matroid(SetFunctionOracle):
@@ -385,6 +386,40 @@ class CoverageFunction(SetFunctionOracle):
 
     def evaluate(self, subset: int) -> int:
         return sum(((subset >> u) | (subset >> v)) & 1 for u, v in self.graph.edges)
+
+    def _base_membership(self, x: Sequence[Fraction]) -> bool:
+        """Whether x lies in the base polytope, decided exactly.  As cov(X)
+        = m - |E(V - X)|, E(Y) the edges and loops inside Y, it does when
+        x(V) = m and x(Y) >= |E(Y)| for every Y: when the edges can be
+        oriented with each vertex's load at most x_v, a loop on its vertex
+        (Hakimi 1965).  True rests on such an orientation, checked in
+        integers (``_edge_shares``); a stuck drain answers False."""
+        if any(xv < 0 for xv in x) or sum(x) != self.graph.m:
+            return False
+        try:
+            self._edge_shares(x)
+        except CertificateError:
+            return False
+        return True
+
+    def _edge_shares(self, x: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
+        """For each edge (a, b), its parts on a and b, summing to 1, with
+        every vertex's load x_v for x in the base polytope, else
+        CertificateError; a loop's parts are 1/2 and 1/2, one per cover row
+        of the MLVC relaxation.  Scaled by L, the lcm of the denominators,
+        each edge weighs L and a loop's weight is taken off its vertex's
+        capacity L x_v (``flow.bounded_orientation``); the merged share of
+        parallel copies is split evenly over them."""
+        G = self.graph
+        L = lcm(*(Fraction(xv).denominator for xv in x))
+        cap = [int(xv * L) for xv in x]
+        for a, b in G.edges:
+            cap[a] -= L * (a == b)
+        pairs, share = bounded_orientation(G.n, G.edges, [L] * G.m, cap)
+        part = {(a, b): Fraction(1, 2) for a, b in G.edges if a == b}  # part[a, b]: the part on a
+        for (u, v), on_u, on_v in zip(pairs, share[::2], share[1::2]):
+            part[u, v], part[v, u] = Fraction(on_u, on_u + on_v), Fraction(on_v, on_u + on_v)
+        return [(part[a, b], part[b, a]) for a, b in G.edges]
 
     def _scaled_table(self) -> tuple[int, np.ndarray]:
         """All 2^n values, one numpy OR pass per edge adding 1 wherever

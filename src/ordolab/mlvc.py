@@ -2,6 +2,9 @@
 linear-extension sampler, a best-of-N randomized solver, and the exact LP
 relaxation, whose optimum is certified by a primal-dual pair built from
 the coverage function's minimum-norm base (``solve_lp``), not searched for.
+The pair is checked against the relaxation's row and column families
+from its structure, in O(m n + n^2) steps (``simplex``); the model's
+m n^2 row terms are built only for ``emit_lp``.
 
 Jobs are numbered 0..n-1 for vertices and n..n+h-1 for hyperedges.  A
 hyperedge job is preceded by each of its vertices and nothing else, so a
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice
@@ -30,10 +32,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import Graph, Ordering, ParseError, _nonblank_lines, mlvc_objective
-from .flow import bounded_orientation
 from .matroids import CoverageFunction
 from .sfm import min_norm_base
-from .simplex import certify_optimum
+from .simplex import certify_relaxation
 
 
 @dataclass(frozen=True)
@@ -335,49 +336,51 @@ class LpModel:
     of all u.  Constraints: at most one vertex per time step (the n pack
     rows); u[e, t] + sum over t' < t of x[v, t'] >= 1 for every v in e (the
     cover rows, edge by edge, first endpoint then second, t ascending; a
-    loop has two identical sets).  ``solve_lp`` certifies its optimum and
-    ``emit_lp`` writes it out for external solvers.
+    loop has two identical sets).  ``solve_lp`` reads only the graph; the
+    columns and rows are built on first access, for ``emit_lp``.
     """
 
     graph: Graph
-    var_names: list[str]
-    objective: list[Fraction]
-    #: (terms, sense, rhs), terms as (column, coefficient) pairs in
-    #: ascending column order
-    rows: list[tuple[list[tuple[int, Fraction]], str, Fraction]]
-    row_names: list[str]
 
     @property
     def num_vars(self) -> int:
-        return len(self.var_names)
+        return self.graph.n * (self.graph.m + self.graph.n)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.rows)
+        return self.graph.n * (1 + 2 * self.graph.m)
+
+    def __getattr__(self, name: str):
+        # var_names, objective, rows and row_names, built together on first
+        # access; a row's terms are (column, coefficient) pairs, ascending
+        if name not in ("var_names", "objective", "rows", "row_names"):
+            raise AttributeError(name)
+        G, n, one = self.graph, self.graph.n, Fraction(1)
+        steps = range(1, n + 1)
+        var_names = [f"u_e{ei}_t{t}" for ei in range(G.m) for t in steps]
+        first_x = len(var_names)  # u[e, t] is column e n + t - 1, x[v, t] is first_x + v n + t - 1
+        var_names += [f"x_v{v}_t{t}" for v in range(n) for t in steps]
+        rows = [([(first_x + v * n + t - 1, one) for v in range(n)], "<=", one) for t in steps]
+        row_names = [f"pack_t{t}" for t in steps]
+        for ei, edge in enumerate(G.edges):
+            for v in edge:
+                for t in steps:
+                    x_before = [(first_x + v * n + tp - 1, one) for tp in range(1, t)]
+                    rows.append(([(ei * n + t - 1, one)] + x_before, ">=", one))
+                    row_names.append(f"cover_e{ei}_v{v}_t{t}")
+        objective = [one] * first_x + [Fraction(0)] * (n * n)
+        self.__dict__.update(var_names=var_names, objective=objective, rows=rows, row_names=row_names)
+        return self.__dict__[name]
 
 
 def build_lp(G: Graph) -> LpModel:
-    n, one = G.n, Fraction(1)
-    steps = range(1, n + 1)
-    var_names = [f"u_e{ei}_t{t}" for ei in range(G.m) for t in steps]
-    first_x = len(var_names)  # u[e, t] is column e n + t - 1, x[v, t] is first_x + v n + t - 1
-    var_names += [f"x_v{v}_t{t}" for v in range(n) for t in steps]
-    rows = [([(first_x + v * n + t - 1, one) for v in range(n)], "<=", one) for t in steps]
-    row_names = [f"pack_t{t}" for t in steps]
-    for ei, edge in enumerate(G.edges):
-        for v in edge:
-            for t in steps:
-                x_before = [(first_x + v * n + tp - 1, one) for tp in range(1, t)]
-                rows.append(([(ei * n + t - 1, one)] + x_before, ">=", one))
-                row_names.append(f"cover_e{ei}_v{v}_t{t}")
-    objective = [one] * first_x + [Fraction(0)] * (n * n)
-    return LpModel(graph=G, var_names=var_names, objective=objective, rows=rows, row_names=row_names)
+    return LpModel(G)
 
 
 def solve_lp(model: LpModel) -> Fraction:
     """Exact LP optimum, certified by a constructed primal-dual pair that
-    must pass ``simplex.certify_optimum`` on the model's rows, else
-    CertificateError; nothing is searched for.  The optimum equals
+    must pass ``simplex.certify_relaxation``, else CertificateError; no
+    row is built and nothing is searched for.  The optimum equals
     ``pp_lower_bound`` of the coverage function cov(X) = #edges meeting X,
     and both halves of the pair are read off cov's minimum-norm base x*.
 
@@ -386,7 +389,7 @@ def solve_lp(model: LpModel) -> Fraction:
       every step o + 1..o + k, and u[e, t] = 1 - min over v in e of the
       part of v scheduled before t.
     - Dual: an orientation theta splits each edge over its endpoints with
-      every vertex's load equal to x*_v (``flow.bounded_orientation``;
+      every vertex's load equal to x*_v (``CoverageFunction._edge_shares``;
       Hakimi 1965); a loop puts 1/2 on each of its two cover rows.  With
       mu_1 the largest x*_v and mu_t the (t - 1)-th largest for t >= 2, the
       cover row of (e, v, t) gets theta[e, v] min(1, mu_t / x*_v) (0 where
@@ -394,66 +397,29 @@ def solve_lp(model: LpModel) -> Fraction:
       is Charikar's densest-subgraph LP (APPROX 2000).
 
     For a d-regular graph on n vertices the value is d n (n + 1) / 4."""
-    x, y = _lp_pair(model)
-    return certify_optimum(model.objective, model.rows, x, y)
+    return certify_relaxation(model.graph, *_sidney_pair(model.graph))
 
 
-def _lp_pair(model: LpModel) -> tuple[list[Fraction], list[Fraction]]:
-    """The primal point and the row duals of ``solve_lp``, in the column
-    and row order of ``build_lp``."""
-    G, n = model.graph, model.graph.n
-    base = min_norm_base(CoverageFunction(G))
+def _sidney_pair(G: Graph):
+    """(X, theta, rho, y), the pair of ``solve_lp`` in the form
+    ``simplex.certify_relaxation`` reads: X[v][t] the part of v scheduled
+    in steps 1..t, theta the parts of each edge on its endpoints, rho[v][t
+    - 1] = min(1, mu_t / x*_v) and y[t - 1] the dual of pack row t."""
+    n = G.n
+    f = CoverageFunction(G)
+    base = min_norm_base(f)
     order = sorted(range(n), key=base.__getitem__, reverse=True)
-    # primal: X[v][t], the part of v scheduled in steps 1..t
-    x = [Fraction(0)] * model.num_vars
-    first_x, X = G.m * n, [[Fraction(0)] * (n + 1) for _ in range(n)]
-    offset = 0
+    X, offset = [[Fraction(0)] * (n + 1) for _ in range(n)], 0
     for _, block in groupby(order, key=base.__getitem__):
         block = list(block)
-        k = len(block)
+        spread = [min(Fraction(t, len(block)), Fraction(1)) for t in range(1, n - offset + 1)]
         for v in block:
-            for t in range(offset + 1, n + 1):
-                X[v][t] = min(Fraction(t - offset, k), Fraction(1))
-            for t in range(offset + 1, offset + k + 1):
-                x[first_x + v * n + t - 1] = Fraction(1, k)
-        offset += k
-    for ei, (a, b) in enumerate(G.edges):
-        for t in range(1, n + 1):
-            x[ei * n + t - 1] = 1 - min(X[a][t - 1], X[b][t - 1])
-    # dual
+            X[v][offset + 1:] = spread
+        offset += len(block)
     mu = [base[order[0]], *(base[v] for v in order[:-1])] if n else []
+    rho = [[min(Fraction(1), mu_t / xv) if xv else Fraction(0) for mu_t in mu] for xv in base]
     y = [-sum(mu[t:], Fraction(0)) for t in range(1, n + 1)]
-    for (a, b), shares in zip(G.edges, _edge_shares(G, base)):
-        for v, theta in zip((a, b), shares):
-            y += [theta * min(Fraction(1), mu_t / base[v]) if base[v] else Fraction(0) for mu_t in mu]
-    return x, y
-
-
-def _edge_shares(G: Graph, base: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    """For each edge (a, b), the parts of it on a and b, summing to 1, so
-    that every vertex's load is base[v]; a loop's parts are 1/2 and 1/2,
-    one per cover row.  Scaled by L, the lcm of the denominators, each edge
-    weighs L and a loop's weight is taken off its vertex's capacity; the
-    merged share of parallel copies is split evenly over them."""
-    L = math.lcm(*(b.denominator for b in base))
-    cap = [b.numerator * (L // b.denominator) for b in base]
-    for a, b in G.edges:
-        if a == b:
-            cap[a] -= L
-    pairs, share = bounded_orientation(G.n, G.edges, [L] * G.m, cap)
-    index = {pair: i for i, pair in enumerate(pairs)}
-    copies = Counter((min(a, b), max(a, b)) for a, b in G.edges)
-    half = Fraction(1, 2)
-    shares = []
-    for a, b in G.edges:
-        if a == b:
-            shares.append((half, half))
-            continue
-        pair = (min(a, b), max(a, b))
-        i, whole = index[pair], copies[pair] * L
-        low, high = Fraction(share[2 * i], whole), Fraction(share[2 * i + 1], whole)
-        shares.append((low, high) if a < b else (high, low))
-    return shares
+    return X, f._edge_shares(base), rho, y
 
 
 def emit_lp(model: LpModel) -> str:

@@ -19,7 +19,7 @@ vertex reads f on the m + 1 prefixes of its order through the oracle's
 ``_prefix_values`` (one union-find pass for a graphic matroid).
 
 - A class with an exact base polytope test, ``_base_membership`` (the
-  graphic matroid, by n - 1 checked orientations, ``flow``), rounds the
+  graphic matroid and coverage, by checked orientations, ``flow``), rounds the
   search's point: the elements sorted by it take the slopes of the
   lower convex hull of f along that order.  The rounded point is certified
   when every lower level set is tight and the membership test accepts it,
@@ -105,10 +105,10 @@ def min_norm_base(f: SetFunctionOracle) -> list[Fraction]:
     """The exact minimum-norm base x* of B(f - f(empty)), certified, else
     CertificateError.  Up to EXACT_SOLVER_CAP it is read off the dense
     table (certified for any oracle); beyond it the Fujishige-Wolfe search
-    runs.  There a graphic matroid's base is certified by orientations
-    (tight level sets and exact base polytope membership, with no
-    assumption on f); for other classes the certificate relies on f being
-    submodular."""
+    runs.  There a graphic matroid's or a coverage function's base is
+    certified by orientations (tight level sets and exact base polytope
+    membership, with no assumption on f); for other classes the
+    certificate relies on f being submodular."""
     return _table_base(f) if f.m <= EXACT_SOLVER_CAP else _wolfe_base(f)
 
 

@@ -1,75 +1,68 @@
-"""The exact optimality check of a linear program's primal-dual pair.
+"""The exact optimality check of the MLVC relaxation's primal-dual pair
+(``mlvc.solve_lp``), read off its structure with no row of the model built.
 
-``certify_optimum`` checks that x is optimal for: minimize c.x subject to
-'<=' and '>=' rows and x >= 0, given row duals y.  It checks x >= 0
-satisfying every row, y with the sign each sense requires, A^T y <= c and
-c.x = b.y; by weak duality x and y are then both optimal.  The rows are
-checked in integers, each row scaled by its own denominator and x and y
-put over common denominators.  Nothing is searched for: the caller
-constructs the pair (``mlvc.solve_lp``).
+The pair is X[v][t], the part of v scheduled in steps 1..t (X[v][0] = 0),
+so x[v, t] = X[v][t] - X[v][t - 1]; theta[e], the parts of edge e on its
+two endpoints; rho[v][t - 1], so that cover row (e, v, t) carries the dual
+theta[e, v] rho[v][t - 1]; and y[t - 1], the dual of pack row t.  With
+u[e, t] = max(0, 1 - min over v in e of X[v][t - 1]) every cover row holds,
+and ``certify_relaxation`` checks the other families in O(m n + n^2)
+steps: x >= 0, the pack rows, the dual signs (y <= 0, theta rho >= 0), the
+u-columns theta[e, a] rho[a] + theta[e, b] rho[b] <= 1, the x-columns
+y_t + load(v) (sum of rho[v] after t) <= 0 with load(v) the sum of theta
+over v's cover rows, and equal objectives.  By weak duality both halves
+are then optimal.  A failed check raises ``CertificateError``.
 
-The module keeps its name because the benchmark's tracer
-(``perfbench/tracing.py``) imports every traced module by name.
+The module keeps its name until the next change to the benchmark, whose
+tracer (``perfbench/tracing.py``) imports every traced module by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .core import CertificateError
+from .core import CertificateError, Graph
 
 
-def certify_optimum(
-    objective: Sequence[Fraction],
-    rows: Sequence[tuple[Sequence[tuple[int, Fraction]], str, Fraction]],
-    x: Sequence[Fraction],
+def certify_relaxation(
+    G: Graph,
+    X: Sequence[Sequence[Fraction]],
+    theta: Sequence[tuple[Fraction, Fraction]],
+    rho: Sequence[Sequence[Fraction]],
     y: Sequence[Fraction],
 ) -> Fraction:
-    """c.x, once (x, y) passes the check of the module docstring; else
-    CertificateError.  Each row is (terms, sense, rhs): terms are (column,
-    coefficient) pairs and sense is '<=' or '>='; y_i must be <= 0 on a
-    '<=' row and >= 0 on a '>=' row.
-
-    With x = X / D over a common denominator D, row i scaled by its s_i and
-    y_i / s_i = Z_i / F over a common F, row i holds when its scaled terms
-    against X compare with its scaled rhs times D, and F A^T y is the sum
-    of the scaled rows times Z."""
-    if len(x) != len(objective) or len(y) != len(rows):
-        raise ValueError("need one primal value per column and one dual value per row")
-    if any(v < 0 for v in x):
-        raise CertificateError("LP primal point has a negative entry")
-    scales = [lcm(rhs.denominator, *(a.denominator for _, a in terms)) for terms, _, rhs in rows]
-    D = lcm(*(v.denominator for v in x))
-    X = [_times(v, D) for v in x]
-    F = lcm(*(yi.denominator * s for yi, s in zip(y, scales)))
-    aty = [0] * len(objective)  # F A^T y
-    for (terms, sense, rhs), s, yi in zip(rows, scales, y):
-        if sense not in ("<=", ">="):
-            raise ValueError(f"row sense must be '<=' or '>=', not {sense!r}")
-        scaled = [(j, _times(a, s)) for j, a in terms]
-        lhs, bD, zi = sum(a * X[j] for j, a in scaled), _times(rhs, s) * D, _times(yi, F // s)
-        if lhs > bD if sense == "<=" else lhs < bD:
-            raise CertificateError("LP primal point violates a row")
-        if zi > 0 if sense == "<=" else zi < 0:
-            raise CertificateError("LP dual has the wrong sign on a row")
-        if zi:
-            for j, a in scaled:
-                aty[j] += a * zi
-    c = [Fraction(cj) for cj in objective]
-    if any(a * cj.denominator > cj.numerator * F for a, cj in zip(aty, c)):
-        raise CertificateError("LP dual violates a column: A^T y > c")
-    value = _dot(c, x)
-    if value != _dot([rhs for _, _, rhs in rows], y):
+    """The optimum, sum u, once the pair passes every check of the module
+    docstring; else CertificateError.  A loop has two identical cover rows
+    per step, one per part."""
+    n = G.n
+    for row in X:
+        if row[0] or any(a > b for a, b in zip(row, row[1:])):
+            raise CertificateError("LP primal point has a negative entry")
+    for t in range(1, n + 1):
+        if sum(row[t] - row[t - 1] for row in X) > 1:
+            raise CertificateError("LP primal point violates a pack row")
+    if any(yt > 0 for yt in y):
+        raise CertificateError("LP dual has the wrong sign on a pack row")
+    value, load = Fraction(0), [Fraction(0)] * n
+    for (a, b), (on_a, on_b) in zip(G.edges, theta, strict=True):
+        load[a] += on_a
+        load[b] += on_b
+        for t in range(n):
+            z_a, z_b = on_a * rho[a][t], on_b * rho[b][t]
+            if z_a < 0 or z_b < 0:
+                raise CertificateError("LP dual has the wrong sign on a cover row")
+            if z_a + z_b > 1:
+                raise CertificateError("LP dual violates a u-column")
+            value += max(0, 1 - min(X[a][t], X[b][t]))
+    dual = sum(y, Fraction(0))
+    for v in range(n):
+        tail = 0  # sum of rho[v] over the steps after t
+        for t in range(n - 1, -1, -1):
+            if y[t] + load[v] * tail > 0:
+                raise CertificateError("LP dual violates an x-column")
+            tail += rho[v][t]
+        dual += load[v] * tail
+    if value != dual:
         raise CertificateError("LP primal and dual values differ")
     return value
-
-
-def _times(v: int | Fraction, scale: int) -> int:
-    """v * scale for a multiple scale of v's denominator."""
-    return v.numerator * (scale // v.denominator)
-
-
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))

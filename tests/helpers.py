@@ -11,6 +11,7 @@ small grounds, to cross-check it against the table.
 
 import heapq
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -149,13 +150,6 @@ def brute_min_offset(f, lam):
         elif v == best:
             argmins.append(S)
     return best, argmins
-
-
-def sparse_rows(rows):
-    """Dense (coefficients, sense, rhs) rows as the LP model holds them:
-    (terms, sense, rhs), terms the (column, coefficient) pairs of the
-    nonzero coefficients."""
-    return [([(j, v) for j, v in enumerate(coeffs) if v], sense, rhs) for coeffs, sense, rhs in rows]
 
 
 def _solve_square(system, rhs):
@@ -369,6 +363,21 @@ def is_optimal_by_fractions(objective, rows, x, y) -> bool:
     return all(a <= c for a, c in zip(aty, objective)) and cx == by
 
 
+def expanded_relaxation_pair(G, X, theta, rho, y):
+    """The structured pair of ``simplex.certify_relaxation`` as the primal
+    point and row duals in ``build_lp``'s column and row order: u[e, t] =
+    max(0, 1 - min over v in e of X[v][t - 1]), x[v, t] = X[v][t] -
+    X[v][t - 1], pack row t's dual y[t - 1] and cover row (e, v, t)'s
+    theta[e, v] rho[v][t - 1]."""
+    steps = range(1, G.n + 1)
+    u = [max(0, 1 - min(X[v][t - 1] for v in edge)) for edge in G.edges for t in steps]
+    x = [X[v][t] - X[v][t - 1] for v in range(G.n) for t in steps]
+    cover = [
+        share * rho[v][t - 1] for edge, shares in zip(G.edges, theta) for v, share in zip(edge, shares) for t in steps
+    ]
+    return u + x, list(y) + cover
+
+
 def in_graphic_base_polytope(G, x) -> bool:
     """x in the base polytope of G's graphic matroid, by enumerating every
     nonempty vertex set U: x >= 0, x(E) = n - (components of G), and
@@ -448,6 +457,15 @@ def sample_extension(H, seed: int = 0) -> list[int]:
     """One random linear extension: vertices in a uniform random order, each
     edge scheduled immediately once complete, edge ties shuffled."""
     return _sample(SchedulingPoset(H), random.Random(seed))
+
+
+@contextmanager
+def counted_finishes():
+    """A ``with`` block yielding a list that grows by one at each call of
+    the exact Wolfe finish."""
+    finishes, finish = [], sfm._exact_min_norm_point
+    with mock.patch.object(sfm, "_exact_min_norm_point", lambda *args: finishes.append(args) or finish(*args)):
+        yield finishes
 
 
 def wolfe_path():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordolab import CertificateError, cli, sfm, solve
+from ordolab import CertificateError, cli, mlvc, sfm, solve
 from ordolab.gomoryhu import GomoryHuTree
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
@@ -191,6 +191,25 @@ def test_mlvc_emit(tmp_path):
     report, code = run_cli(["mlvc", "--input", path, "--lp", "--emit", out])
     assert code == 0
     assert "Minimize" in open(out).read()
+
+
+def test_mlvc_emit_needs_lp(tmp_path):
+    path = write(tmp_path, "k2.graph", K2_TEXT)
+    out = tmp_path / "model.lp"
+    report, code = run_cli(["mlvc", "--input", path, "--sample", "5", "--emit", str(out)])
+    assert code == 2
+    assert "--lp" in report["error"]
+    assert not out.exists()
+
+
+def test_mlvc_lp_never_materializes_the_model(tmp_path, monkeypatch):
+    # neither the rows nor any other part of the model is built
+    monkeypatch.setattr(mlvc.LpModel, "rows", property(lambda model: pytest.fail("rows read")), raising=False)
+    monkeypatch.setattr(mlvc.LpModel, "__getattr__", lambda model, name: pytest.fail(f"{name} built"))
+    path = write(tmp_path, "k2.graph", K2_TEXT)
+    report, code = run_cli(["mlvc", "--input", path, "--lp"])
+    assert code == 0
+    assert report["results"] == {"lp_variables": 6, "lp_constraints": 6, "lp_value": "3/2"}
 
 
 def test_mlvc_balance_hypergraph(tmp_path):

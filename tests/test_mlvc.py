@@ -21,17 +21,18 @@ from ordolab import (
     regular_lp_value,
     solve_lp,
 )
-from ordolab import cli, mlvc
+from ordolab import cli, matroids, mlvc
 from ordolab.core import ParseError
 from ordolab.mlvc import _sample, largest_float_below
-from ordolab.simplex import certify_optimum
+from ordolab.simplex import certify_relaxation
 
-from helpers import random_regular_graph, sample_extension, sparse_rows
+from helpers import random_regular_graph, sample_extension
 
 from ordolab.instances import complete_bipartite, complete_graph, cycle_graph, path_graph
 
 K2 = Graph(2, ((0, 1),))
 K3 = complete_graph(3)
+C4 = cycle_graph(4)
 PRISM = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)))
 
 
@@ -249,74 +250,62 @@ def test_clique_gap_fractional_matches_lp_small():
         assert solve_lp(build_lp(complete_graph(n))) == frac
 
 
-def test_simplex_infeasible():
-    # min x  s.t.  x + 2y <= 2, x <= 1: the point (2, 0) breaks the second row
-    with pytest.raises(CertificateError, match="violates a row"):
-        certify_optimum(
-            [Fraction(1), Fraction(0)],
-            sparse_rows([
-                ([Fraction(1), Fraction(2)], "<=", Fraction(2)),
-                ([Fraction(1), Fraction(0)], "<=", Fraction(1)),
-            ]),
-            [Fraction(2), Fraction(0)],
-            [Fraction(0), Fraction(0)],
-        )
+def c4_pair():
+    # x* = 1 on C4: one Sidney block, X[v][t] = t/4, rho = 1 and y_t = t - 4
+    return mlvc._sidney_pair(C4)
 
 
-def test_simplex_rejects_an_equality_row():
-    with pytest.raises(ValueError, match="sense"):
-        certify_optimum([Fraction(1)], sparse_rows([([Fraction(1)], "==", Fraction(0))]), [Fraction(0)],
-                        [Fraction(0)])
+def test_relaxation_check_rejects_a_negative_entry():
+    X, theta, rho, y = c4_pair()
+    X[0][2] = X[0][1] - Fraction(1, 4)  # x[0, 2] < 0
+    with pytest.raises(CertificateError, match="negative entry"):
+        certify_relaxation(C4, X, theta, rho, y)
 
 
-def test_simplex_known_optimum():
-    # min x + y  s.t.  x + 2y >= 4, 3x + y >= 6: both rows tight at
-    # (8/5, 6/5), with row duals (2/5, 1/5)
-    rows = sparse_rows([
-        ([Fraction(1), Fraction(2)], ">=", Fraction(4)),
-        ([Fraction(3), Fraction(1)], ">=", Fraction(6)),
-    ])
-    value = certify_optimum([Fraction(1), Fraction(1)], rows, [Fraction(8, 5), Fraction(6, 5)],
-                            [Fraction(2, 5), Fraction(1, 5)])
-    assert value == Fraction(14, 5)
+def test_relaxation_check_rejects_a_broken_pack_row():
+    # vertex 0 scheduled one more unit at step 1, X still nondecreasing
+    X, theta, rho, y = c4_pair()
+    X[0][1:] = [Xt + 1 for Xt in X[0][1:]]
+    with pytest.raises(CertificateError, match="violates a pack row"):
+        certify_relaxation(C4, X, theta, rho, y)
 
 
-def test_simplex_unbounded():
-    # min -x  s.t.  x >= -1 has no optimum, so no dual y >= 0 meets y <= -1
-    rows = sparse_rows([([Fraction(1)], ">=", Fraction(-1))])
-    for y in (Fraction(0), Fraction(1)):
-        with pytest.raises(CertificateError, match=r"A\^T y > c"):
-            certify_optimum([Fraction(-1)], rows, [Fraction(0)], [y])
+@pytest.mark.parametrize("row", ["pack", "cover"])
+def test_certificate_rejects_a_wrong_signed_dual(row):
+    # a positive dual on the last pack row (0 in the pair), or a part of an
+    # edge below 0 with the edge's parts still summing to 1
+    X, theta, rho, y = c4_pair()
+    if row == "pack":
+        y[-1] = Fraction(1, 2)
+    else:
+        theta[0] = (Fraction(-1, 2), Fraction(3, 2))
+    with pytest.raises(CertificateError, match=f"wrong sign on a {row} row"):
+        certify_relaxation(C4, X, theta, rho, y)
 
 
-@pytest.mark.parametrize("sense, coefficient, dual", [("<=", -1, Fraction(1, 2)), (">=", 1, Fraction(-1, 2))])
-def test_certificate_rejects_a_wrong_signed_dual(sense, coefficient, dual):
-    # min x s.t. one row through 0 at x = 0: the wrong-signed dual meets
-    # A^T y <= c and c.x = b.y = 0, so only its sign fails the check
-    rows = [([(0, Fraction(coefficient))], sense, Fraction(0))]
-    assert certify_optimum([Fraction(1)], rows, [Fraction(0)], [Fraction(0)]) == 0
-    with pytest.raises(CertificateError, match="wrong sign"):
-        certify_optimum([Fraction(1)], rows, [Fraction(0)], [dual])
+def test_relaxation_check_rejects_a_violated_u_column():
+    X, theta, rho, y = c4_pair()
+    theta[0] = tuple(2 * share for share in theta[0])
+    with pytest.raises(CertificateError, match="violates a u-column"):
+        certify_relaxation(C4, X, theta, rho, y)
 
 
-def test_simplex_recovers_a_large_denominator():
-    # the optimum 1/1234567 and its dual are checked exactly; the dual
-    # rounded to denominators up to 10^6 fails
-    rows = sparse_rows([([Fraction(1234567)], ">=", Fraction(1))])
-    x = y = Fraction(1, 1234567)
-    assert certify_optimum([Fraction(1)], rows, [x], [y]) == x
-    with pytest.raises(CertificateError):
-        certify_optimum([Fraction(1)], rows, [x], [y.limit_denominator(10**6)])
+def test_relaxation_check_rejects_a_violated_x_column():
+    # y_1 + load(v) (rho_2 + rho_3 + rho_4) = -5/2 + 3 > 0 for every v
+    X, theta, rho, y = c4_pair()
+    y[0] += Fraction(1, 2)
+    with pytest.raises(CertificateError, match="violates an x-column"):
+        certify_relaxation(C4, X, theta, rho, y)
 
 
-def test_simplex_fails_closed_on_a_non_optimal_basis():
-    # min -x  s.t.  x >= 1, x <= 3: the basis at x = 1 has the dual (-1, 0),
-    # wrong-signed; the optimum x = 3 has the dual (0, -1)
-    rows = sparse_rows([([Fraction(1)], ">=", Fraction(1)), ([Fraction(1)], "<=", Fraction(3))])
-    assert certify_optimum([Fraction(-1)], rows, [Fraction(3)], [Fraction(0), Fraction(-1)]) == -3
-    for y in ([Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]):
-        with pytest.raises(CertificateError):
-            certify_optimum([Fraction(-1)], rows, [Fraction(1)], y)
+def test_relaxation_check_fails_closed_on_unequal_values():
+    # every dual halved stays feasible, but its value is half the optimum
+    X, theta, rho, y = c4_pair()
+    assert certify_relaxation(C4, X, theta, rho, y) == 10
+    theta = [(on_a / 2, on_b / 2) for on_a, on_b in theta]
+    y = [yt / 2 for yt in y]
+    with pytest.raises(CertificateError, match="values differ"):
+        certify_relaxation(C4, X, theta, rho, y)
 
 
 def test_mlvc_lp_exits_1_without_a_certificate(tmp_path, monkeypatch):
@@ -324,7 +313,7 @@ def test_mlvc_lp_exits_1_without_a_certificate(tmp_path, monkeypatch):
     # shares still split the edge, but the loads are no longer x* = 1
     path = tmp_path / "c4.graph"
     path.write_text("4 4\n1 2\n2 3\n3 4\n4 1\n")
-    orient = mlvc.bounded_orientation
+    orient = matroids.bounded_orientation
 
     def corrupted(*args):
         pairs, share = orient(*args)
@@ -333,7 +322,7 @@ def test_mlvc_lp_exits_1_without_a_certificate(tmp_path, monkeypatch):
         share[1] += move
         return pairs, share
 
-    monkeypatch.setattr(mlvc, "bounded_orientation", corrupted)
+    monkeypatch.setattr(matroids, "bounded_orientation", corrupted)
     report, code = cli.run(["mlvc", "--lp", "--input", str(path)])
     assert code == 1
     assert "LP dual" in report["error"]

@@ -4,10 +4,11 @@ force.
 
 Random graphic (with loops and parallel edges), vector and
 Fraction-weighted cut oracles, and square linear systems, checked against the enumerations and the reference solver
-in ``helpers``; the MLVC relaxation's constructed primal-dual pair against
-the same check in Fractions, its value against the coverage function's
-principal-partition bound and the brute-force MLVC optimum, and its
-orientation against every vertex set; the batched vector-matroid and cut
+in ``helpers``; the MLVC relaxation's structured check of its constructed
+pair against the plain Fraction check of the pair expanded into the model,
+its value against the coverage function's principal-partition bound and
+the brute-force MLVC optimum, and its orientation against every vertex
+set; coverage bases on the Wolfe path against the table; the batched vector-matroid and cut
 tables against single evaluations; the keyed subset DP against its former
 layer loop on raw integer tables; the s-t cuts of the integer max-flow against
 every cut of weighted multigraphs; graphic base polytope membership by
@@ -61,7 +62,7 @@ from ordolab.mlvc import (
     mlvc_brute_optimum,
     solve_lp,
 )
-from ordolab.simplex import certify_optimum
+from ordolab.simplex import certify_relaxation
 
 from helpers import (
     TableOracle,
@@ -73,7 +74,9 @@ from helpers import (
     brute_partition,
     brute_weighted_mlop,
     count_inversions_by_pairs,
+    counted_finishes,
     cut_weight,
+    expanded_relaxation_pair,
     graphic_membership_by_min_cuts,
     in_coverage_base_polytope,
     in_graphic_base_polytope,
@@ -483,19 +486,35 @@ def test_large_coprime_denominators_take_the_object_path():
 
 @PROPERTY
 @given(multigraphs(max_vertices=5, max_edges=6), st.data())
-def test_integer_certificate_matches_the_fraction_check(G, data):
-    # the constructed pair of the MLVC relaxation with one entry of x or y
-    # moved
-    model = build_lp(G)
-    x, y = mlvc._lp_pair(model)
-    moved = data.draw(st.sampled_from((x, y)))
-    moved[data.draw(st.integers(0, len(moved) - 1))] += data.draw(st.sampled_from((0, Fraction(1, 3), -1)))
+def test_structured_check_matches_the_fraction_check(G, data):
+    # the constructed pair of the MLVC relaxation with one entry of X (past
+    # its fixed X[v][0] = 0), theta, rho or y moved, against the plain check
+    # of the pair expanded into the materialized model
+    X, theta, rho, y = mlvc._sidney_pair(G)
+    shares = [list(parts) for parts in theta]
+    entries = [(row, t) for row in X for t in range(1, G.n + 1)]
+    entries += [(row, t) for row in (*rho, y) for t in range(G.n)]
+    entries += [(parts, i) for parts in shares for i in (0, 1)]
+    row, i = data.draw(st.sampled_from(entries))
+    row[i] += data.draw(st.sampled_from((0, Fraction(1, 3), -1)))
+    theta = [tuple(parts) for parts in shares]
     try:
-        certify_optimum(model.objective, model.rows, x, y)
+        certify_relaxation(G, X, theta, rho, y)
         certified = True
     except CertificateError:
         certified = False
-    assert certified == is_optimal_by_fractions(model.objective, model.rows, x, y)
+    model = build_lp(G)
+    x, duals = expanded_relaxation_pair(G, X, theta, rho, y)
+    assert certified == is_optimal_by_fractions(model.objective, model.rows, x, duals)
+
+
+@PROPERTY
+@given(multigraphs(max_vertices=5, max_edges=7))
+def test_lp_counts_match_the_materialized_model(G):
+    # loops and parallel edges each add their own columns and cover rows
+    model = build_lp(G)
+    assert model.num_vars == len(model.var_names) == len(model.objective)
+    assert model.num_constraints == len(model.rows) == len(model.row_names)
 
 
 @PROPERTY
@@ -518,16 +537,37 @@ def test_edge_shares_orient_exactly_the_coverage_base(G, data):
         if x[i] > x[j]:
             assert not in_coverage_base_polytope(G, points[1])
     for y in points:
-        if in_coverage_base_polytope(G, y):
+        inside = in_coverage_base_polytope(G, y)
+        assert f._base_membership(y) == inside
+        if inside:
             load = [Fraction(0)] * G.n
-            for (a, b), (on_a, on_b) in zip(G.edges, mlvc._edge_shares(G, y)):
+            for (a, b), (on_a, on_b) in zip(G.edges, f._edge_shares(y)):
                 assert on_a >= 0 and on_b >= 0 and on_a + on_b == 1
                 load[a] += on_a
                 load[b] += on_b
             assert load == y
         else:
             with pytest.raises(CertificateError):
-                mlvc._edge_shares(G, y)
+                f._edge_shares(y)
+
+
+@PROPERTY
+@example(Graph(1, ()))
+@example(Graph(3, ((0, 0), (0, 0), (1, 2))))
+@given(multigraphs(max_vertices=7, max_edges=10))
+def test_coverage_wolfe_base_is_rounded_and_orientation_certified(G):
+    # loops, parallel edges and isolated vertices included: the rounded
+    # point passes the orientation certificate, with no exact finish run,
+    # and a point moved by 1/(2L) fails it
+    f = CoverageFunction(G)
+    x = min_norm_base(f)
+    with wolfe_path(), counted_finishes() as finishes:
+        assert min_norm_base(f) == x
+    assert finishes == []
+    if G.n >= 2:
+        L = lcm(*(xe.denominator for xe in x))
+        y = [x[0] - Fraction(1, 2 * L), x[1] + Fraction(1, 2 * L), *x[2:]]
+        assert not sfm._certified(f, y)
 
 
 @PROPERTY
@@ -544,7 +584,7 @@ def test_lp_value_is_a_certified_lower_bound(G):
     # its value is cov's principal-partition bound, and the MLVC optimum
     # lies within 4/3 of it (the relaxation's integrality gap)
     model = build_lp(G)
-    x, y = mlvc._lp_pair(model)
+    x, y = expanded_relaxation_pair(G, *mlvc._sidney_pair(G))
     assert is_optimal_by_fractions(model.objective, model.rows, x, y)
     value = solve_lp(model)
     f = CoverageFunction(G)

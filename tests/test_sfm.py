@@ -19,7 +19,7 @@ from ordolab import (
     st_min_cut,
 )
 
-from helpers import TableOracle, brute_min_offset, wolfe_path
+from helpers import TableOracle, brute_min_offset, counted_finishes, wolfe_path
 from ordolab import sfm
 from ordolab.instances import path_graph, random_connected_graph, triangle_with_bridge
 
@@ -205,13 +205,6 @@ def test_auto_switches_to_wolfe_beyond_cap():
     assert res.minimal_minimizer == 0
 
 
-def counted_finishes(monkeypatch) -> list:
-    """A list that grows by one at each call of the exact Wolfe finish."""
-    finishes, finish = [], sfm._exact_min_norm_point
-    monkeypatch.setattr(sfm, "_exact_min_norm_point", lambda *args: finishes.append(args) or finish(*args))
-    return finishes
-
-
 def test_exact_finish_completes_a_float_search_stopped_early(monkeypatch):
     # a float search that stops at its first vertex leaves every major and
     # minor cycle to the exact finish.  The graphic base is left unrounded
@@ -222,22 +215,19 @@ def test_exact_finish_completes_a_float_search_stopped_early(monkeypatch):
         sfm, "_min_norm_point", lambda n, vertex: ([vertex(list(range(n)))], np.ones(1))
     )
     monkeypatch.setattr(sfm, "_rounded_base", lambda f, point: [Fraction(p) for p in point])
-    finishes = counted_finishes(monkeypatch)
     graphic = GraphicMatroid(random_connected_graph(5, 8, random.Random(3)))
     vector = VectorMatroid([[1, 0, 0, 1, 1, 0, 2], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, -1]])
     for f in (graphic, vector):
         for lam in (Fraction(0), Fraction(1, 2), Fraction(4, 7), Fraction(1)):
-            finishes.clear()
-            with wolfe_path():
+            with wolfe_path(), counted_finishes() as finishes:
                 wolfe = minimize_offset(f, lam)
             assert wolfe == minimize_offset(f, lam)
             assert len(finishes) == 1
 
 
-def test_graphic_wolfe_base_is_rounded_and_flow_certified(monkeypatch):
-    finishes = counted_finishes(monkeypatch)
+def test_graphic_wolfe_base_is_rounded_and_flow_certified():
     f = GraphicMatroid(random_connected_graph(8, 16, random.Random(16)))
-    with wolfe_path():
+    with wolfe_path(), counted_finishes() as finishes:
         x = sfm.min_norm_base(f)
     assert x == sfm.min_norm_base(f)
     assert finishes == []
