@@ -8,7 +8,8 @@ integer table per oracle (``SetFunctionOracle.dense_values``): the values
 times a common denominator, in a numpy integer array whose dtype is chosen
 from a bound on the values, with exact Python ints beyond int64.  The only
 floating-point arithmetic is the Fujishige-Wolfe search in ``sfm`` beyond
-the exact cap, whose output is re-evaluated exactly.
+the exact cap, for oracles without a decomposed base, whose output is
+finished exactly.
 """
 
 from __future__ import annotations
@@ -89,6 +90,14 @@ def size_order(m: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # exact linear systems
+
+
+def integer_vector(v: Sequence) -> tuple[int, list[int]]:
+    """(d, d v), d the least common denominator of v's entries (ints or
+    Fractions)."""
+    d = lcm(*(ve.denominator for ve in v))
+    return d, [ve.numerator * (d // ve.denominator) for ve in v]
+
 
 _RHS = -1  # the key of the right-hand side in a row of ``solve_exact``
 
@@ -232,12 +241,14 @@ class SetFunctionOracle:
     (union-find for a graphic matroid) override ``_prefix_values``.
     """
 
-    #: ``_base_membership(x)``, for classes that decide exactly whether x
-    #: lies in the base polytope (``GraphicMatroid`` and
-    #: ``CoverageFunction``: by orientations); None elsewhere.
-    #: ``sfm.min_norm_base`` certifies a base of such a class by that test,
-    #: and other bases by a Wolfe finish that assumes f is submodular.
-    _base_membership = None
+    #: ``_decomposed_base()``, for classes that build their minimum-norm
+    #: base exactly by decomposition (``GraphicMatroid`` and
+    #: ``CoverageFunction``: by orientations); None elsewhere.  Such a class
+    #: also decides exactly whether x lies in the base polytope,
+    #: ``_base_membership(x)``, and ``sfm.min_norm_base`` certifies the base
+    #: by that test at every size; other bases come from the dense table or,
+    #: beyond the cap, from a Wolfe finish that assumes f is submodular.
+    _decomposed_base = None
 
     def __init__(self, ground: GroundSet):
         self.ground = ground

@@ -29,11 +29,14 @@ flow, so no residual path leaves it.  A failed check raises
 value with it as well.
 
 Three users: a graph's cut function takes its s-t cuts from ``min_cut``
-(``sfm.st_min_cut``), the graphic matroid decides base polytope membership
-by ``forest_violation`` (``GraphicMatroid._base_membership``), and the
-coverage function spreads each edge over its endpoints by
-``bounded_orientation`` (``CoverageFunction._edge_shares``), to decide its
-base polytope membership and for the MLVC relaxation's dual.
+(``sfm.st_min_cut``); the graphic matroid builds its minimum-norm base
+cell by cell from the violators and tight sets of ``forest_violation``
+(``GraphicMatroid._decomposed_base``) and decides base polytope
+membership by it (``_base_membership``); and the coverage function builds
+its base from the overfull and tight sets of ``bounded_orientation``
+(``CoverageFunction._decomposed_base``) and spreads each edge over its
+endpoints by it (``_edge_shares``), to decide its base polytope membership
+and for the MLVC relaxation's dual.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class FlowNetwork:
         merged: dict[tuple[int, int], int] = {}
         for (u, v), c in zip(edges, capacities):
             if u != v:
-                key = (min(u, v), max(u, v))
+                key = (u, v) if u < v else (v, u)
                 merged[key] = merged.get(key, 0) + c
         self.n = n
         self.edges = list(merged)
@@ -115,10 +118,12 @@ def _certify(net: FlowNetwork, flow: list[int], s: int, t: int) -> tuple[int, in
 
 def forest_violation(
     n: int, edges: Sequence[tuple[int, int]], weights: Sequence[int], unit: int
-) -> int | None:
-    """None when w(E(U)) <= unit * (|U| - 1) for every nonempty vertex set U
-    (a loop at v lies in E({v})), else a bitmask U that violates it; the
-    weights w are nonnegative integers.
+) -> tuple[int | None, list[int]]:
+    """(U, tight): U is None when w(E(U)) <= unit * (|U| - 1) for every
+    nonempty vertex set U (a loop at v lies in E({v})), else a bitmask U
+    that violates it, and tight is empty; the weights w are nonnegative
+    integers.  When no U violates, tight lists the maximal vertex sets U
+    with |U| >= 2 and w(E(U)) = unit * (|U| - 1), which are disjoint.
 
     One orientation splits each edge's weight into integer shares on its
     endpoints; load(v) sums v's shares.  For each root r = 0, ..., n - 2,
@@ -131,43 +136,65 @@ def forest_violation(
     cannot move reaches a U with no slack and no share on an edge leaving
     it, so w(E(U)) = load(U) > capacity(U) >= unit * (|U| - 1), which is
     checked on the given edges before U is returned.  A failed check raises
-    ``CertificateError``."""
+    ``CertificateError``.
+
+    In the same pass, Z_r, the vertices that reach no vertex with slack
+    (``_unreached``), holds r, each of its vertices is full and no share
+    leaves it, so w(E(Z_r)) = unit * (|Z_r| - 1); a tight set that holds r
+    has no slack and no share leaving it either, so it lies in Z_r.  With
+    no violator, two tight sets that meet unite into a tight set, so each
+    Z_r of two or more vertices is a maximal one, and a root inside a set
+    already found has that set as its Z_r."""
     for (u, v), w in zip(edges, weights):
         if u == v and w:
-            return _violating(n, edges, weights, unit, 1 << u)
+            return _overfull(edges, weights, 1 << u, 0, n), []
     net = FlowNetwork(n, edges, weights)
     share, load = _greedy_shares(net)
     cap = [unit] * n
+    tight, found = [], 0
     for r in range(n - 1):
         cap[r - 1], cap[r] = unit, 0  # r - 1 = -1 is vertex n - 1, never a root
         for v in range(n):
             if load[v] > cap[v]:
                 reached = _drain(net, share, load, cap, v)
                 if reached:
-                    return _violating(n, edges, weights, unit, reached)
+                    return _overfull(edges, weights, reached, unit * (reached.bit_count() - 1), n), []
         _check_orientation(net, share, cap)
-    return None
+        if not (found >> r) & 1:
+            Z = _unreached(net, share, load, cap)
+            if Z & (Z - 1):
+                tight.append(Z)
+                found |= Z
+    return None, tight
 
 
 def bounded_orientation(
     n: int, edges: Sequence[tuple[int, int]], weights: Sequence[int], cap: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """(pairs, share): integer shares of each edge's weight on its two
-    endpoints with load(v) <= cap[v] at every vertex, checked in integers;
-    the weights are nonnegative integers.  As in ``FlowNetwork``, loops are
-    dropped and parallel edges merged: ``pairs`` lists the distinct vertex
-    pairs (u, v), u < v, and share[2i], share[2i + 1] sit on u and v of
-    pairs[i].  When the weights sum to the capacities, every load equals
-    its capacity.  Excess that cannot move reaches a vertex set U whose
-    inside weight exceeds cap(U), so no such orientation exists (Hakimi
-    1965), and ``CertificateError`` is raised."""
+) -> tuple[list[tuple[int, int]], list[int] | None, int]:
+    """(pairs, share, U) for integer shares of each edge's weight on its two
+    endpoints with load(v) <= cap[v] at every vertex; the weights are
+    nonnegative integers.  As in ``FlowNetwork``, loops are dropped and
+    parallel edges merged: ``pairs`` lists the distinct vertex pairs (u,
+    v), u < v, and share[2i], share[2i + 1] sit on u and v of pairs[i].
+
+    When every load fits, the shares are checked in integers, and U is the
+    set of vertices that reach no vertex with slack (``_unreached``): each
+    of them is full and no share leaves U, so U holds exactly cap(U) of
+    weight inside, and every such set lies in U.  When the weights sum to
+    the capacities, every load equals its capacity.  Excess that cannot
+    move reaches a vertex set U whose inside weight, checked in integers,
+    exceeds cap(U), so no such orientation exists (Hakimi 1965); share is
+    then None."""
     net = FlowNetwork(n, edges, weights)
     share, load = _greedy_shares(net)
     for v in range(n):
-        if load[v] > cap[v] and _drain(net, share, load, cap, v):
-            raise CertificateError("no orientation keeps every load within its capacity")
+        if load[v] > cap[v]:
+            reached = _drain(net, share, load, cap, v)
+            if reached:
+                bound = sum(cap[u] for u in range(n) if (reached >> u) & 1)
+                return net.edges, None, _overfull(net.edges, net.capacities, reached, bound, n)
     _check_orientation(net, share, cap)
-    return net.edges, share
+    return net.edges, share, _unreached(net, share, load, cap)
 
 
 def _greedy_shares(net: FlowNetwork) -> tuple[list[int], list[int]]:
@@ -231,9 +258,26 @@ def _check_orientation(net: FlowNetwork, share: list[int], cap: Sequence[int]) -
         raise CertificateError("orientation exceeds a vertex capacity")
 
 
-def _violating(n: int, edges: Sequence[tuple[int, int]], weights: Sequence[int], unit: int, U: int) -> int:
-    """U, once w(E(U)) > unit * (|U| - 1) is checked; else CertificateError."""
+def _unreached(net: FlowNetwork, share: list[int], load: list[int], cap: Sequence[int]) -> int:
+    """The bitmask of the vertices from which no path of positive-share arcs
+    leads to a vertex with slack: one breadth-first search back from the
+    vertices with slack, along arcs whose reverse holds a positive share."""
+    head, out = net._head, net._out
+    reached = [load[v] < cap[v] for v in range(net.n)]
+    queue = [v for v in range(net.n) if reached[v]]
+    for w in queue:
+        for a in out[w]:
+            v = head[a]
+            if share[a ^ 1] > 0 and not reached[v]:
+                reached[v] = True
+                queue.append(v)
+    return sum(1 << v for v in range(net.n) if not reached[v])
+
+
+def _overfull(edges: Sequence[tuple[int, int]], weights: Sequence[int], U: int, bound: int, n: int) -> int:
+    """U, once the weight of the edges inside it is checked to exceed
+    ``bound``; else CertificateError."""
     inside = sum(w for (u, v), w in zip(edges, weights) if (U >> u) & 1 and (U >> v) & 1)
-    if not 0 < U < 1 << n or inside <= unit * (U.bit_count() - 1):
-        raise CertificateError("vertex set does not violate the forest bound")
+    if not 0 < U < 1 << n or inside <= bound:
+        raise CertificateError("vertex set does not hold more weight than its bound")
     return U

@@ -18,6 +18,7 @@ from .core import (
     SetFunctionOracle,
     _nonblank_lines,
     int_dtype,
+    integer_vector,
     iter_bits,
     mask_of,
     narrowed,
@@ -86,7 +87,9 @@ class GraphicMatroid(Matroid):
     ranks all prefixes of an ordering (``_prefix_values``); the dense table
     is filled in one batched pass instead (see ``_scaled_table``).  Base
     polytope membership is decided exactly by one orientation of the
-    scaled point moved from root to root (``_base_membership``).
+    scaled point moved from root to root (``_base_membership``), and the
+    minimum-norm base is built cell by cell from the same orientations
+    (``_decomposed_base``).
     """
 
     def __init__(self, graph: Graph):
@@ -133,11 +136,66 @@ class GraphicMatroid(Matroid):
         put no load on r and at most L on every vertex, so L x(E(U)) <=
         L(|U| - 1) for every U that holds r (Hakimi 1965); False rests on a
         vertex set checked in integers to violate the bound."""
-        if any(xe < 0 for xe in x) or sum(x) != self.full_rank:
+        L, weights = integer_vector(x)
+        if min(weights, default=0) < 0 or sum(weights) != L * self.full_rank:
             return False
-        L = lcm(*(Fraction(xe).denominator for xe in x))
-        weights = [int(xe * L) for xe in x]
-        return forest_violation(self.graph.n, self.graph.edges, weights, L) is None
+        return forest_violation(self.graph.n, self.graph.edges, weights, L)[0] is None
+
+    def _decomposed_base(self) -> list[Fraction]:
+        """The minimum-norm base, one cell at a time from the least value
+        up (Fujishige 1980; by flows, Cunningham 1985).  Loops take 0.  On
+        the multigraph of the live edges, with every cell found so far
+        contracted, the next value is lam = min r(X)/|X|, attained on edge
+        sets E(U) with (|U| - 1)/|E(U)| = lam: starting from rank/|live|, a
+        set U that ``flow.forest_violation`` finds above the bound lam |E(U)|
+        <= |U| - 1 (weight p per edge, unit q, lam = p/q) lowers lam to its
+        own ratio until none is found.  The cell, the largest X with r(X) =
+        lam |X|, is then the live edges inside the tight vertex sets of that
+        last pass; they take lam, and each set is contracted to a vertex.
+        ``sfm.min_norm_base`` certifies the result."""
+        G = self.graph
+        parent = list(range(G.n))
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        x = [Fraction(0)] * self.m
+        live = [i for i, (u, v) in enumerate(G.edges) if u != v]
+        rank = self.full_rank
+        while live:
+            label: dict[int, int] = {}  # each contracted vertex's index
+            edges = []
+            for i in live:
+                a, b = (label.setdefault(find(w), len(label)) for w in G.edges[i])
+                if a == b:
+                    raise CertificateError("a live edge lies inside a contracted cell")
+                edges.append((a, b))
+            lam = Fraction(rank, len(live))
+            while True:
+                U, tight = forest_violation(len(label), edges, [lam.numerator] * len(edges), lam.denominator)
+                if U is None:
+                    break
+                lam = Fraction(U.bit_count() - 1, sum((U >> a) & (U >> b) & 1 for a, b in edges))
+            if not tight:
+                raise CertificateError("no vertex set is tight at the least ratio")
+            group = {v: Z for Z in tight for v in iter_bits(Z)}
+            rep = list(label)
+            for Z in tight:
+                first, *rest = (rep[v] for v in iter_bits(Z))
+                for v in rest:
+                    parent[find(v)] = find(first)
+                rank -= len(rest)
+            kept = []
+            for i, (a, b) in zip(live, edges):
+                if a in group and group.get(b) == group[a]:
+                    x[i] = lam
+                else:
+                    kept.append(i)
+            live = kept
+        return x
 
     def _scaled_table(self) -> tuple[int, np.ndarray]:
         """All 2^m ranks, adding one edge at a time to every edge set built
@@ -377,7 +435,9 @@ class CoverageFunction(SetFunctionOracle):
 
     Monotone, submodular and normalized; the ground set is the vertex set.
     Edge weights are ignored, and a loop at v counts once when v is in X.
-    The dense table is filled in one pass per edge.
+    The dense table is filled in one pass per edge; the minimum-norm base
+    is built densest cell first from load-bounded orientations
+    (``_decomposed_base``), which also decide base polytope membership.
     """
 
     def __init__(self, graph: Graph):
@@ -393,33 +453,77 @@ class CoverageFunction(SetFunctionOracle):
         x(V) = m and x(Y) >= |E(Y)| for every Y: when the edges can be
         oriented with each vertex's load at most x_v, a loop on its vertex
         (Hakimi 1965).  True rests on such an orientation, checked in
-        integers (``_edge_shares``); a stuck drain answers False."""
-        if any(xv < 0 for xv in x) or sum(x) != self.graph.m:
-            return False
-        try:
-            self._edge_shares(x)
-        except CertificateError:
-            return False
-        return True
+        integers (``_orientation``); a stuck drain answers False."""
+        return self._orientation(x) is not None
+
+    def _orientation(self, x: Sequence[Fraction]) -> tuple[list[tuple[int, int]], list[int]] | None:
+        """``flow.bounded_orientation``'s (pairs, share) for x scaled by L,
+        the lcm of its denominators: each edge weighs L, and a loop's weight
+        is taken off its vertex's capacity L x_v; None when x(V) != m or no
+        such orientation exists."""
+        G = self.graph
+        L, cap = integer_vector(x)
+        if sum(cap) != L * G.m:
+            return None
+        for a, b in G.edges:
+            cap[a] -= L * (a == b)
+        pairs, share, _ = bounded_orientation(G.n, G.edges, [L] * G.m, cap)
+        return None if share is None else (pairs, share)
 
     def _edge_shares(self, x: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
         """For each edge (a, b), its parts on a and b, summing to 1, with
         every vertex's load x_v for x in the base polytope, else
         CertificateError; a loop's parts are 1/2 and 1/2, one per cover row
-        of the MLVC relaxation.  Scaled by L, the lcm of the denominators,
-        each edge weighs L and a loop's weight is taken off its vertex's
-        capacity L x_v (``flow.bounded_orientation``); the merged share of
-        parallel copies is split evenly over them."""
-        G = self.graph
-        L = lcm(*(Fraction(xv).denominator for xv in x))
-        cap = [int(xv * L) for xv in x]
-        for a, b in G.edges:
-            cap[a] -= L * (a == b)
-        pairs, share = bounded_orientation(G.n, G.edges, [L] * G.m, cap)
-        part = {(a, b): Fraction(1, 2) for a, b in G.edges if a == b}  # part[a, b]: the part on a
+        of the MLVC relaxation.  They are the shares of ``_orientation``;
+        the merged share of parallel copies is split evenly over them."""
+        oriented = self._orientation(x)
+        if oriented is None:
+            raise CertificateError("no orientation keeps every load within its capacity")
+        pairs, share = oriented
+        part = {(a, b): Fraction(1, 2) for a, b in self.graph.edges if a == b}  # part[a, b]: the part on a
         for (u, v), on_u, on_v in zip(pairs, share[::2], share[1::2]):
             part[u, v], part[v, u] = Fraction(on_u, on_u + on_v), Fraction(on_v, on_u + on_v)
-        return [(part[a, b], part[b, a]) for a, b in G.edges]
+        return [(part[a, b], part[b, a]) for a, b in self.graph.edges]
+
+    def _decomposed_base(self) -> list[Fraction]:
+        """The minimum-norm base, one cell at a time from the greatest
+        value down (Fujishige 1980; densest subgraphs, Goldberg 1984).  The
+        vertices given a value leave the graph: an edge to one of them
+        becomes a loop on its other endpoint, and an edge inside them drops
+        out.  The next value is rho = max |E(Y)|/|Y| over the vertex sets Y
+        left, E(Y) the edges and loops inside Y: starting from the density
+        of all of them, rho = p/q, ``flow.bounded_orientation`` gives each
+        edge weight q and each vertex capacity p - q loops(v); a set
+        holding more than its capacity is denser than rho and raises rho
+        to its own density until the orientation fits.  Its set of full
+        vertices that no share leaves is then the largest densest set, the
+        cell, which takes rho.  ``sfm.min_norm_base`` certifies the
+        result."""
+        G, n = self.graph, self.graph.n
+        x: list = [None] * n
+        left = n
+        while left:
+            edges, loops = [], [0] * n
+            for a, b in G.edges:
+                if x[a] is None and x[b] is None and a != b:
+                    edges.append((a, b))
+                elif x[a] is None or x[b] is None:
+                    loops[a if x[a] is None else b] += 1
+            rho = Fraction(len(edges) + sum(loops), left)
+            while True:
+                p, q = rho.numerator, rho.denominator
+                _, share, U = bounded_orientation(n, edges, [q] * len(edges), [p - q * k for k in loops])
+                if share is not None:
+                    break
+                inside = sum((U >> a) & (U >> b) & 1 for a, b in edges) + sum(loops[v] for v in iter_bits(U))
+                rho = Fraction(inside, U.bit_count())
+            cell = [v for v in iter_bits(U) if x[v] is None]
+            if not cell:
+                raise CertificateError("no vertex set is tight at the greatest density")
+            for v in cell:
+                x[v] = rho
+            left -= len(cell)
+        return x
 
     def _scaled_table(self) -> tuple[int, np.ndarray]:
         """All 2^n values, one numpy OR pass per edge adding 1 wherever

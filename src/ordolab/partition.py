@@ -3,11 +3,13 @@
 The principal partition of a normalized monotone submodular f is the nested
 chain of maximal minimizers of f(X) - lambda*|X| as lambda sweeps upward,
 with the critical values at which the minimizer jumps.  Both are read off
-the minimum-norm base x* of f (``sfm.min_norm_base``; certified for any
-oracle within the exact cap, relying on submodularity beyond it): the
-critical values are the distinct values of x*, and the chain sets are
-{x* <= lambda}, each checked tight, f(S) = x*(S).  The maximal zero set
-{x* = 0} of f is the chain's first step, at lambda = 0.
+the minimum-norm base x* of f (``sfm.min_norm_base``; certified with no
+assumption on f for graphic matroids and coverage functions at every size
+and for any oracle within the exact cap, relying on submodularity for
+other oracles beyond it): the critical values are the distinct values of
+x*, and the chain sets are {x* <= lambda}, each checked tight, f(S) =
+x*(S).  The maximal zero set {x* = 0} of f is the chain's first step, at
+lambda = 0.
 """
 
 from __future__ import annotations

@@ -7,44 +7,41 @@ f(empty) + sum_e min(x*_e - lambda, 0), attained by {x* < lambda} and
 computes x* exactly and certifies it; ``minimize_offset`` reads one base
 and re-evaluates both level sets.
 
-Up to the exact cap, x* is read off the oracle's dense integer table D*f:
-the strict vertices of the lower convex hull of the per-size minima
-g(k) = min_{|X|=k} D*f(X) must have unique, nested argmins, and x* takes
-the hull slope on the cell where an element enters.  With x*(X) <= f(X)
-checked on all 2^m subsets, x* is the minimum-norm point of
+A graphic matroid or a coverage function builds x* exactly at every size,
+one cell of equal values at a time, each cell found by a parametric
+search over checked orientations (``_decomposed_base``, ``flow``).  Its
+point is certified when every lower level set is tight and the class's
+exact base polytope test, ``_base_membership``, accepts it, which makes
+it the minimum-norm base whether or not f is submodular; otherwise
+``CertificateError`` is raised, with no other path tried.
+
+Any other oracle, up to the exact cap, has x* read off its dense integer
+table D*f: the strict vertices of the lower convex hull of the per-size
+minima g(k) = min_{|X|=k} D*f(X) must have unique, nested argmins, and x*
+takes the hull slope on the cell where an element enters.  With x*(X) <=
+f(X) checked on all 2^m subsets, x* is the minimum-norm point of
 {x : x(X) <= f(X), x(E) = f(E)} with tight level sets, so every answer is
 exact for any oracle.  Beyond the cap, one Fujishige-Wolfe search in
-floating point keeps the exact greedy vertex of every active point; each
-vertex reads f on the m + 1 prefixes of its order through the oracle's
-``_prefix_values`` (one union-find pass for a graphic matroid).
-
-- A class with an exact base polytope test, ``_base_membership`` (the
-  graphic matroid and coverage, by checked orientations, ``flow``), rounds the
-  search's point: the elements sorted by it take the slopes of the
-  lower convex hull of f along that order.  The rounded point is certified
-  when every lower level set is tight and the membership test accepts it,
-  which makes it the minimum-norm base whether or not f is submodular.  If
-  either check fails, Wolfe's cycles finish the search exactly (below) and
-  the finished point must pass the same certificate.
-- Any other class takes Wolfe's exact finish, each affine minimizer solved
-  from its bordered Gram system by ``core.solve_exact``.  The point passes
-  Wolfe's optimality test exactly, is a convex combination of its active
-  vertices, and satisfies x*(X) <= f(X) on the 2m singletons and
-  co-singletons.  Beyond those sets it is the minimum-norm base only if f
-  is submodular.
-
-A failed check raises ``CertificateError``.
+floating point keeps the exact greedy vertex of every active point (each
+reads f on the m + 1 prefixes of its order through the oracle's
+``_prefix_values``), and Wolfe's cycles finish it exactly, each affine
+minimizer solved from its bordered Gram system by ``core.solve_exact``.
+The point passes Wolfe's optimality test exactly, is a convex combination
+of its active vertices, and satisfies x*(X) <= f(X) on the 2m singletons
+and co-singletons.  Beyond those sets it is the minimum-norm base only if
+f is submodular.  A failed check raises ``CertificateError``.
 
 ``st_min_cut`` cuts graph cut functions only, by checked flows: an exact
 integer maximum flow (``flow``, shortest augmenting paths, the search that
 also builds the graphic orientations) whose value must equal the cut
 function on the flow's side, with no table built.
 
-References: Fujishige, Math. OR 1980 (lexicographically optimal base) and
-Submodular Functions and Optimization, 2nd ed. 2005, Thm 7.15; Nagano,
-Kawahara, Aihara, ICML 2011; Wolfe, Math. Prog. 1976; Chakrabarty, Jain,
-Kothari, NeurIPS 2014; Hakimi, J. Franklin Inst. 1965 (orientations with
-bounded in-degrees).
+References: Fujishige, Math. OR 1980 (lexicographically optimal base, and
+its decomposition algorithm) and Submodular Functions and Optimization,
+2nd ed. 2005, Thm 7.15; Cunningham, J. ACM 1985 (graphic bases by flows);
+Goldberg 1984 (densest subgraphs); Nagano, Kawahara, Aihara, ICML 2011;
+Wolfe, Math. Prog. 1976; Chakrabarty, Jain, Kothari, NeurIPS 2014;
+Hakimi, J. Franklin Inst. 1965 (orientations with bounded in-degrees).
 """
 
 from __future__ import annotations
@@ -62,6 +59,7 @@ from .core import (
     CertificateError,
     SetFunctionOracle,
     int_dtype,
+    integer_vector,
     iter_bits,
     max_abs,
     size_order,
@@ -103,13 +101,21 @@ def minimize_offset(f: SetFunctionOracle, lam: Fraction) -> SfmResult:
 
 def min_norm_base(f: SetFunctionOracle) -> list[Fraction]:
     """The exact minimum-norm base x* of B(f - f(empty)), certified, else
-    CertificateError.  Up to EXACT_SOLVER_CAP it is read off the dense
-    table (certified for any oracle); beyond it the Fujishige-Wolfe search
-    runs.  There a graphic matroid's or a coverage function's base is
-    certified by orientations (tight level sets and exact base polytope
-    membership, with no assumption on f); for other classes the
+    CertificateError.  A graphic matroid or a coverage function builds it
+    by decomposition at every size (``_decomposed_base``), certified by
+    tight level sets and exact base polytope membership, with no
+    assumption on f (``_certified``).  Any other oracle has it read off the
+    dense table up to EXACT_SOLVER_CAP (certified for any oracle), and
+    from the Fujishige-Wolfe search with its exact finish beyond it, whose
     certificate relies on f being submodular."""
-    return _table_base(f) if f.m <= EXACT_SOLVER_CAP else _wolfe_base(f)
+    if f._decomposed_base is None:
+        return _table_base(f) if f.m <= EXACT_SOLVER_CAP else _wolfe_base(f)
+    x = f._decomposed_base()
+    if not _certified(f, x):
+        raise CertificateError(
+            "min-norm base has a lower level set that is not tight, or lies outside the base polytope"
+        )
+    return x
 
 
 def _lower_hull(g: Sequence) -> list[int]:
@@ -246,7 +252,7 @@ def _exact_min_norm_point(V: list[list[Fraction]], coeff: np.ndarray, greedy_ver
     total = sum(c)
     c = [a / total for a in c]
     # each active vertex V_i also as the integer vector U_i = d_i V_i
-    d, U = (list(t) for t in zip(*map(_integer_vector, V)))
+    d, U = (list(t) for t in zip(*map(integer_vector, V)))
     while True:
         # minor cycles: toward the affine minimizer of V until it is convex
         while True:
@@ -271,23 +277,14 @@ def _exact_min_norm_point(V: list[list[Fraction]], coeff: np.ndarray, greedy_ver
         q = greedy_vertex(sorted(range(m), key=x.__getitem__))
         if sum(xe * qe for xe, qe in zip(x, q)) >= sum(xe * xe for xe in x):
             return c, x
-        dq, uq = _integer_vector(q)
+        dq, uq = integer_vector(q)
         V, U, d = V + [q], U + [uq], d + [dq]
         c = c + [Fraction(0)]
 
 
-def _integer_vector(v: list[Fraction]) -> tuple[int, list[int]]:
-    """(d, d v), d the least common denominator of v's entries."""
-    d = lcm(*(ve.denominator for ve in v))
-    return d, [ve.numerator * (d // ve.denominator) for ve in v]
-
-
 def _wolfe_base(f: SetFunctionOracle) -> list[Fraction]:
-    """Float Wolfe search on h = f - f(empty), then an exact base.  A class
-    with an exact base polytope test rounds the search's point and
-    certifies it (``_certified``); if that fails, Wolfe's cycles finish the
-    search exactly and the finished point must pass the same certificate.
-    Any other class takes the exact finish, checked by ``_finished_base``."""
+    """Float Wolfe search on h = f - f(empty), then Wolfe's cycles finish it
+    exactly, checked by ``_finished_base``."""
     m = f.m
     if m == 0:
         return []
@@ -300,33 +297,7 @@ def _wolfe_base(f: SetFunctionOracle) -> list[Fraction]:
         return out
 
     V, coeff = _min_norm_point(m, greedy_vertex)
-    if f._base_membership is None:
-        return _finished_base(f, *_exact_min_norm_point(V, coeff, greedy_vertex))
-    x = _rounded_base(f, np.array(V, dtype=float).T @ coeff)
-    if _certified(f, x):
-        return x
-    x = _exact_min_norm_point(V, coeff, greedy_vertex)[1]
-    if not _certified(f, x):
-        raise CertificateError(
-            "min-norm base has a lower level set that is not tight, or lies outside the base polytope"
-        )
-    return x
-
-
-def _rounded_base(f: SetFunctionOracle, point: np.ndarray) -> list[Fraction]:
-    """The elements in ascending order of ``point`` (stable), and on each
-    cell between consecutive vertices of the lower convex hull of
-    (k, f(first k elements)) the hull's slope: the minimum-norm base
-    whenever ``point`` orders its level sets correctly."""
-    order = np.argsort(point, kind="stable").tolist()
-    g = f._prefix_values(order)
-    x = [Fraction(0)] * f.m
-    hull = _lower_hull(g)
-    for a, b in zip(hull, hull[1:]):
-        slope = Fraction(g[b] - g[a], b - a)
-        for e in order[a:b]:
-            x[e] = slope
-    return x
+    return _finished_base(f, *_exact_min_norm_point(V, coeff, greedy_vertex))
 
 
 def _certified(f: SetFunctionOracle, x: list[Fraction]) -> bool:
@@ -338,14 +309,17 @@ def _certified(f: SetFunctionOracle, x: list[Fraction]) -> bool:
     y(L_i) + lam_k y(E) >= <x, x>, as y(L_i) <= h(L_i) = x(L_i): x is the
     point of B(h) of least norm, whether or not f is submodular (Fujishige
     2005, lexicographically optimal base).  The level sets are the
-    prefixes of one stable sort of x that end before a larger value."""
+    prefixes of one stable sort of x that end before a larger value,
+    compared in integers, d x against d h, d the least common denominator
+    of x."""
     g0 = f(0)
-    order = sorted(range(len(x)), key=x.__getitem__)
+    d, scaled = integer_vector(x)
+    order = sorted(range(len(x)), key=scaled.__getitem__)
     level, total = 0, 0
     for k, e in enumerate(order):
         level |= 1 << e
-        total += x[e]
-        if (k + 1 == len(order) or x[order[k + 1]] != x[e]) and total != f(level) - g0:
+        total += scaled[e]
+        if (k + 1 == len(order) or scaled[order[k + 1]] != scaled[e]) and total != d * (f(level) - g0):
             return False
     return f._base_membership(x)
 

@@ -6,7 +6,9 @@ enumerating every permutation or subset directly, sampled schedules from
 ``reference_sample``, the sampler's plain per-sample loop, and subset-DP
 tables from ``layer_loop_dp_tables``, the DP's former numpy layer loop.
 ``wolfe_path`` sends ``min_norm_base`` down the Fujishige-Wolfe path on
-small grounds, to cross-check it against the table.
+small grounds, to cross-check it against the table; graphic matroids and
+coverage functions build their bases by decomposition on every ground, so
+it takes them nowhere new.
 """
 
 import heapq
@@ -27,6 +29,7 @@ from ordolab import (
     Ordering,
     SchedulingPoset,
     SetFunctionOracle,
+    VectorMatroid,
     mask_of,
     mlvc_objective,
 )
@@ -468,7 +471,24 @@ def counted_finishes():
         yield finishes
 
 
+@contextmanager
 def wolfe_path():
     """A ``with`` block in which ``min_norm_base`` takes the Fujishige-Wolfe
-    path on every ground, however small."""
-    return mock.patch.object(sfm, "EXACT_SOLVER_CAP", -1)
+    path on every ground, however small, for each oracle without a
+    decomposed base; it yields a list that grows by one at each float
+    search run."""
+    searches, search = [], sfm._min_norm_point
+    with mock.patch.object(sfm, "EXACT_SOLVER_CAP", -1), mock.patch.object(
+        sfm, "_min_norm_point", lambda *args: searches.append(args) or search(*args)
+    ):
+        yield searches
+
+
+def incidence_matroid(G: Graph) -> VectorMatroid:
+    """The column matroid of G's oriented incidence matrix (+1/-1 per edge,
+    a zero column for a loop): over the rationals, G's graphic matroid."""
+    rows = [[0] * G.m for _ in range(G.n)]
+    for i, (u, v) in enumerate(G.edges):
+        rows[u][i] += 1
+        rows[v][i] -= 1
+    return VectorMatroid(rows)

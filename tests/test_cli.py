@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from ordolab import CertificateError, cli, mlvc, sfm, solve
+from ordolab import CertificateError, CoverageFunction, GraphicMatroid, cli, mlvc, sfm, solve
 from ordolab.gomoryhu import GomoryHuTree
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
@@ -15,6 +16,11 @@ HYPER_TEXT = "3 1\n1 2 3\n"
 MIXED_TEXT = "4 5\n1 1\n1 2\n2 3\n1 3\n3 4\n"
 # a loop, a 21-cycle and a bridge: 23 edges, beyond the exact cap
 LARGE_TEXT = "22 23\n1 1\n" + "".join(f"{i} {i % 21 + 1}\n" for i in range(1, 22)) + "21 22\n"
+# 22 columns of rank 3, a zero column first: beyond the exact cap
+LARGE_MATRIX_TEXT = "3 22\n" + "".join(
+    " ".join(str(0 if j == 0 else c(j)) for j in range(22)) + "\n"
+    for c in (lambda j: 1, lambda j: j % 3 - 1, lambda j: j * j % 5 - 2)
+)
 
 
 def run_cli(argv):
@@ -108,21 +114,68 @@ def test_partition_report_on_a_mixed_zero_set(tmp_path):
 
 @pytest.mark.parametrize("command", ["approx", "partition"])
 @pytest.mark.parametrize(
-    "text, path",
-    [(MIXED_TEXT, "_table_base"), (LARGE_TEXT, "_wolfe_base")],
-    ids=["enumerate", "wolfe"],
+    "kind, text, path",
+    [
+        ("matrix", MATRIX_TEXT, "_table_base"),
+        ("matrix", LARGE_MATRIX_TEXT, "_wolfe_base"),
+        ("graph", MIXED_TEXT, "_decomposed_base"),
+        ("graph", LARGE_TEXT, "_decomposed_base"),
+    ],
+    ids=["enumerate", "wolfe", "decomposition", "decomposition-large"],
 )
-def test_one_min_norm_base_per_call(tmp_path, monkeypatch, command, text, path):
+def test_one_min_norm_base_per_call(tmp_path, monkeypatch, command, kind, text, path):
     bases = []
-    for name in ("_table_base", "_wolfe_base"):
-        def counted(*args, _name=name, _base=getattr(sfm, name)):
-            bases.append(_name)
-            return _base(*args)
 
-        monkeypatch.setattr(sfm, name, counted)
-    report, code = run_cli([command, "--input", write(tmp_path, "g.graph", text)])
+    def counted(name, base):
+        return lambda *args: bases.append(name) or base(*args)
+
+    for name in ("_table_base", "_wolfe_base"):
+        monkeypatch.setattr(sfm, name, counted(name, getattr(sfm, name)))
+    monkeypatch.setattr(
+        GraphicMatroid, "_decomposed_base", counted("_decomposed_base", GraphicMatroid._decomposed_base)
+    )
+    report, code = run_cli([command, "--kind", kind, "--input", write(tmp_path, "g." + kind, text)])
     assert code == 0
     assert bases == [path]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [(argv, text) for argv in (["approx"], ["partition"], ["mlvc", "--lp"]) for text in (MIXED_TEXT, LARGE_TEXT)]
+    + [(["verify", "--suite", "acceptance", "--criterion", "10"], None)],
+    ids=["approx", "approx-large", "partition", "partition-large", "mlvc-lp", "mlvc-lp-large", "verify-lp"],
+)
+def test_no_graph_base_reaches_the_table_or_the_wolfe_search(tmp_path, monkeypatch, argv, text):
+    # _wolfe_base is the one caller of the float search _min_norm_point
+    classes = []
+    for name in ("_table_base", "_wolfe_base"):
+        base = getattr(sfm, name)
+        monkeypatch.setattr(sfm, name, lambda f, _base=base: classes.append(type(f)) or _base(f))
+    if text is not None:
+        argv = argv + ["--input", write(tmp_path, "g.graph", text)]
+    report, code = run_cli(argv)
+    assert code == 0
+    assert not {GraphicMatroid, CoverageFunction} & set(classes)
+
+
+@pytest.mark.parametrize(
+    "cls, argv",
+    [(GraphicMatroid, ["approx"]), (CoverageFunction, ["mlvc", "--lp"])],
+    ids=["graphic-approx", "coverage-mlvc-lp"],
+)
+def test_a_moved_decomposed_base_exits_1(tmp_path, monkeypatch, cls, argv):
+    # x* moved by 1/(2L) between two entries: no fallback, exit 1
+    decompose = cls._decomposed_base
+
+    def moved(self):
+        x = decompose(self)
+        L = lcm(*(xe.denominator for xe in x))
+        return [x[0] - Fraction(1, 2 * L), x[1] + Fraction(1, 2 * L), *x[2:]]
+
+    monkeypatch.setattr(cls, "_decomposed_base", moved)
+    report, code = run_cli(argv + ["--input", write(tmp_path, "g.graph", LARGE_TEXT)])
+    assert code == 1
+    assert "min-norm base" in report["error"]
 
 
 @pytest.mark.parametrize(

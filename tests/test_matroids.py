@@ -23,7 +23,7 @@ from ordolab import (
 from ordolab import flow
 from ordolab.core import ParseError
 
-from helpers import graphic_membership_by_min_cuts, is_submodular
+from helpers import graphic_membership_by_min_cuts, incidence_matroid, is_submodular
 from ordolab.instances import bowtie, complete_graph, cycle_graph, path_graph, random_connected_graph
 
 K3 = complete_graph(3)
@@ -94,11 +94,7 @@ def test_graphic_rank_matches_oriented_incidence_rank():
         edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 9)))
         G = Graph(n, edges)
         graphic = GraphicMatroid(G)
-        rows = [[0] * G.m for _ in range(G.n)]
-        for i, (u, v) in enumerate(G.edges):
-            rows[u][i] += 1
-            rows[v][i] -= 1
-        incidence = VectorMatroid(rows)
+        incidence = incidence_matroid(G)
         for S in range(1 << G.m):
             assert graphic.rank(S) == incidence.rank(S)
 

@@ -316,11 +316,11 @@ def test_mlvc_lp_exits_1_without_a_certificate(tmp_path, monkeypatch):
     orient = matroids.bounded_orientation
 
     def corrupted(*args):
-        pairs, share = orient(*args)
+        pairs, share, tight = orient(*args)
         move = 1 if share[0] else -1
         share[0] -= move
         share[1] += move
-        return pairs, share
+        return pairs, share, tight
 
     monkeypatch.setattr(matroids, "bounded_orientation", corrupted)
     report, code = cli.run(["mlvc", "--lp", "--input", str(path)])

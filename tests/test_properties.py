@@ -8,7 +8,7 @@ in ``helpers``; the MLVC relaxation's structured check of its constructed
 pair against the plain Fraction check of the pair expanded into the model,
 its value against the coverage function's principal-partition bound and
 the brute-force MLVC optimum, and its orientation against every vertex
-set; coverage bases on the Wolfe path against the table; the batched vector-matroid and cut
+set; graphic and coverage bases by decomposition against the table; the batched vector-matroid and cut
 tables against single evaluations; the keyed subset DP against its former
 layer loop on raw integer tables; the s-t cuts of the integer max-flow against
 every cut of weighted multigraphs; graphic base polytope membership by
@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import and_
+from operator import and_, or_
 from unittest import mock
 
 import numpy as np
@@ -74,7 +74,6 @@ from helpers import (
     brute_partition,
     brute_weighted_mlop,
     count_inversions_by_pairs,
-    counted_finishes,
     cut_weight,
     expanded_relaxation_pair,
     graphic_membership_by_min_cuts,
@@ -174,18 +173,22 @@ def test_minimize_offset_matches_brute_scan(f, lam):
 @PROPERTY
 @given(oracles, lambdas)
 def test_minimize_offset_wolfe_matches_brute_scan(f, lam):
-    # the certified min-norm path, empty grounds included
-    with wolfe_path():
+    # the certified min-norm path, empty grounds included; graphic bases
+    # are decomposed, the others take the Wolfe search
+    with wolfe_path() as searches:
         res = minimize_offset(f, lam)
     assert_matches_brute_scan(res, f, lam)
+    assert len(searches) == (f._decomposed_base is None and f.m > 0)
 
 
 @PROPERTY
 @given(oracles)
 def test_min_norm_base_is_the_same_exact_base_on_both_paths(f):
-    x = min_norm_base(f)
-    with wolfe_path():
+    # the table against the decomposition (graphic) or the Wolfe search
+    x = sfm._table_base(f)
+    with wolfe_path() as searches:
         assert min_norm_base(f) == x
+    assert len(searches) == (f._decomposed_base is None and f.m > 0)
     assert sum(x) == f(f.full_mask)
     for S in range(1 << f.m):
         assert sum(x[e] for e in range(f.m) if (S >> e) & 1) <= f(S)
@@ -339,11 +342,18 @@ def test_forest_violation_matches_every_vertex_set(graph, unit):
         inside = sum(w for (u, v), w in zip(G.edges, weights) if (U >> u) & 1 and (U >> v) & 1)
         return inside > unit * (U.bit_count() - 1)
 
-    U = flow.forest_violation(G.n, G.edges, weights, unit)
+    def tight(U):
+        inside = sum(w for (u, v), w in zip(G.edges, weights) if (U >> u) & 1 and (U >> v) & 1)
+        return U & (U - 1) and inside == unit * (U.bit_count() - 1)
+
+    U, found = flow.forest_violation(G.n, G.edges, weights, unit)
     if U is None:
         assert not any(violates(S) for S in range(1, 1 << G.n))
+        # the maximal sets of two or more vertices that meet the bound exactly
+        sets = [S for S in range(1 << G.n) if tight(S)]
+        assert sorted(found) == [S for S in sets if not any(S != T and S & T == S for T in sets)]
     else:
-        assert 0 < U < 1 << G.n and violates(U)
+        assert 0 < U < 1 << G.n and violates(U) and found == []
 
 
 @PROPERTY
@@ -357,12 +367,16 @@ def test_bounded_orientation_matches_every_vertex_set(graph, data):
     def inside(U):
         return sum(w for (u, v), w in zip(G.edges, weights) if u != v and (U >> u) & 1 and (U >> v) & 1)
 
-    exists = all(inside(U) <= sum(cap[v] for v in range(G.n) if (U >> v) & 1) for U in range(1, 1 << G.n))
+    def room(U):
+        return sum(cap[v] for v in range(G.n) if (U >> v) & 1) - inside(U)
+
+    exists = all(room(U) >= 0 for U in range(1, 1 << G.n))
+    pairs, share, U = flow.bounded_orientation(G.n, G.edges, weights, cap)
     if not exists:
-        with pytest.raises(CertificateError):
-            flow.bounded_orientation(G.n, G.edges, weights, cap)
+        assert share is None and room(U) < 0
         return
-    pairs, share = flow.bounded_orientation(G.n, G.edges, weights, cap)
+    # U is the largest set whose capacity its inside weight fills
+    assert U == reduce(or_, (S for S in range(1 << G.n) if room(S) == 0))
     load, merged = [0] * G.n, {}
     for (u, v), w in zip(G.edges, weights):
         if u != v:
@@ -552,22 +566,22 @@ def test_edge_shares_orient_exactly_the_coverage_base(G, data):
 
 
 @PROPERTY
+@example(Graph(0, ()))
 @example(Graph(1, ()))
 @example(Graph(3, ((0, 0), (0, 0), (1, 2))))
-@given(multigraphs(max_vertices=7, max_edges=10))
-def test_coverage_wolfe_base_is_rounded_and_orientation_certified(G):
-    # loops, parallel edges and isolated vertices included: the rounded
-    # point passes the orientation certificate, with no exact finish run,
-    # and a point moved by 1/(2L) fails it
-    f = CoverageFunction(G)
-    x = min_norm_base(f)
-    with wolfe_path(), counted_finishes() as finishes:
-        assert min_norm_base(f) == x
-    assert finishes == []
-    if G.n >= 2:
-        L = lcm(*(xe.denominator for xe in x))
-        y = [x[0] - Fraction(1, 2 * L), x[1] + Fraction(1, 2 * L), *x[2:]]
-        assert not sfm._certified(f, y)
+@given(multigraphs(max_vertices=8, max_edges=14))
+def test_decomposed_bases_equal_the_table_base(G):
+    # loops, parallel edges, isolated vertices and the empty graph: both
+    # classes' decompositions against the table, and each passes the
+    # certificate while a point moved by 1/(2L) fails it
+    for f in (GraphicMatroid(G), CoverageFunction(G)):
+        x = f._decomposed_base()
+        assert x == sfm._table_base(f)
+        assert sfm._certified(f, x)
+        if f.m >= 2:
+            L = lcm(*(xe.denominator for xe in x))
+            y = [x[0] - Fraction(1, 2 * L), x[1] + Fraction(1, 2 * L), *x[2:]]
+            assert not sfm._certified(f, y)
 
 
 @PROPERTY

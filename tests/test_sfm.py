@@ -1,12 +1,14 @@
 import random
 from contextlib import nullcontext
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
 from ordolab import (
     CertificateError,
+    CoverageFunction,
     CutFunction,
     Graph,
     GraphicMatroid,
@@ -19,7 +21,7 @@ from ordolab import (
     st_min_cut,
 )
 
-from helpers import TableOracle, brute_min_offset, counted_finishes, wolfe_path
+from helpers import TableOracle, brute_min_offset, counted_finishes, incidence_matroid, wolfe_path
 from ordolab import sfm
 from ordolab.instances import path_graph, random_connected_graph, triangle_with_bridge
 
@@ -157,8 +159,9 @@ def test_non_submodular_oracle_fails_the_lattice_certificate():
 def test_non_submodular_oracle_fails_the_min_norm_certificate():
     # the level sets of x* = 0 attain the value 0; only the base polytope
     # check x*({e}) <= f({e}) = -1 exposes the oracle
-    with pytest.raises(CertificateError, match="base polytope"), wolfe_path():
+    with pytest.raises(CertificateError, match="base polytope"), wolfe_path() as searches:
         minimize_offset(TwoSeparateMinima(), Fraction(0))
+    assert searches
 
 
 @pytest.mark.parametrize("path", [nullcontext, wolfe_path], ids=["enumerate", "wolfe"])
@@ -183,13 +186,15 @@ def test_supermodular_oracle_fails_at_every_lambda(path):
 
 @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)])
 def test_wolfe_path_agrees_with_enumeration(lam):
+    # the graph's incidence matroid is its graphic matroid, but has no
+    # decomposed base, so the Wolfe path runs on it
     rng = random.Random(7)
     for _ in range(3):
-        G = random_connected_graph(5, rng.randint(4, 8), rng)
-        f = GraphicMatroid(G)
+        f = incidence_matroid(random_connected_graph(5, rng.randint(4, 8), rng))
         exact = minimize_offset(f, lam)
-        with wolfe_path():
+        with wolfe_path() as searches:
             wolfe = minimize_offset(f, lam)
+        assert searches
         assert wolfe.min_value == exact.min_value
         assert wolfe.minimal_minimizer == exact.minimal_minimizer
         assert wolfe.maximal_minimizer == exact.maximal_minimizer
@@ -197,37 +202,50 @@ def test_wolfe_path_agrees_with_enumeration(lam):
 
 def test_auto_switches_to_wolfe_beyond_cap():
     # the large-ground path on a small ground; min_norm_base takes it
-    # beyond EXACT_SOLVER_CAP (test_approx_beyond_exact_cap_graphic)
-    f = GraphicMatroid(path_graph(7))  # 6 edges
-    with wolfe_path():
+    # beyond EXACT_SOLVER_CAP for oracles without a decomposed base
+    f = incidence_matroid(path_graph(7))  # 6 edges
+    with wolfe_path() as searches:
         res = minimize_offset(f, Fraction(1, 2))
+    assert len(searches) == 1
     assert res.min_value == 0
     assert res.minimal_minimizer == 0
 
 
 def test_exact_finish_completes_a_float_search_stopped_early(monkeypatch):
     # a float search that stops at its first vertex leaves every major and
-    # minor cycle to the exact finish.  The graphic base is left unrounded
-    # there, so that vertex fails the flow certificate and is recovered
-    # through the finish; the vector matroid, which has no membership test,
-    # always takes it
+    # minor cycle to the exact finish, which oracles without a decomposed
+    # base always take
     monkeypatch.setattr(
         sfm, "_min_norm_point", lambda n, vertex: ([vertex(list(range(n)))], np.ones(1))
     )
-    monkeypatch.setattr(sfm, "_rounded_base", lambda f, point: [Fraction(p) for p in point])
-    graphic = GraphicMatroid(random_connected_graph(5, 8, random.Random(3)))
     vector = VectorMatroid([[1, 0, 0, 1, 1, 0, 2], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, -1]])
-    for f in (graphic, vector):
+    table = TableOracle([min(3, S.bit_count()) + (S & 1) for S in range(1 << 5)])
+    for f in (vector, table):
         for lam in (Fraction(0), Fraction(1, 2), Fraction(4, 7), Fraction(1)):
-            with wolfe_path(), counted_finishes() as finishes:
+            with wolfe_path() as searches, counted_finishes() as finishes:
                 wolfe = minimize_offset(f, lam)
             assert wolfe == minimize_offset(f, lam)
-            assert len(finishes) == 1
+            assert len(searches) == len(finishes) == 1
 
 
-def test_graphic_wolfe_base_is_rounded_and_flow_certified():
-    f = GraphicMatroid(random_connected_graph(8, 16, random.Random(16)))
-    with wolfe_path(), counted_finishes() as finishes:
-        x = sfm.min_norm_base(f)
-    assert x == sfm.min_norm_base(f)
-    assert finishes == []
+@pytest.mark.parametrize("cls", [GraphicMatroid, CoverageFunction], ids=["graphic", "coverage"])
+def test_decomposed_base_takes_no_table_and_no_wolfe_search(cls, monkeypatch):
+    f = cls(random_connected_graph(8, 16, random.Random(16)))
+    x = sfm._table_base(f)
+    monkeypatch.setattr(sfm, "_table_base", None)
+    with wolfe_path() as searches:
+        assert sfm.min_norm_base(f) == x
+    assert searches == []
+
+
+@pytest.mark.parametrize("cls", [GraphicMatroid, CoverageFunction], ids=["graphic", "coverage"])
+def test_a_moved_decomposed_base_fails_the_certificate(cls, monkeypatch):
+    # moving 1/(2L) from the first entry to the second keeps x(E) but
+    # breaks a tight level set or base polytope membership
+    f = cls(random_connected_graph(6, 9, random.Random(9)))
+    x = sfm.min_norm_base(f)
+    L = lcm(*(xe.denominator for xe in x))
+    moved = [x[0] - Fraction(1, 2 * L), x[1] + Fraction(1, 2 * L), *x[2:]]
+    monkeypatch.setattr(cls, "_decomposed_base", lambda self: moved)
+    with pytest.raises(CertificateError, match="min-norm base"):
+        sfm.min_norm_base(f)
