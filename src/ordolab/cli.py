@@ -263,9 +263,7 @@ def _cmd_mlvc(args):
         results["balance"] = {
             "trials": report.trials,
             "floor": jsonable(report.floor),
-            "pair_probabilities": {
-                f"{a}<{b}": p for (a, b), p in sorted(report.probabilities.items())
-            },
+            "pair_probabilities": {f"{a}<{b}": p for (a, b), p in report.probabilities.items()},
             "worst_pair": None if report.worst_pair is None else list(report.worst_pair),
             "worst_probability": report.worst_probability,
             "flagged": [list(p) for p in report.flagged],

@@ -218,15 +218,6 @@ def _circuit_supports(M: Matroid, basis: int) -> list[tuple[int, tuple[int, ...]
     ]
 
 
-def _ordered_cost(supports, basis_order: Sequence[int]) -> int:
-    k = len(basis_order)
-    pos = {b: i + 1 for i, b in enumerate(basis_order)}
-    # loops have a singleton circuit and contribute rank 0
-    return k * (k + 1) // 2 + sum(
-        max((pos[b] for b in support), default=0) for _, support in supports
-    )
-
-
 def fixed_basis_extension(M: Matroid, basis_order: Sequence[int]) -> Ordering:
     """The insertion extension: basis elements in order, each non-basis
     element placed right after the last basis element of its circuit."""
@@ -251,46 +242,81 @@ SMALL_BASIS_MAX_RANK = 8
 SMALL_BASIS_MAX_BASES = 20000
 
 
-def _search_bases(M: Matroid, bases: Sequence[int]):
-    """Best (value, basis permutation) over the given bases; ties broken by
-    the lexicographically smallest permutation, so chunked searches merge
-    deterministically."""
-    return min(_best_basis_order(M, basis) for basis in bases)
+def _search_bases(bases: Sequence[int], every_basis: Sequence[int], m: int) -> tuple[int, tuple[int, ...]]:
+    """The least (value, basis order) over every order of the given bases,
+    by one subset DP over all of them at once; ties go to the
+    lexicographically least order, so chunked searches merge
+    deterministically.
 
-
-def _best_basis_order(M: Matroid, basis: int) -> tuple[int, tuple[int, ...]]:
-    """The least (value, permutation) over the orders of one basis, by a DP
-    over its 2^k subsets.  An order's value is k(k+1)/2 plus, for each of
-    its prefixes P_0, ..., P_{k-1}, the number of circuit supports not
-    inside P_i; togo[S] is the least sum over the prefixes from S on, and
-    the order takes at each step the smallest element that keeps it."""
-    elements = list(iter_bits(basis))
-    k = len(elements)
-    local = {b: i for i, b in enumerate(elements)}
-    supports = _circuit_supports(M, basis)
-    masks = [mask_of(local[b] for b in support) for _, support in supports]
-    full = (1 << k) - 1
-    togo = [0] * (1 << k)
-    step = [0] * (1 << k)
-    # every proper superset of S is a larger number
-    for S in range(full - 1, -1, -1):
-        best, step[S] = min((togo[S | 1 << i], i) for i in range(k) if not (S >> i) & 1)
-        togo[S] = best + sum(1 for sup in masks if sup & ~S)
-    order = []
-    S = 0
-    while S != full:
-        order.append(elements[step[S]])
-        S |= 1 << step[S]
-    return _ordered_cost(supports, order), tuple(order)
+    An order's value is k(k+1)/2 plus, for each of its prefixes P_0, ...,
+    P_{k-1}, the number of circuit supports not inside P_i.  b lies in the
+    support of e, outside B, exactly when B - b + e is a basis, so each
+    support is read off ``every_basis`` (all of them, also when ``bases`` is
+    one worker's share) with no rank call.  In blocks of at most
+    DP_BLOCK_ENTRIES / (k 2^k) bases, cnt[S] counts the supports not inside
+    S (a sum over subsets of the supports' local masks), and togo[S], the
+    least sum over the prefixes from S on, is filled one popcount layer at a
+    time from E down; each order takes at each step the least local index
+    that keeps togo, and one lexsort picks the least (value, order)."""
+    k = bases[0].bit_count()
+    # completes[I] holds every x that makes the (k-1)-set I + x a basis
+    completes: dict[int, int] = {}
+    for B in every_basis:
+        for b in iter_bits(B):
+            completes[B ^ 1 << b] = completes.get(B ^ 1 << b, 0) | 1 << b
+    masks, starts = size_order(k)
+    bit = 1 << np.arange(k)
+    taken = (masks[:, None] & bit) != 0
+    block = max(1, DP_BLOCK_ENTRIES // max(1, k << k))
+    togo_0 = np.empty(len(bases), dtype=np.int64)
+    orders = np.empty((len(bases), k), dtype=np.intp)
+    for lo in range(0, len(bases), block):
+        chunk = bases[lo : lo + block]
+        rows = np.arange(len(chunk))
+        local = []  # (row, local support mask) per element outside each basis
+        for r, B in enumerate(chunk):
+            supports = dict.fromkeys((e for e in range(m) if not (B >> e) & 1), 0)
+            for i, b in enumerate(iter_bits(B)):
+                for e in iter_bits(completes[B ^ 1 << b] & ~B):
+                    supports[e] |= 1 << i
+            local.extend(r << k | sup for sup in supports.values())
+        # inside[S] = number of supports inside S, summed over subsets
+        inside = np.bincount(np.array(local, dtype=np.intp), minlength=len(chunk) << k)
+        inside = inside.reshape(len(chunk), 1 << k)
+        for i in range(k):
+            half = inside.reshape(len(chunk), -1, 2, 1 << i)
+            half[:, :, 1] += half[:, :, 0]
+        cnt = (m - k) - inside
+        togo = np.zeros_like(cnt)
+        step = np.zeros(cnt.shape, dtype=np.intp)
+        for size in range(k - 1, -1, -1):
+            layer = masks[starts[size] : starts[size + 1]]
+            cand = togo[:, layer[:, None] | bit]
+            # an element already in S: above every togo, which is at most k (m - k)
+            cand[:, taken[starts[size] : starts[size + 1]]] = m * k + 1
+            step[:, layer] = cand.argmin(axis=2)
+            togo[:, layer] = cand.min(axis=2) + cnt[:, layer]
+        elements = np.array([list(iter_bits(B)) for B in chunk], dtype=np.intp).reshape(len(chunk), k)
+        S = np.zeros(len(chunk), dtype=np.intp)
+        for t in range(k):
+            i = step[rows, S]
+            orders[lo : lo + len(chunk), t] = elements[rows, i]
+            S |= 1 << i
+        togo_0[lo : lo + len(chunk)] = togo[:, 0]
+    best = np.lexsort((*orders.T[::-1], togo_0))[0]
+    return k * (k + 1) // 2 + int(togo_0[best]), tuple(orders[best].tolist())
 
 
 def small_basis_exact(M: Matroid, jobs: int = 1):
     """Exact optimum by searching bases and their orderings.
 
-    Feasible whenever the basis count and the rank are small; the search
-    space is (number of bases) * k!, with k at most SMALL_BASIS_MAX_RANK and
-    at most SMALL_BASIS_MAX_BASES bases.  ``jobs`` splits the basis list
-    across processes; the result is identical for any job count.
+    Feasible whenever the basis count and the rank are small: one subset DP
+    over the 2^k sets of every basis at once, in numpy, with k at most
+    SMALL_BASIS_MAX_RANK and at most SMALL_BASIS_MAX_BASES bases.  The
+    insertion extension of the best order is re-costed by the oracle.
+    ``jobs`` splits the basis list across processes, each holding every
+    basis for the exchange lookups; the result is identical for any job
+    count.
     """
     k = M.full_rank
     if k > SMALL_BASIS_MAX_RANK:
@@ -302,11 +328,11 @@ def small_basis_exact(M: Matroid, jobs: int = 1):
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = [bases[i::jobs] for i in range(jobs) if bases[i::jobs]]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            partials = list(pool.map(_search_bases, [M] * len(chunks), chunks))
-        best = min(partials)
+        n = len(chunks)
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            best = min(pool.map(_search_bases, chunks, [bases] * n, [M.m] * n))
     else:
-        best = _search_bases(M, bases)
+        best = _search_bases(bases, bases, M.m)
     best_val, best_order = best
     sigma = fixed_basis_extension(M, best_order)
     check = mlop_objective(M, sigma)

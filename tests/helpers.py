@@ -15,7 +15,7 @@ import heapq
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import lcm
 from unittest import mock
 
@@ -69,6 +69,24 @@ def brute_mlop(f):
             best = val
             best_seq = seq
     return best, Ordering.from_sequence(best_seq)
+
+
+def brute_fixed_basis(M):
+    """The least (value, basis order) over every order of every basis, from
+    rank calls alone: an order costs k(k+1)/2 plus, for each element outside
+    its basis, the length of the shortest prefix that spans it."""
+    k = M.full_rank
+    best = None
+    for basis in combinations(range(M.m), k):
+        if M.rank(mask_of(basis)) != k:
+            continue
+        outside = [e for e in range(M.m) if e not in basis]
+        for perm in permutations(basis):
+            prefixes = [mask_of(perm[:i]) for i in range(k + 1)]
+            spans = (next(i for i, P in enumerate(prefixes) if M.rank(P | 1 << e) == i) for e in outside)
+            candidate = (k * (k + 1) // 2 + sum(spans), perm)
+            best = candidate if best is None else min(best, candidate)
+    return best
 
 
 def brute_weighted_mlop(f, costs):

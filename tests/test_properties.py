@@ -37,16 +37,19 @@ from ordolab import (
     GraphicMatroid,
     Hypergraph,
     SchedulingPoset,
+    UniformMatroid,
     VectorMatroid,
     balance_check,
     best_of_n,
     compute_principal_partition,
     exact_mlop_dp,
     exact_weighted_mlop_dp,
+    fixed_basis_extension,
     min_norm_base,
     minimize_offset,
     mlop_objective,
     pp_lower_bound,
+    small_basis_exact,
     st_min_cut,
     weighted_mlop_objective,
 )
@@ -69,6 +72,7 @@ from helpers import (
     _solve_square,
     balance_check_by_loop,
     best_of_n_by_loop,
+    brute_fixed_basis,
     brute_min_offset,
     brute_mlop,
     brute_partition,
@@ -208,6 +212,21 @@ def test_exact_dp_matches_brute_mlop(f):
     assert value == brute_mlop(f)[0] == mlop_objective(f, sigma)
     # same optimum and same smallest-last-element tie-break as the loop DP
     assert (value, sigma) == loop_dp(f)
+
+
+uniform_matroids = st.integers(0, 7).flatmap(lambda m: st.builds(UniformMatroid, st.just(m), st.integers(0, min(m, 4))))
+
+
+@pytest.mark.parametrize("block", [solve.DP_BLOCK_ENTRIES, 16], ids=["one-block", "many-blocks"])
+@PROPERTY
+@given(st.one_of(multigraphs().map(GraphicMatroid), uniform_matroids, vector_matroids()))
+def test_small_basis_matches_the_permutation_search(block, M):
+    # exchange supports and the batched DP against every order of every
+    # basis costed by rank calls; a block of 16 entries holds one basis
+    with mock.patch.object(solve, "DP_BLOCK_ENTRIES", block):
+        value, sigma = small_basis_exact(M)
+    best_value, best_order = brute_fixed_basis(M)
+    assert (value, sigma) == (best_value, fixed_basis_extension(M, best_order))
 
 
 @PROPERTY

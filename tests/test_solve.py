@@ -28,7 +28,7 @@ from ordolab import (
 )
 from ordolab import cli, solve
 
-from helpers import brute_mlop, brute_weighted_mlop
+from helpers import brute_fixed_basis, brute_mlop, brute_weighted_mlop
 from ordolab.instances import (
     bowtie,
     complete_graph,
@@ -292,27 +292,27 @@ def test_small_basis_matches_dp():
 
 
 def test_small_basis_checks_the_insertion_extension(monkeypatch):
-    cost = solve._ordered_cost
-    monkeypatch.setattr(solve, "_ordered_cost", lambda supports, order: cost(supports, order) - 1)
+    search = solve._search_bases
+
+    def understated(*args):
+        value, order = search(*args)
+        return value - 1, order
+
+    monkeypatch.setattr(solve, "_search_bases", understated)
     with pytest.raises(CertificateError, match="insertion extension"):
         small_basis_exact(TB)
 
 
 def test_basis_order_dp_matches_the_permutation_search():
     # every order of every basis, least (value, order) first: the search the
-    # subset DP replaces, on graphs with loops and parallel edges as well
+    # batched subset DP replaces, on graphs with loops and parallel edges
     rng = random.Random(9)
     for _ in range(8):
         G = random_connected_graph(5, rng.randint(4, 8), rng)
         G = Graph(5, G.edges + tuple((rng.randrange(5), rng.randrange(5)) for _ in range(2)))
         M = GraphicMatroid(G)
         bases = list(M.bases())
-        reference = min(
-            (solve._ordered_cost(solve._circuit_supports(M, basis), perm), perm)
-            for basis in bases
-            for perm in permutations(solve.iter_bits(basis))
-        )
-        assert solve._search_bases(M, bases) == reference
+        assert solve._search_bases(bases, bases, M.m) == brute_fixed_basis(M)
 
 
 def test_small_basis_u13():
@@ -322,9 +322,11 @@ def test_small_basis_u13():
 
 def test_small_basis_parallel_jobs_deterministic():
     M = GraphicMatroid(bowtie())
-    seq_value, seq_sigma = small_basis_exact(M, jobs=1)
-    par_value, par_sigma = small_basis_exact(M, jobs=2)
-    assert (seq_value, seq_sigma) == (par_value, par_sigma)
+    assert small_basis_exact(M, jobs=1) == small_basis_exact(M, jobs=2)
+    # each worker looks its supports up among every basis, not its share
+    M = GraphicMatroid(random_connected_graph(6, 10, random.Random(3)))
+    assert len(list(M.bases())) >= 100
+    assert small_basis_exact(M, jobs=1) == small_basis_exact(M, jobs=3)
 
 
 def test_is_cactus():
