@@ -6,10 +6,10 @@ throughout the library.  Oracle values, bounds and certificates are exact
 solvers are decidable equalities.  The exhaustive solvers work on one dense
 integer table per oracle (``SetFunctionOracle.dense_values``): the values
 times a common denominator, in a numpy integer array whose dtype is chosen
-from a bound on the values, with exact Python ints beyond int64.  The only
-floating-point arithmetic is the Fujishige-Wolfe search in ``sfm`` beyond
-the exact cap, for oracles without a decomposed base, whose output is
-finished exactly.
+from a bound on the values, with exact Python ints beyond int64.  Every
+minimum-norm base, the Fujishige-Wolfe search in ``sfm`` included, is
+computed in exact arithmetic; the sampler's reported probabilities are
+floats.
 """
 
 from __future__ import annotations
@@ -238,7 +238,8 @@ class SetFunctionOracle:
     builds the one integer table that every enumeration-based solver reads;
     subclasses with a faster way to fill all 2^m entries override
     ``_scaled_table``, and those that extend a prefix by one element cheaply
-    (union-find for a graphic matroid) override ``_prefix_values``.
+    (union-find for a graphic matroid, one elimination for a vector
+    matroid) override ``_prefix_values``.
     """
 
     #: ``_decomposed_base()``, for classes that build their minimum-norm
@@ -247,7 +248,8 @@ class SetFunctionOracle:
     #: also decides exactly whether x lies in the base polytope,
     #: ``_base_membership(x)``, and ``sfm.min_norm_base`` certifies the base
     #: by that test at every size; other bases come from the dense table or,
-    #: beyond the cap, from a Wolfe finish that assumes f is submodular.
+    #: beyond the cap, from an exact Wolfe search that assumes f is
+    #: submodular.
     _decomposed_base = None
 
     def __init__(self, ground: GroundSet):

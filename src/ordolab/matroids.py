@@ -225,8 +225,9 @@ class VectorMatroid(Matroid):
     rationals.
 
     The dense table is filled in one batched pass that adds one column at a
-    time to every column set built so far (see ``_scaled_table``); a single
-    query runs fraction-free (Bareiss) elimination.
+    time to every column set built so far (see ``_scaled_table``); one
+    fraction-free elimination ranks all prefixes of an ordering
+    (``_prefix_values``), and a single query is the last of them.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]]):
@@ -239,10 +240,31 @@ class VectorMatroid(Matroid):
         super().__init__(GroundSet(width))
 
     def evaluate(self, subset: int) -> int:
-        cols = list(iter_bits(subset))
-        if not cols:
-            return 0
-        return _rank_bareiss([[row[j] for j in cols] for row in self.rows])
+        return self._prefix_values(list(iter_bits(subset)))[-1]
+
+    def _prefix_values(self, order: Sequence[int]) -> list[int]:
+        """The rank of each prefix of ``order``, the empty prefix first.
+        Each new column is reduced against the pivot columns kept so far,
+        in the order they were kept: a pivot (p, u) has u_p != 0 and is
+        zero on the rows of the pivots before it, so v <- u_p v - v_p u
+        clears row p and keeps the earlier rows clear.  Each step divides
+        v by the gcd of its entries; a nonzero remainder is kept as a
+        pivot on its first nonzero row.  Once the pivots fill the rows, no
+        later column can raise the rank."""
+        pivots: list[tuple[int, list[int]]] = []
+        ranks = [0]
+        for j in order:
+            if len(pivots) < len(self.rows):
+                v = [row[j] for row in self.rows]
+                for p, u in pivots:
+                    if v[p]:
+                        v = [u[p] * a - v[p] * b for a, b in zip(v, u)]
+                        g = gcd(*v)
+                        v = [a // g for a in v] if g > 1 else v
+                if any(v):
+                    pivots.append((next(i for i, a in enumerate(v) if a), v))
+            ranks.append(len(pivots))
+        return ranks
 
     def _scaled_table(self) -> tuple[int, np.ndarray]:
         """All 2^m ranks from one k x k integer matrix N_S per column set S,
@@ -309,31 +331,6 @@ def _adjoin(N: np.ndarray, w: np.ndarray, grows: np.ndarray) -> np.ndarray:
     new //= g[:, :, None]
     out[len(grows) + index] = new
     return out
-
-
-def _rank_bareiss(mat: list[list[int]]) -> int:
-    """Exact integer rank by fraction-free Gaussian elimination."""
-    rows, cols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                # Bareiss update: division by the previous pivot is exact
-                mat[i][j] = (mat[i][j] * piv - mat[i][c] * mat[r][j]) // prev
-            mat[i][c] = 0
-        prev = piv
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
 
 
 class DualMatroid(Matroid):

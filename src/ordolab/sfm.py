@@ -21,15 +21,17 @@ minima g(k) = min_{|X|=k} D*f(X) must have unique, nested argmins, and x*
 takes the hull slope on the cell where an element enters.  With x*(X) <=
 f(X) checked on all 2^m subsets, x* is the minimum-norm point of
 {x : x(X) <= f(X), x(E) = f(E)} with tight level sets, so every answer is
-exact for any oracle.  Beyond the cap, one Fujishige-Wolfe search in
-floating point keeps the exact greedy vertex of every active point (each
-reads f on the m + 1 prefixes of its order through the oracle's
-``_prefix_values``), and Wolfe's cycles finish it exactly, each affine
-minimizer solved from its bordered Gram system by ``core.solve_exact``.
-The point passes Wolfe's optimality test exactly, is a convex combination
-of its active vertices, and satisfies x*(X) <= f(X) on the 2m singletons
-and co-singletons.  Beyond those sets it is the minimum-norm base only if
-f is submodular.  A failed check raises ``CertificateError``.
+exact for any oracle.  Beyond the cap, one Fujishige-Wolfe search runs in
+exact arithmetic from the greedy vertex of the identity order.  Each
+greedy vertex reads f on the m + 1 prefixes of its order through the
+oracle's ``_prefix_values``; each affine minimizer is solved from its
+bordered Gram system by ``core.solve_exact``, and each point is formed in
+integers over one common denominator.  The point passes Wolfe's optimality
+test exactly, is a convex combination of its active vertices, and
+satisfies x*(X) <= f(X) on the 2m singletons and co-singletons.  Beyond
+those sets it is the minimum-norm base only if f is submodular.  A failed
+check raises ``CertificateError``.  No step of any base uses floating
+point.
 
 ``st_min_cut`` cuts graph cut functions only, by checked flows: an exact
 integer maximum flow (``flow``, shortest augmenting paths, the search that
@@ -67,7 +69,6 @@ from .core import (
 )
 from .matroids import CutFunction
 
-WOLFE_TOL = 1e-9
 OUTSIDE_BASE_POLYTOPE = "min-norm base lies outside the base polytope: oracle not submodular?"
 
 
@@ -106,8 +107,8 @@ def min_norm_base(f: SetFunctionOracle) -> list[Fraction]:
     tight level sets and exact base polytope membership, with no
     assumption on f (``_certified``).  Any other oracle has it read off the
     dense table up to EXACT_SOLVER_CAP (certified for any oracle), and
-    from the Fujishige-Wolfe search with its exact finish beyond it, whose
-    certificate relies on f being submodular."""
+    from the exact Fujishige-Wolfe search beyond it, whose certificate
+    relies on f being submodular."""
     if f._decomposed_base is None:
         return _table_base(f) if f.m <= EXACT_SOLVER_CAP else _wolfe_base(f)
     x = f._decomposed_base()
@@ -185,106 +186,48 @@ def st_min_cut(f: CutFunction, s: int, t: int) -> tuple[int, Fraction]:
 # Fujishige-Wolfe path (grounds beyond the enumeration cap)
 
 
-def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = S.shape[0]
-    M = S @ S.T
-    M = np.concatenate([np.ones((m, 1)), M], axis=1)
-    top = np.hstack([np.zeros((1, 1)), np.ones((1, m))])
-    M = np.concatenate([top, M], axis=0)
-    rhs = np.hstack([np.ones(1), np.zeros(m)])
-    sol = np.linalg.lstsq(M, rhs, rcond=None)[0][1:]
-    return sol, S.T @ sol
-
-
-def _min_norm_point(n: int, greedy_vertex) -> tuple[list[list[Fraction]], np.ndarray]:
+def _exact_min_norm_point(m: int, greedy_vertex) -> tuple[list[Fraction], list[Fraction]]:
     """Wolfe's algorithm for the minimum-norm point of the base polytope, in
-    floating point.  ``greedy_vertex(order)`` returns the exact vertex for
-    an ordering of the ground set.  Returns the exact vertices of the final
-    active set and their float coefficients."""
-
-    def vertex(w: np.ndarray) -> list[Fraction]:
-        # linear optimization over the base polytope: order w ascending
-        return greedy_vertex(np.argsort(w, kind="stable").tolist())
-
-    V = [vertex(np.zeros(n))]
-    S = np.array(V, dtype=float)
-    x = S[0]
-    coeff = np.array([1.0])
-    for _ in range(200 * (n + 1) ** 2):
-        exact_q = vertex(x)
-        q = np.array(exact_q, dtype=float)
-        scale = max(float(np.max(np.abs(S))) ** 2, float(q @ q), 1.0)
-        if float(x @ q) >= float(x @ x) - WOLFE_TOL * scale:
-            break
-        if np.any(np.all(np.abs(S - q) < WOLFE_TOL, axis=1)):
-            break
-        S = np.vstack([S, q])
-        V.append(exact_q)
-        coeff = np.hstack([coeff, 0.0])
-        while True:
-            b, y = _affine_minimizer(S)
-            if np.all(b >= -WOLFE_TOL):
-                coeff, x = np.clip(b, 0.0, None), y
-                break
-            diff = coeff - b
-            positive = diff > WOLFE_TOL
-            theta = np.min(coeff[positive] / diff[positive])
-            coeff = theta * b + (1 - theta) * coeff
-            keep = coeff > WOLFE_TOL
-            if not np.any(keep):
-                keep[int(np.argmax(coeff))] = True
-            S = S[keep]
-            V = [v for v, k in zip(V, keep) if k]
-            coeff = coeff[keep]
-            coeff = coeff / coeff.sum()
-            x = S.T @ coeff
-    return V, coeff
-
-
-def _exact_min_norm_point(V: list[list[Fraction]], coeff: np.ndarray, greedy_vertex):
-    """Wolfe's algorithm in exact arithmetic, started from the float search's
-    final active set, which is usually already optimal.  The float search
-    stops at a tolerance, so a point within it of the optimum gets the
-    remaining major cycles here.  Returns the coefficients c and the point
-    x = sum c_i V_i, with x.q >= x.x for the greedy vertex q at x."""
-    m = len(V[0])
-    c = [Fraction(float(a)) for a in coeff]
-    total = sum(c)
-    c = [a / total for a in c]
-    # each active vertex V_i also as the integer vector U_i = d_i V_i
-    d, U = (list(t) for t in zip(*map(integer_vector, V)))
+    exact arithmetic, started from the greedy vertex of the identity order
+    with coefficient 1.  ``greedy_vertex(order)`` returns the exact vertex
+    for an ordering of the ground set.  Returns the coefficients c and the
+    point x = sum c_i V_i, with x.q >= x.x for the greedy vertex q at x."""
+    # each active vertex V_i kept as the integer vector U_i = d_i V_i
+    d0, u0 = integer_vector(greedy_vertex(list(range(m))))
+    d, U, c = [d0], [u0], [Fraction(1)]
     while True:
+        # x = sum (c_i / d_i) U_i as the integer vector X = L x, L the least
+        # common denominator of the c_i / d_i
+        L, w = integer_vector([ci / di for ci, di in zip(c, d)])
+        X = [sum(map(mul, w, col)) for col in zip(*U)]
+        dq, uq = integer_vector(greedy_vertex(sorted(range(m), key=X.__getitem__)))
+        # x.q >= x.x, that is L X.(d_q q) >= d_q X.X
+        if L * sum(map(mul, X, uq)) >= dq * sum(map(mul, X, X)):
+            return c, [Fraction(Xe, L) for Xe in X]
+        d, U, c = d + [dq], U + [uq], c + [Fraction(0)]
         # minor cycles: toward the affine minimizer of V until it is convex
         while True:
             # the point of least norm in the affine hull of V is sum b_i V_i
             # for a solution (mu, b) of [[0, 1^T], [1, V V^T]] (mu, b) = (1, 0),
             # a system that is always consistent; in beta_j = b_j / d_j its
             # rows are integer: sum d_j beta_j = 1, d_i mu + sum U_i.U_j beta_j = 0
-            k = len(V)
             bordered = [dict(enumerate(d, 1))] + [
-                {0: di, **{j: sum(map(mul, u, w)) for j, w in enumerate(U, 1)}} for di, u in zip(d, U)
+                {0: di, **{j: sum(map(mul, u, v)) for j, v in enumerate(U, 1)}} for di, u in zip(d, U)
             ]
-            beta = solve_exact(bordered, [1] + [0] * k)[1:]
+            beta = solve_exact(bordered, [1] + [0] * len(U))[1:]
             b = [dj * bj for dj, bj in zip(d, beta)]
             if all(bi >= 0 for bi in b):
                 c = b
                 break
             theta = min(ci / (ci - bi) for ci, bi in zip(c, b) if bi < 0)
             c = [theta * bi + (1 - theta) * ci for ci, bi in zip(c, b)]
-            V, U, d = ([t for t, ci in zip(seq, c) if ci > 0] for seq in (V, U, d))
+            U, d = ([t for t, ci in zip(seq, c) if ci > 0] for seq in (U, d))
             c = [ci for ci in c if ci > 0]
-        x = [sum(ci * v[e] for ci, v in zip(c, V)) for e in range(m)]
-        q = greedy_vertex(sorted(range(m), key=x.__getitem__))
-        if sum(xe * qe for xe, qe in zip(x, q)) >= sum(xe * xe for xe in x):
-            return c, x
-        dq, uq = integer_vector(q)
-        V, U, d = V + [q], U + [uq], d + [dq]
-        c = c + [Fraction(0)]
 
 
 def _wolfe_base(f: SetFunctionOracle) -> list[Fraction]:
-    """Float Wolfe search on h = f - f(empty), then Wolfe's cycles finish it
-    exactly, checked by ``_finished_base``."""
+    """Wolfe's search on h = f - f(empty), in exact arithmetic, checked by
+    ``_finished_base``."""
     m = f.m
     if m == 0:
         return []
@@ -296,8 +239,7 @@ def _wolfe_base(f: SetFunctionOracle) -> list[Fraction]:
             out[e] = values[i + 1] - values[i]
         return out
 
-    V, coeff = _min_norm_point(m, greedy_vertex)
-    return _finished_base(f, *_exact_min_norm_point(V, coeff, greedy_vertex))
+    return _finished_base(f, *_exact_min_norm_point(m, greedy_vertex))
 
 
 def _certified(f: SetFunctionOracle, x: list[Fraction]) -> bool:
@@ -325,7 +267,7 @@ def _certified(f: SetFunctionOracle, x: list[Fraction]) -> bool:
 
 
 def _finished_base(f: SetFunctionOracle, c: list[Fraction], x: list[Fraction]) -> list[Fraction]:
-    """x, the exact Wolfe finish with coefficients c, checked: a convex
+    """x, the exact Wolfe point with coefficients c, checked: a convex
     combination, and x*(X) <= h(X) on the 2m sets {e} and E - e (a
     necessary condition of x* lying in the base polytope)."""
     if any(ci < 0 for ci in c) or sum(c) != 1:

@@ -481,23 +481,14 @@ def sample_extension(H, seed: int = 0) -> list[int]:
 
 
 @contextmanager
-def counted_finishes():
-    """A ``with`` block yielding a list that grows by one at each call of
-    the exact Wolfe finish."""
-    finishes, finish = [], sfm._exact_min_norm_point
-    with mock.patch.object(sfm, "_exact_min_norm_point", lambda *args: finishes.append(args) or finish(*args)):
-        yield finishes
-
-
-@contextmanager
 def wolfe_path():
     """A ``with`` block in which ``min_norm_base`` takes the Fujishige-Wolfe
     path on every ground, however small, for each oracle without a
-    decomposed base; it yields a list that grows by one at each float
+    decomposed base; it yields a list that grows by one at each Wolfe
     search run."""
-    searches, search = [], sfm._min_norm_point
+    searches, search = [], sfm._exact_min_norm_point
     with mock.patch.object(sfm, "EXACT_SOLVER_CAP", -1), mock.patch.object(
-        sfm, "_min_norm_point", lambda *args: searches.append(args) or search(*args)
+        sfm, "_exact_min_norm_point", lambda *args: searches.append(args) or search(*args)
     ):
         yield searches
 

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from ordolab import CertificateError, CoverageFunction, GraphicMatroid, cli, mlvc, sfm, solve
@@ -139,6 +140,21 @@ def test_one_min_norm_base_per_call(tmp_path, monkeypatch, command, kind, text, 
     assert bases == [path]
 
 
+@pytest.mark.parametrize("command", ["approx", "partition"])
+def test_a_matrix_base_beyond_the_cap_uses_no_floating_point(tmp_path, monkeypatch, command):
+    # with numpy's least-squares solver gone, the Wolfe path gives the same report
+    argv = [command, "--kind", "matrix", "--input", write(tmp_path, "large.matrix", LARGE_MATRIX_TEXT)]
+    expected, _ = run_cli(argv)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("floating-point least squares on a base path")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    report, code = run_cli(argv)
+    assert code == 0
+    assert report["results"] == expected["results"]
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [(argv, text) for argv in (["approx"], ["partition"], ["mlvc", "--lp"]) for text in (MIXED_TEXT, LARGE_TEXT)]
@@ -146,7 +162,7 @@ def test_one_min_norm_base_per_call(tmp_path, monkeypatch, command, kind, text, 
     ids=["approx", "approx-large", "partition", "partition-large", "mlvc-lp", "mlvc-lp-large", "verify-lp"],
 )
 def test_no_graph_base_reaches_the_table_or_the_wolfe_search(tmp_path, monkeypatch, argv, text):
-    # _wolfe_base is the one caller of the float search _min_norm_point
+    # _wolfe_base is the one caller of the exact Wolfe search _exact_min_norm_point
     classes = []
     for name in ("_table_base", "_wolfe_base"):
         base = getattr(sfm, name)

@@ -431,6 +431,26 @@ def test_batched_vector_table_matches_evaluate(block, f):
 
 
 @st.composite
+def prefix_orders(draw):
+    """A vector matroid of 1-5 rows and 0-12 columns, entries -3..3 (zero
+    and parallel columns occur), and a sequence of distinct columns, the
+    empty one included."""
+    m = draw(st.integers(0, 12))
+    k = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    f = VectorMatroid([draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(k)])
+    return f, draw(st.lists(st.integers(0, m - 1), unique=True) if m else st.just([]))
+
+
+@PROPERTY
+@given(prefix_orders())
+def test_vector_prefix_ranks_match_evaluate(case):
+    f, order = case
+    prefixes = (sum(1 << e for e in order[: i + 1]) for i in range(len(order)))
+    assert f._prefix_values(order) == [0, *map(f.evaluate, prefixes)]
+
+
+@st.composite
 def hypergraphs(draw):
     """Hypergraphs on 0-9 vertices: size-1 edges (a graph's loops), repeated
     and nested hyperedges, isolated vertices."""

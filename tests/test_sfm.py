@@ -21,7 +21,7 @@ from ordolab import (
     st_min_cut,
 )
 
-from helpers import TableOracle, brute_min_offset, counted_finishes, incidence_matroid, wolfe_path
+from helpers import TableOracle, brute_min_offset, incidence_matroid, wolfe_path
 from ordolab import sfm
 from ordolab.instances import path_graph, random_connected_graph, triangle_with_bridge
 
@@ -211,21 +211,32 @@ def test_auto_switches_to_wolfe_beyond_cap():
     assert res.minimal_minimizer == 0
 
 
-def test_exact_finish_completes_a_float_search_stopped_early(monkeypatch):
-    # a float search that stops at its first vertex leaves every major and
-    # minor cycle to the exact finish, which oracles without a decomposed
-    # base always take
-    monkeypatch.setattr(
-        sfm, "_min_norm_point", lambda n, vertex: ([vertex(list(range(n)))], np.ones(1))
-    )
+def test_exact_finish_completes_a_float_search_stopped_early():
+    # the name is historical: there is no float search any more, and the
+    # exact search starts at the first greedy vertex alone and runs every
+    # major and minor cycle itself
     vector = VectorMatroid([[1, 0, 0, 1, 1, 0, 2], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, -1]])
     table = TableOracle([min(3, S.bit_count()) + (S & 1) for S in range(1 << 5)])
     for f in (vector, table):
         for lam in (Fraction(0), Fraction(1, 2), Fraction(4, 7), Fraction(1)):
-            with wolfe_path() as searches, counted_finishes() as finishes:
+            with wolfe_path() as searches:
                 wolfe = minimize_offset(f, lam)
             assert wolfe == minimize_offset(f, lam)
-            assert len(searches) == len(finishes) == 1
+            assert len(searches) == 1
+
+
+def test_wolfe_base_beyond_the_cap_uses_no_floating_point(monkeypatch):
+    # over the rationals the incidence matroid is the graphic matroid, and
+    # x* is unique: the Wolfe path must give the decomposed base without
+    # numpy's least-squares solver
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("floating-point least squares on a base path")
+
+    G = random_connected_graph(11, 22, random.Random(22))
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    with wolfe_path() as searches:
+        assert sfm.min_norm_base(incidence_matroid(G)) == sfm.min_norm_base(GraphicMatroid(G))
+    assert len(searches) == 1
 
 
 @pytest.mark.parametrize("cls", [GraphicMatroid, CoverageFunction], ids=["graphic", "coverage"])
