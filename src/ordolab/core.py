@@ -233,13 +233,13 @@ class SetFunctionOracle:
     """Evaluation interface for f: 2^E -> Q with f(empty) = 0.
 
     Values are exact ints or Fractions.  Oracles must be pure (same subset,
-    same value) and are immutable after construction apart from the
-    memoised table, so they may be shared across threads.  ``dense_values``
-    builds the one integer table that every enumeration-based solver reads;
-    subclasses with a faster way to fill all 2^m entries override
-    ``_scaled_table``, and those that extend a prefix by one element cheaply
-    (union-find for a graphic matroid, one elimination for a vector
-    matroid) override ``_prefix_values``.
+    same value) and are immutable after construction apart from memoised
+    values (the dense table, the singleton values), so they may be shared
+    across threads.  ``dense_values`` builds the one integer table that
+    every enumeration-based solver reads; subclasses with a faster way to
+    fill all 2^m entries override ``_scaled_table``, and those that extend
+    a prefix by one element cheaply (union-find for a graphic matroid, one
+    elimination for a vector matroid) override ``_prefix_values``.
     """
 
     #: ``_decomposed_base()``, for classes that build their minimum-norm
@@ -265,6 +265,14 @@ class SetFunctionOracle:
     @property
     def full_mask(self) -> int:
         return self.ground.full_mask
+
+    @property
+    def singleton_values(self) -> tuple:
+        """f({e}) for every element e, read once and cached."""
+        cached = getattr(self, "_singletons", None)
+        if cached is None:
+            cached = self._singletons = tuple(self(1 << e) for e in range(self.m))
+        return cached
 
     def evaluate(self, subset: int):
         raise NotImplementedError

@@ -9,8 +9,10 @@ with slack (Edmonds and Karp 1972); an edge's share on its tail is the
 residual capacity of an arc.  ``bounded_orientation`` finds shares with
 every load within a given capacity, and ``forest_violation`` bounds the
 weight inside every vertex set by one orientation moved from root to root
-(Hakimi 1965).  Both start from the same greedy shares, and each verdict
-is checked in integers.
+(Hakimi 1965), each root leaving the graph once its turn is done: a set
+needs only the orientation of its least vertex (Padberg and Wolsey 1983).
+Both start from the same greedy shares, and each verdict is checked in
+integers.
 
 ``FlowNetwork.min_cut`` drains a load on s larger than any cut into t, the
 only vertex with room for it, with every residual capacity starting at the
@@ -126,25 +128,33 @@ def forest_violation(
     with |U| >= 2 and w(E(U)) = unit * (|U| - 1), which are disjoint.
 
     One orientation splits each edge's weight into integer shares on its
-    endpoints; load(v) sums v's shares.  For each root r = 0, ..., n - 2,
-    with capacity 0 at r and ``unit`` elsewhere, excess load moves along
+    endpoints; load(v) sums v's shares.  The roots r = 0, ..., n - 2 take
+    their turns in order, root r on G_r = G - {0, ..., r - 1} with capacity
+    0 at r and ``unit`` at each later vertex.  Excess load moves along
     shortest paths of arcs that leave a vertex through a positive share to
     a vertex with slack, and the shares are then checked in integers: each
-    is >= 0, each edge's sum to its weight, load(r) = 0 and every load <=
-    unit.  That proves the bound for every U that holds r, as w(E(U)) <=
-    load(U); U = {n - 1} holds only loops, checked to weigh 0.  Excess that
-    cannot move reaches a U with no slack and no share on an edge leaving
-    it, so w(E(U)) = load(U) > capacity(U) >= unit * (|U| - 1), which is
-    checked on the given edges before U is returned.  A failed check raises
+    is >= 0, each edge of G_r's sum to its weight and every other edge's to
+    0 (weights read off the edges and r alone), load(r) = 0 and every load
+    within its capacity.  G_r holds every edge of E(U) for each U whose
+    least vertex is r, so w(E(U)) <= load(U) <= unit * (|U| - 1) for every
+    such U; U = {n - 1} holds only loops, checked to weigh 0, and every
+    nonempty U has a least vertex.  Once its turn is done, r leaves the
+    orientation (``_remove_root``).  Excess that cannot move reaches a U in
+    G_r with no slack and no share on an edge leaving it, so w(E(U)) =
+    load(U) > capacity(U) >= unit * (|U| - 1), which is checked on the
+    given edges before U is returned.  A failed check raises
     ``CertificateError``.
 
-    In the same pass, Z_r, the vertices that reach no vertex with slack
-    (``_unreached``), holds r, each of its vertices is full and no share
-    leaves it, so w(E(Z_r)) = unit * (|Z_r| - 1); a tight set that holds r
-    has no slack and no share leaving it either, so it lies in Z_r.  With
-    no violator, two tight sets that meet unite into a tight set, so each
-    Z_r of two or more vertices is a maximal one, and a root inside a set
-    already found has that set as its Z_r."""
+    In the same pass, Z_r, the vertices of G_r that reach no vertex with
+    slack (``_unreached``, less the finished roots), holds r, each of its
+    vertices is full and no share leaves it, so w(E(Z_r)) = unit * (|Z_r| -
+    1); a tight set whose least vertex is r has no slack and no share
+    leaving it either, so it lies in Z_r.  With no violator, two tight sets
+    that meet unite into a tight set, so the maximal ones are disjoint, and
+    each is found at its least vertex: a root in no set found so far lies
+    in no tight set with an earlier root, whose own Z would have held it,
+    so its Z_r of two or more vertices is the maximal tight set holding
+    it; a root inside a set already found is skipped."""
     for (u, v), w in zip(edges, weights):
         if u == v and w:
             return _overfull(edges, weights, 1 << u, 0, n), []
@@ -153,18 +163,19 @@ def forest_violation(
     cap = [unit] * n
     tight, found = [], 0
     for r in range(n - 1):
-        cap[r - 1], cap[r] = unit, 0  # r - 1 = -1 is vertex n - 1, never a root
-        for v in range(n):
+        cap[r] = 0
+        for v in range(r, n):
             if load[v] > cap[v]:
                 reached = _drain(net, share, load, cap, v)
                 if reached:
                     return _overfull(edges, weights, reached, unit * (reached.bit_count() - 1), n), []
-        _check_orientation(net, share, cap)
+        _check_orientation(net, share, cap, r)
         if not (found >> r) & 1:
-            Z = _unreached(net, share, load, cap)
+            Z = _unreached(net, share, load, cap) >> r << r
             if Z & (Z - 1):
                 tight.append(Z)
                 found |= Z
+        _remove_root(net, share, load, r)
     return None, tight
 
 
@@ -247,15 +258,28 @@ def _drain(net: FlowNetwork, share: list[int], load: list[int], cap: list[int], 
     return 0
 
 
-def _check_orientation(net: FlowNetwork, share: list[int], cap: Sequence[int]) -> None:
-    """CertificateError unless the shares orient every edge of ``net`` with
-    load(v) <= cap[v] at every vertex."""
-    if min(share, default=0) < 0 or list(map(add, share[::2], share[1::2])) != net.capacities:
+def _check_orientation(net: FlowNetwork, share: list[int], cap: Sequence[int], low: int = 0) -> None:
+    """CertificateError unless the shares orient every edge of ``net`` on
+    vertices >= low, put no share on an edge at a vertex below low, and
+    leave load(v) <= cap[v] at every vertex; a vertex below low then has
+    load 0."""
+    # edges list each pair (u, v) with u < v
+    weights = [c if u >= low else 0 for (u, _), c in zip(net.edges, net.capacities)]
+    if min(share, default=0) < 0 or list(map(add, share[::2], share[1::2])) != weights:
         raise CertificateError("orientation shares do not split an edge's weight")
     # out[v] lists the arcs whose tail is v, each holding v's share
-    load = [sum(map(share.__getitem__, arcs)) for arcs in net._out]
-    if any(map(gt, load, cap)):
+    load = [sum(map(share.__getitem__, arcs)) for arcs in net._out[low:]]
+    if any(map(gt, load, cap[low:])):
         raise CertificateError("orientation exceeds a vertex capacity")
+
+
+def _remove_root(net: FlowNetwork, share: list[int], load: list[int], r: int) -> None:
+    """Take a finished root r out of the orientation: load(r) = 0, so each
+    edge at r lies wholly on its other end, whose load loses that share."""
+    head = net._head
+    for a in net._out[r]:
+        load[head[a]] -= share[a ^ 1]
+        share[a ^ 1] = 0
 
 
 def _unreached(net: FlowNetwork, share: list[int], load: list[int], cap: Sequence[int]) -> int:

@@ -87,9 +87,9 @@ class GraphicMatroid(Matroid):
     ranks all prefixes of an ordering (``_prefix_values``); the dense table
     is filled in one batched pass instead (see ``_scaled_table``).  Base
     polytope membership is decided exactly by one orientation of the
-    scaled point moved from root to root (``_base_membership``), and the
-    minimum-norm base is built cell by cell from the same orientations
-    (``_decomposed_base``).
+    scaled point moved from root to root, each finished root leaving the
+    graph (``_base_membership``), and the minimum-norm base is built cell
+    by cell from the same orientations (``_decomposed_base``).
     """
 
     def __init__(self, graph: Graph):
@@ -132,10 +132,11 @@ class GraphicMatroid(Matroid):
         (Edmonds' forest polytope; a loop at v lies in E({v})).  Scaled by
         L, the lcm of the denominators, that is decided by
         ``flow.forest_violation``: True rests on n - 1 orientations of the
-        weights L x_e, one per root r < n - 1, each checked in integers to
-        put no load on r and at most L on every vertex, so L x(E(U)) <=
-        L(|U| - 1) for every U that holds r (Hakimi 1965); False rests on a
-        vertex set checked in integers to violate the bound."""
+        weights L x_e, one per root r < n - 1 on the graph less the vertices
+        before r, each checked in integers to put no load on r and at most L
+        on every vertex, so L x(E(U)) <= L(|U| - 1) for every U whose least
+        vertex is r (Hakimi 1965); False rests on a vertex set checked in
+        integers to violate the bound."""
         L, weights = integer_vector(x)
         if min(weights, default=0) < 0 or sum(weights) != L * self.full_rank:
             return False

@@ -97,5 +97,5 @@ def linearity_stats(f: SetFunctionOracle) -> LinearityStats:
     total = f(f.full_mask)
     if total == 0:
         raise ValueError("trivial function: f(E) = 0")
-    kappa = max(Fraction(f(1 << e)) for e in range(f.m))
+    kappa = max(map(Fraction, f.singleton_values))
     return LinearityStats(kappa, Fraction(total) / kappa, f.m)

@@ -189,9 +189,10 @@ def approx_monotone_mlop(f: SetFunctionOracle):
         return order, BoundCertificate(zero, zero, Fraction(1), zero, trivial=True)
 
     pp = compute_principal_partition(f)
+    singles = f.singleton_values
     sequence = []
     for cell in pp.cells():
-        sequence.extend(sorted(iter_bits(cell), key=lambda e: (f(1 << e), e)))
+        sequence.extend(sorted(iter_bits(cell), key=lambda e: (singles[e], e)))
     sigma = Ordering.from_sequence(sequence)
 
     achieved = Fraction(mlop_objective(f, sigma))

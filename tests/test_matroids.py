@@ -99,7 +99,7 @@ def test_graphic_rank_matches_oriented_incidence_rank():
             assert graphic.rank(S) == incidence.rank(S)
 
 
-@pytest.mark.parametrize("n", [30, 60])
+@pytest.mark.parametrize("n", [30, 60, 120])
 def test_orientation_membership_matches_min_cuts_at_graph_scale(n):
     G = random_connected_graph(n, 2 * n, random.Random(n))
     f = GraphicMatroid(G)
@@ -129,6 +129,30 @@ def test_a_corrupted_orientation_fails_the_certificate(monkeypatch):
     with pytest.raises(CertificateError):
         GraphicMatroid(path_graph(3))._base_membership([Fraction(1), Fraction(1)])
     assert drained
+
+
+def test_a_finished_root_that_keeps_a_share_fails_the_certificate(monkeypatch):
+    # root 0 hands edge (0, 2) wholly to vertex 2, which keeps room for it
+    # after root 1 drains into it, so only the check of the edge's weight,
+    # 0 once root 0 is gone, sees a deletion that skips the edge
+    edges, weights = [(0, 2), (1, 2)], [1, 1]
+    assert flow.forest_violation(3, edges, weights, 2) == (None, [])
+    remove, skipped = flow._remove_root, []
+
+    def leaky(net, share, load, r):
+        out = net._out[r]
+        if r == 0:
+            skipped.append(share[out[0] ^ 1])
+            net._out[r] = out[1:]
+        try:
+            remove(net, share, load, r)
+        finally:
+            net._out[r] = out
+
+    monkeypatch.setattr(flow, "_remove_root", leaky)
+    with pytest.raises(CertificateError):
+        flow.forest_violation(3, edges, weights, 2)
+    assert skipped == [1]
 
 
 def test_a_set_that_does_not_violate_fails_the_certificate(monkeypatch):

@@ -354,6 +354,10 @@ def integer_weighted(draw, max_vertices=6, max_edges=10):
 # the only overfull sets hold the first and the last vertex
 @example((Graph(2, ((0, 1),)), [2]), 1)
 @example((Graph(3, ((0, 2), (2, 0), (1, 2))), [1, 1, 0]), 1)
+# the only maximal tight set, {1, 2}, avoids vertex 0 but shares an edge with it
+@example((Graph(3, ((0, 1), (1, 2))), [1, 2]), 2)
+# the only violator, {1, 2}, has least vertex 1
+@example((Graph(3, ((0, 1), (1, 2))), [1, 3]), 2)
 def test_forest_violation_matches_every_vertex_set(graph, unit):
     G, weights = graph
 
