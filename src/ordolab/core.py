@@ -347,20 +347,20 @@ def mlop_objective(f: SetFunctionOracle, sigma: Ordering):
     return sum(f._prefix_values(sigma.sequence())[1:])
 
 
+def check_costs(costs: Sequence[int], m: int) -> None:
+    """ValueError unless costs holds one strictly positive int per element."""
+    if len(costs) != m:
+        raise ValueError("cost vector length does not match ground set")
+    if not all(isinstance(c, int) and c > 0 for c in costs):
+        raise ValueError("costs must be strictly positive integers")
+
+
 def weighted_mlop_objective(f: SetFunctionOracle, costs: Sequence[int], sigma: Ordering):
     """Sum of f(prefix_i) * cost(element at position i), costs positive ints."""
     _check_ground(f, sigma)
-    if len(costs) != f.m:
-        raise ValueError("cost vector length does not match ground set")
-    for c in costs:
-        if not isinstance(c, int) or c <= 0:
-            raise ValueError("costs must be strictly positive integers")
-    total = 0
-    mask = 0
-    for e in sigma.sequence():
-        mask |= 1 << e
-        total += f(mask) * costs[e]
-    return total
+    check_costs(costs, f.m)
+    seq = sigma.sequence()
+    return sum(v * costs[e] for e, v in zip(seq, f._prefix_values(seq)[1:]))
 
 
 # ---------------------------------------------------------------------------

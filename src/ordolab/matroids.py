@@ -17,6 +17,7 @@ from .core import (
     ParseError,
     SetFunctionOracle,
     _nonblank_lines,
+    check_costs,
     int_dtype,
     integer_vector,
     iter_bits,
@@ -373,11 +374,7 @@ def duplicate(M: Matroid, costs: Sequence[int]) -> tuple[ParallelExtension, list
     Returns the expanded matroid and, per original element, the list of its
     copy labels (the first copy of e keeps e's relative order).
     """
-    if len(costs) != M.m:
-        raise ValueError("cost vector length does not match ground set")
-    for c in costs:
-        if not isinstance(c, int) or c <= 0:
-            raise ValueError("costs must be strictly positive integers")
+    check_costs(costs, M.m)
     parent_of: list[int] = []
     groups: list[list[int]] = []
     for e, c in enumerate(costs):
@@ -458,15 +455,19 @@ class CoverageFunction(SetFunctionOracle):
         """``flow.bounded_orientation``'s (pairs, share) for x scaled by L,
         the lcm of its denominators: each edge weighs L, and a loop's weight
         is taken off its vertex's capacity L x_v; None when x(V) != m or no
-        such orientation exists."""
+        such orientation exists.  The last x's answer is kept, so the MLVC
+        dual (``_edge_shares``) reuses the certificate's orientation."""
         G = self.graph
         L, cap = integer_vector(x)
         if sum(cap) != L * G.m:
             return None
-        for a, b in G.edges:
-            cap[a] -= L * (a == b)
-        pairs, share, _ = bounded_orientation(G.n, G.edges, [L] * G.m, cap)
-        return None if share is None else (pairs, share)
+        key, cached = (L, tuple(cap)), getattr(self, "_oriented", None)
+        if cached is None or cached[0] != key:
+            for a, b in G.edges:
+                cap[a] -= L * (a == b)
+            pairs, share, _ = bounded_orientation(G.n, G.edges, [L] * G.m, cap)
+            cached = self._oriented = (key, None if share is None else (pairs, share))
+        return cached[1]
 
     def _edge_shares(self, x: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
         """For each edge (a, b), its parts on a and b, summing to 1, with

@@ -7,9 +7,9 @@ the minimum-norm base x* of f (``sfm.min_norm_base``; certified with no
 assumption on f for graphic matroids and coverage functions at every size
 and for any oracle within the exact cap, relying on submodularity for
 other oracles beyond it): the critical values are the distinct values of
-x*, and the chain sets are {x* <= lambda}, each checked tight, f(S) =
-x*(S).  The maximal zero set {x* = 0} of f is the chain's first step, at
-lambda = 0.
+x*, and the chain sets are its lower level sets {x* <= lambda}, which
+``min_norm_base`` has checked tight, f(S) = x*(S).  The maximal zero set
+{x* = 0} of f is the chain's first step, at lambda = 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CertificateError, SetFunctionOracle, iter_bits
+from .core import SetFunctionOracle
 
 # partition.minimize_offset stays importable: perfbench's tracer self-test
 # patches and checks it under this name
@@ -77,8 +77,8 @@ class LinearityStats:
 
 def compute_principal_partition(f: SetFunctionOracle) -> PrincipalPartition:
     """The maximal-minimizer chain of a normalized monotone f with its exact
-    critical values, from one minimum-norm base.  An identically-zero f
-    yields the chain (empty, E) with the critical value 0."""
+    critical values, read off one certified minimum-norm base.  An
+    identically-zero f yields the chain (empty, E) with the critical value 0."""
     if f(0) != 0:
         raise ValueError("oracle is not normalized: f(empty) != 0")
     x = min_norm_base(f)
@@ -86,9 +86,6 @@ def compute_principal_partition(f: SetFunctionOracle) -> PrincipalPartition:
         raise ValueError("oracle takes negative values; not monotone normalized")
     lambdas = tuple(sorted(set(x)))
     sets = tuple(sum(1 << e for e, xe in enumerate(x) if xe <= lam) for lam in lambdas)
-    for S in sets:
-        if f(S) != sum(x[e] for e in iter_bits(S)):
-            raise CertificateError("chain set of the min-norm base is not tight")
     return PrincipalPartition((0,) + sets, lambdas)
 
 

@@ -4,8 +4,8 @@ For a submodular f, the minimum-norm base x* of B(f - f(empty)) answers
 every minimization with a modular offset: min_X f(X) - lambda*|X| is
 f(empty) + sum_e min(x*_e - lambda, 0), attained by {x* < lambda} and
 {x* <= lambda}, the minimal and maximal minimizers.  ``min_norm_base``
-computes x* exactly and certifies it; ``minimize_offset`` reads one base
-and re-evaluates both level sets.
+computes x* exactly and certifies it, on every path with its lower level
+sets checked tight; ``minimize_offset`` reads both sets off it unevaluated.
 
 A graphic matroid or a coverage function builds x* exactly at every size,
 one cell of equal values at a time, each cell found by a parametric
@@ -87,31 +87,30 @@ class SfmResult:
 
 def minimize_offset(f: SetFunctionOracle, lam: Fraction) -> SfmResult:
     """Exact global minimum of f(X) - lam*|X| over all subsets, read off the
-    minimum-norm base; both level sets must attain it, else
-    CertificateError."""
+    certified minimum-norm base x* with no oracle call but f(empty): lo =
+    {x* < lam} and hi = {x* <= lam} are level sets of x*, or empty, which
+    ``min_norm_base`` checked tight, so on both f(S) - lam*|S| = f(empty) +
+    sum_e min(x*_e - lam, 0), as S holds every e with x*_e < lam and none
+    above."""
     lam = Fraction(lam)
     x = min_norm_base(f)
     value = f(0) + sum(min(xe - lam, 0) for xe in x)
     lo = sum(1 << e for e, xe in enumerate(x) if xe < lam)
     hi = sum(1 << e for e, xe in enumerate(x) if xe <= lam)
-    for S in (lo, hi):
-        if f(S) - lam * S.bit_count() != value:
-            raise CertificateError("min-norm level sets do not attain the minimum")
     return SfmResult(Fraction(value), lo, hi)
 
 
 def min_norm_base(f: SetFunctionOracle) -> list[Fraction]:
     """The exact minimum-norm base x* of B(f - f(empty)), certified, else
     CertificateError.  A graphic matroid or a coverage function builds it
-    by decomposition at every size (``_decomposed_base``), certified by
-    tight level sets and exact base polytope membership, with no
-    assumption on f (``_certified``).  Any other oracle has it read off the
-    dense table up to EXACT_SOLVER_CAP (certified for any oracle), and
-    from the exact Fujishige-Wolfe search beyond it, whose certificate
-    relies on f being submodular."""
-    if f._decomposed_base is None:
-        return _table_base(f) if f.m <= EXACT_SOLVER_CAP else _wolfe_base(f)
-    x = f._decomposed_base()
+    by decomposition at every size (``_decomposed_base``), any other oracle
+    off the dense table up to EXACT_SOLVER_CAP and by the exact
+    Fujishige-Wolfe search beyond it.  Every path's point has its level
+    sets checked tight, and its base polytope membership decided exactly
+    (``_certified``; on the table, all 2^m subsets), with no assumption on
+    f, except beyond the cap, whose membership relies on submodularity."""
+    base = _table_base if f.m <= EXACT_SOLVER_CAP else _wolfe_base
+    x = base(f) if f._decomposed_base is None else f._decomposed_base()
     if not _certified(f, x):
         raise CertificateError(
             "min-norm base has a lower level set that is not tight, or lies outside the base polytope"
@@ -243,27 +242,29 @@ def _wolfe_base(f: SetFunctionOracle) -> list[Fraction]:
 
 
 def _certified(f: SetFunctionOracle, x: list[Fraction]) -> bool:
-    """Whether x is certified as the minimum-norm base of B(h), h = f -
-    f(empty): every lower level set L = {x <= lam} is tight, x(L) = h(L),
-    and x lies in B(h) by the class's exact test ``_base_membership``.
-    Then for every y in B(h), summing over the level sets L_1 < ... < L_k
-    with values lam_1 < ... < lam_k, <x, y> = sum_i (lam_i - lam_{i+1})
-    y(L_i) + lam_k y(E) >= <x, x>, as y(L_i) <= h(L_i) = x(L_i): x is the
-    point of B(h) of least norm, whether or not f is submodular (Fujishige
-    2005, lexicographically optimal base).  The level sets are the
-    prefixes of one stable sort of x that end before a larger value,
-    compared in integers, d x against d h, d the least common denominator
-    of x."""
-    g0 = f(0)
+    """Whether every lower level set L = {x <= lam} is tight, x(L) = h(L),
+    h = f - f(empty), and x lies in B(h) by the class's exact test
+    ``_base_membership``, if any.  Then for every y in B(h), summing over
+    the level sets L_1 < ... < L_k with values lam_1 < ... < lam_k, <x, y>
+    = sum_i (lam_i - lam_{i+1}) y(L_i) + lam_k y(E) >= <x, x>, as y(L_i) <=
+    h(L_i) = x(L_i): x is the point of B(h) of least norm, whether or not f
+    is submodular (Fujishige 2005, lexicographically optimal base).  The
+    level sets, prefixes of one stable sort of x that end before a larger
+    value, are compared in integers, d x against d h (h off the dense table
+    once built), d the least common denominator of x."""
+    table, D = f._dense, f.dense_denominator
+    g0 = 0 if table is not None else f(0)
     d, scaled = integer_vector(x)
     order = sorted(range(len(x)), key=scaled.__getitem__)
     level, total = 0, 0
     for k, e in enumerate(order):
         level |= 1 << e
         total += scaled[e]
-        if (k + 1 == len(order) or scaled[order[k + 1]] != scaled[e]) and total != d * (f(level) - g0):
+        if (k + 1 == len(order) or scaled[order[k + 1]] != scaled[e]) and total != d * (
+            f(level) - g0 if table is None else Fraction(int(table[level]), D)
+        ):
             return False
-    return f._base_membership(x)
+    return getattr(f, "_base_membership", lambda _: True)(x)
 
 
 def _finished_base(f: SetFunctionOracle, c: list[Fraction], x: list[Fraction]) -> list[Fraction]:

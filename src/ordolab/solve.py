@@ -21,6 +21,7 @@ from .core import (
     Ordering,
     SetFunctionOracle,
     biconnected_components,
+    check_costs,
     int_dtype,
     iter_bits,
     mask_of,
@@ -130,10 +131,7 @@ def exact_mlop_dp(f: SetFunctionOracle):
 
 def exact_weighted_mlop_dp(f: SetFunctionOracle, costs: Sequence[int]):
     """Exact optimum of the cost-weighted prefix objective."""
-    if len(costs) != f.m:
-        raise ValueError("cost vector length does not match ground set")
-    if not all(isinstance(c, int) and c > 0 for c in costs):
-        raise ValueError("costs must be strictly positive integers")
+    check_costs(costs, f.m)
     return _exact_dp(f, tuple(costs))
 
 
@@ -141,34 +139,36 @@ def exact_weighted_mlop_dp(f: SetFunctionOracle, costs: Sequence[int]):
 # principal-partition bounds and the approximation algorithm
 
 
-def _check_partition(f: SetFunctionOracle, pp: PrincipalPartition) -> None:
+def _chain_values(f: SetFunctionOracle, pp: PrincipalPartition) -> list:
+    """f on each chain set P_0 = empty, ..., P_s = E, one oracle call each;
+    ValueError unless pp ends at f's ground set and each critical value is
+    the growth ratio of its step under these values."""
     if pp.sets[-1] != f.full_mask:
         raise ValueError("partition does not match the oracle's ground set")
-    for lam, lo, hi in zip(pp.critical_values, pp.sets, pp.sets[1:]):
-        if lam * (hi.bit_count() - lo.bit_count()) != f(hi) - f(lo):
+    values = [f(S) for S in pp.sets]
+    for lam, lo, hi, flo, fhi in zip(pp.critical_values, pp.sets, pp.sets[1:], values, values[1:]):
+        if lam * (hi.bit_count() - lo.bit_count()) != fhi - flo:
             raise ValueError("partition critical values do not match the oracle")
+    return values
 
 
 def pp_lower_bound(f: SetFunctionOracle, pp: PrincipalPartition) -> Fraction:
     """Lower bound on every ordering's objective from the partition chain:
     (m+1) f(E)/2 minus half the cross terms f(P_i)|P_{i-1}| - f(P_{i-1})|P_i|."""
-    _check_partition(f, pp)
-    m = f.m
-    total = Fraction(m + 1, 2) * f(f.full_mask)
-    for lo, hi in zip(pp.sets, pp.sets[1:]):
-        total -= Fraction(f(hi) * lo.bit_count() - f(lo) * hi.bit_count(), 2)
+    values = _chain_values(f, pp)
+    total = Fraction(f.m + 1, 2) * values[-1]
+    for lo, hi, flo, fhi in zip(pp.sets, pp.sets[1:], values, values[1:]):
+        total -= Fraction(fhi * lo.bit_count() - flo * hi.bit_count(), 2)
     return total
 
 
 def pp_upper_bound(f: SetFunctionOracle, pp: PrincipalPartition) -> Fraction:
     """Upper bound on the objective of any linear extension of the chain."""
-    _check_partition(f, pp)
-    m = f.m
-    fE = Fraction(f(f.full_mask))
+    values = _chain_values(f, pp)
+    m, fE = f.m, Fraction(values[-1])
     kappa = linearity_stats(f).kappa
     total = fE * m - fE * fE / (2 * kappa) + fE / 2
-    for lo, hi in zip(pp.sets, pp.sets[1:]):
-        flo, fhi = f(lo), f(hi)
+    for lo, hi, flo, fhi in zip(pp.sets, pp.sets[1:], values, values[1:]):
         total -= (fE - fhi) * (hi.bit_count() - lo.bit_count())
         total += Fraction(flo * (fhi - flo)) / kappa
     return total

@@ -218,6 +218,16 @@ def test_lp_weak_duality():
         assert solve_lp(build_lp(G)) <= mlvc_brute_optimum(G)
 
 
+def test_lp_orients_the_base_once_beyond_its_decomposition(monkeypatch):
+    # K4's base takes one orientation to build and one to certify; the
+    # dual reuses the certificate's
+    calls = []
+    orient = matroids.bounded_orientation
+    monkeypatch.setattr(matroids, "bounded_orientation", lambda *args: calls.append(args) or orient(*args))
+    assert solve_lp(build_lp(complete_graph(4))) == regular_lp_value(3, 4)
+    assert len(calls) == 2
+
+
 def test_lp_var_cap():
     model = build_lp(complete_graph(8))
     assert model.num_vars == 288

@@ -164,6 +164,19 @@ def test_non_submodular_oracle_fails_the_min_norm_certificate():
     assert searches
 
 
+def test_a_wolfe_point_with_a_loose_level_set_fails_the_certificate(monkeypatch):
+    # x = (1/2, 1/2, 1) on U(3, 2) is a convex combination within every
+    # singleton and co-singleton bound, but its level set {0, 1} has
+    # x = 1 < r = 2
+    x = [Fraction(1, 2), Fraction(1, 2), Fraction(1)]
+    f = UniformMatroid(3, 2)
+    assert sfm._finished_base(f, [Fraction(1)], x) == x
+    monkeypatch.setattr(sfm, "EXACT_SOLVER_CAP", -1)
+    monkeypatch.setattr(sfm, "_exact_min_norm_point", lambda m, greedy_vertex: ([Fraction(1)], x))
+    with pytest.raises(CertificateError, match="not tight"):
+        sfm.min_norm_base(f)
+
+
 @pytest.mark.parametrize("path", [nullcontext, wolfe_path], ids=["enumerate", "wolfe"])
 def test_monotone_non_submodular_table_fails_the_base_polytope_check(path):
     # the per-size minima 0, 0, 0, 1 have unique nested argmins {}, {0, 1}

@@ -10,6 +10,7 @@ from ordolab import (
     GraphicMatroid,
     ModularOracle,
     Ordering,
+    SetFunctionOracle,
     UniformMatroid,
     approx_monotone_mlop,
     cactus_exact,
@@ -19,6 +20,7 @@ from ordolab import (
     fixed_basis_extension,
     has_flat_prefix_structure,
     mask_of,
+    minimize_offset,
     mlop_objective,
     pp_lower_bound,
     pp_upper_bound,
@@ -28,7 +30,7 @@ from ordolab import (
 )
 from ordolab import cli, solve
 
-from helpers import brute_fixed_basis, brute_mlop, brute_weighted_mlop
+from helpers import brute_fixed_basis, brute_mlop, brute_weighted_mlop, incidence_matroid
 from ordolab.instances import (
     bowtie,
     complete_graph,
@@ -168,6 +170,35 @@ def test_pp_bounds_reject_mismatched_partition():
     pp = compute_principal_partition(TB)
     with pytest.raises(ValueError):
         pp_lower_bound(GraphicMatroid(complete_graph(3)), pp)
+    # the same ground size, but the chain's values differ on the 4-cycle
+    for bound in (pp_lower_bound, pp_upper_bound):
+        with pytest.raises(ValueError):
+            bound(GraphicMatroid(cycle_graph(4)), pp)
+
+
+@pytest.mark.parametrize(
+    "make, counts",
+    [
+        (lambda: GraphicMatroid(random_connected_graph(14, 22, random.Random(22))), (6, 6, 39)),
+        (lambda: incidence_matroid(random_connected_graph(8, 14, random.Random(14))), (1, 1, 26)),
+    ],
+    ids=["decomposition", "table"],
+)
+def test_chain_facts_are_read_once(monkeypatch, make, counts):
+    # both chains have 3 steps.  The graphic base's certificate reads
+    # f(empty) and the 3 level sets, and the matroid its full rank; the
+    # table base's reads the table alone.  With f(empty), partition and
+    # minimize_offset make 6 and 1 calls; approx adds f(E) for the trivial
+    # case, the singletons (22 and 14), the 4 chain sets in each bound, and
+    # f(E) in each of the two steepness checks
+    calls = []
+    call = SetFunctionOracle.__call__
+    monkeypatch.setattr(SetFunctionOracle, "__call__", lambda f, S: calls.append(S) or call(f, S))
+    runs = (compute_principal_partition, lambda f: minimize_offset(f, 1), approx_monotone_mlop)
+    for run, expected in zip(runs, counts):
+        calls.clear()
+        run(make())
+        assert len(calls) == expected
 
 
 def test_approx_modular_exact():
