@@ -260,10 +260,12 @@ def _cmd_mlvc(args):
             else Hypergraph.from_graph(instance)
         )
         report = balance_check(hypergraph, args.balance, seed=args.seed, jobs=args.jobs)
+        # each job number formatted once, not once per pair
+        names = list(map(str, range(hypergraph.n + len(hypergraph.edges))))
         results["balance"] = {
             "trials": report.trials,
             "floor": jsonable(report.floor),
-            "pair_probabilities": {f"{a}<{b}": p for (a, b), p in report.probabilities.items()},
+            "pair_probabilities": {f"{names[a]}<{names[b]}": p for (a, b), p in report.probabilities.items()},
             "worst_pair": None if report.worst_pair is None else list(report.worst_pair),
             "worst_probability": report.worst_probability,
             "flagged": [list(p) for p in report.flagged],

@@ -9,7 +9,8 @@ times a common denominator, in a numpy integer array whose dtype is chosen
 from a bound on the values, with exact Python ints beyond int64.  Every
 minimum-norm base, the Fujishige-Wolfe search in ``sfm`` included, is
 computed in exact arithmetic; the sampler's reported probabilities are
-floats.
+floats.  numpy is imported inside the functions that run it, so a command
+that builds no table and samples nothing starts without it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, lcm
 from typing import Iterator, Mapping, Sequence
-
-import numpy as np
 
 #: Largest ground set the exhaustive (2^m) solvers accept; enforced by
 #: ``SetFunctionOracle.dense_values`` alone.
@@ -56,6 +55,8 @@ class CertificateError(AssertionError):
 def int_dtype(bound: int) -> np.dtype:
     """The narrowest numpy integer dtype holding every integer of magnitude
     at most ``bound``; object (exact Python ints) beyond int64."""
+    import numpy as np
+
     for dtype in (np.int8, np.int16, np.int32, np.int64):
         if bound <= np.iinfo(dtype).max:
             return np.dtype(dtype)
@@ -76,6 +77,8 @@ def size_order(m: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """All m-bit masks by size, ascending within a size (intp), and the
     offset of each size's block.  Cached for every size its callers pass,
     m <= EXACT_SOLVER_CAP."""
+    import numpy as np
+
     counts = np.zeros(1, dtype=np.int8)
     for _ in range(m):
         counts = np.concatenate([counts, counts + 1])
@@ -312,6 +315,8 @@ class SetFunctionOracle:
     def _scaled_table(self) -> tuple[int, np.ndarray]:
         """(D, D * f over all bitmasks), D the least common denominator of
         the values; one oracle call per subset."""
+        import numpy as np
+
         values = [self.evaluate(s) for s in range(1 << self.m)]
         D = lcm(*(v.denominator for v in values))
         ints = [v.numerator * (D // v.denominator) for v in values]

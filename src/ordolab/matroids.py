@@ -8,8 +8,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .core import (
     CertificateError,
     Graph,
@@ -204,6 +202,8 @@ class GraphicMatroid(Matroid):
         so far: rank(S + e) = rank(S) + [e joins two components of S].
         Row S of ``labels`` names each vertex's component in S by its
         smallest vertex; the last edge's labels are never needed."""
+        import numpy as np
+
         vertices = sorted({v for edge in self.graph.edges for v in edge})
         column = {v: i for i, v in enumerate(vertices)}
         labels = np.arange(len(vertices), dtype=int_dtype(len(vertices)))[None, :]
@@ -282,6 +282,8 @@ class VectorMatroid(Matroid):
         those is then extended over the remaining columns and fills its
         columns of the (2^high, 2^low) table, so at most about
         ``ANNIHILATOR_BLOCK`` states are held at once."""
+        import numpy as np
+
         k, m = len(self.rows), self.m
         cols = [[row[j] for row in self.rows] for j in range(m)]
         # each column norm rounded up to an integer above it, so H >= 1
@@ -322,6 +324,8 @@ def _adjoin(N: np.ndarray, w: np.ndarray, grows: np.ndarray) -> np.ndarray:
     column v with w = N v: N_{S+v} = w_p N_S - w (x) N_S[p] where w != 0, p
     its first nonzero index, rows divided by their gcds; N_{S+v} = N_S where
     w = 0."""
+    import numpy as np
+
     out = np.concatenate([N, N])
     index = np.flatnonzero(grows)
     N, w = N[index], w[index]
@@ -417,6 +421,8 @@ class CutFunction(SetFunctionOracle):
         """All 2^n cut values times D, one numpy pass per edge adding its
         scaled weight wherever the edge crosses; then divided by the gcd of
         D and the entries, so the denominator is the least one of the values."""
+        import numpy as np
+
         masks = np.arange(1 << self.m, dtype=np.int64)
         table = np.zeros(1 << self.m, dtype=int_dtype(sum(self.capacities)))
         for (u, v), c in zip(self.graph.edges, self.capacities):
@@ -527,6 +533,8 @@ class CoverageFunction(SetFunctionOracle):
     def _scaled_table(self) -> tuple[int, np.ndarray]:
         """All 2^n values, one numpy OR pass per edge adding 1 wherever
         the edge meets the set."""
+        import numpy as np
+
         masks = np.arange(1 << self.m, dtype=np.int64)
         table = np.zeros(1 << self.m, dtype=int_dtype(self.graph.m))
         for u, v in self.graph.edges:

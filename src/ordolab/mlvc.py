@@ -29,8 +29,6 @@ from fractions import Fraction
 from itertools import groupby, islice
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .core import Graph, Ordering, ParseError, _nonblank_lines, mlvc_objective
 from .matroids import CoverageFunction
 from .sfm import min_norm_base
@@ -91,8 +89,11 @@ class SchedulingPoset:
         always completes first, so they are comparable for scheduling
         purposes.  A vertex and a hyperedge holding it are comparable even
         when the hyperedge is that vertex alone (a loop)."""
+        import numpy as np
+
         n, total = self.hypergraph.n, self.n_jobs
-        members = np.zeros((total, n), dtype=np.int32)  # job x vertex
+        # job x vertex, in float64 for a BLAS product, exact as entries are at most n
+        members = np.zeros((total, n))
         members[np.arange(n), np.arange(n)] = 1
         for j, e in enumerate(self.hypergraph.edges):
             members[n + j, list(e)] = 1
@@ -211,6 +212,8 @@ def _count_inversions(H: Hypergraph, pairs: list[tuple[int, int]], trials: int, 
     """For every incomparable pair (a, b) of ``pairs``, in order, the number
     of sampled schedules that put a before b; one numpy pass over the pairs
     per trial."""
+    import numpy as np
+
     poset = SchedulingPoset(H)
     first = np.array([a for a, _ in pairs], dtype=np.intp)
     second = np.array([b for _, b in pairs], dtype=np.intp)
@@ -233,6 +236,8 @@ def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> B
     seeds derived from (seed, worker index); the aggregate is deterministic
     for a fixed (seed, jobs) pair.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("need at least one trial")
     poset = SchedulingPoset(H)
@@ -289,6 +294,8 @@ def best_of_n(G: Graph, n_samples: int, seed: int = 0) -> tuple[Ordering, int]:
     """Best MLVC labeling among n sampled linear extensions' vertex orders,
     the first on a tie.  Deterministic for a fixed seed.  The samples are
     costed in blocks, sum over edges of max(pos[u], pos[v]) per row."""
+    import numpy as np
+
     if n_samples < 1:
         raise ValueError("need at least one sample")
     poset = SchedulingPoset(Hypergraph.from_graph(G))

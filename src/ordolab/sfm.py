@@ -54,8 +54,6 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     EXACT_SOLVER_CAP,
     CertificateError,
@@ -109,9 +107,16 @@ def min_norm_base(f: SetFunctionOracle) -> list[Fraction]:
     sets checked tight, and its base polytope membership decided exactly
     (``_certified``; on the table, all 2^m subsets), with no assumption on
     f, except beyond the cap, whose membership relies on submodularity."""
-    base = _table_base if f.m <= EXACT_SOLVER_CAP else _wolfe_base
-    x = base(f) if f._decomposed_base is None else f._decomposed_base()
-    if not _certified(f, x):
+    g0 = None
+    if f._decomposed_base is not None:
+        x = f._decomposed_base()
+    elif f.m <= EXACT_SOLVER_CAP:
+        x = _table_base(f)
+    else:
+        # f(empty), read once for both checks of the Wolfe point
+        g0 = f(0)
+        x = _wolfe_base(f, g0)
+    if not _certified(f, x, g0):
         raise CertificateError(
             "min-norm base has a lower level set that is not tight, or lies outside the base polytope"
         )
@@ -133,6 +138,8 @@ def _lower_hull(g: Sequence) -> list[int]:
 
 
 def _table_base(f: SetFunctionOracle) -> list[Fraction]:
+    import numpy as np
+
     table = f.dense_values()
     D, m = f.dense_denominator, f.m
     order, starts = size_order(m)
@@ -224,9 +231,9 @@ def _exact_min_norm_point(m: int, greedy_vertex) -> tuple[list[Fraction], list[F
             c = [ci for ci in c if ci > 0]
 
 
-def _wolfe_base(f: SetFunctionOracle) -> list[Fraction]:
-    """Wolfe's search on h = f - f(empty), in exact arithmetic, checked by
-    ``_finished_base``."""
+def _wolfe_base(f: SetFunctionOracle, g0) -> list[Fraction]:
+    """Wolfe's search on h = f - f(empty), g0 = f(empty), in exact
+    arithmetic, checked by ``_finished_base``."""
     m = f.m
     if m == 0:
         return []
@@ -238,10 +245,10 @@ def _wolfe_base(f: SetFunctionOracle) -> list[Fraction]:
             out[e] = values[i + 1] - values[i]
         return out
 
-    return _finished_base(f, *_exact_min_norm_point(m, greedy_vertex))
+    return _finished_base(f, *_exact_min_norm_point(m, greedy_vertex), g0)
 
 
-def _certified(f: SetFunctionOracle, x: list[Fraction]) -> bool:
+def _certified(f: SetFunctionOracle, x: list[Fraction], g0=None) -> bool:
     """Whether every lower level set L = {x <= lam} is tight, x(L) = h(L),
     h = f - f(empty), and x lies in B(h) by the class's exact test
     ``_base_membership``, if any.  Then for every y in B(h), summing over
@@ -251,9 +258,11 @@ def _certified(f: SetFunctionOracle, x: list[Fraction]) -> bool:
     is submodular (Fujishige 2005, lexicographically optimal base).  The
     level sets, prefixes of one stable sort of x that end before a larger
     value, are compared in integers, d x against d h (h off the dense table
-    once built), d the least common denominator of x."""
+    once built, else with g0 = f(empty), read here unless given), d the
+    least common denominator of x."""
     table, D = f._dense, f.dense_denominator
-    g0 = 0 if table is not None else f(0)
+    if table is None and g0 is None:
+        g0 = f(0)
     d, scaled = integer_vector(x)
     order = sorted(range(len(x)), key=scaled.__getitem__)
     level, total = 0, 0
@@ -267,13 +276,12 @@ def _certified(f: SetFunctionOracle, x: list[Fraction]) -> bool:
     return getattr(f, "_base_membership", lambda _: True)(x)
 
 
-def _finished_base(f: SetFunctionOracle, c: list[Fraction], x: list[Fraction]) -> list[Fraction]:
+def _finished_base(f: SetFunctionOracle, c: list[Fraction], x: list[Fraction], g0) -> list[Fraction]:
     """x, the exact Wolfe point with coefficients c, checked: a convex
-    combination, and x*(X) <= h(X) on the 2m sets {e} and E - e (a
-    necessary condition of x* lying in the base polytope)."""
+    combination, and x*(X) <= h(X) = f(X) - g0 on the 2m sets {e} and E - e
+    (a necessary condition of x* lying in the base polytope)."""
     if any(ci < 0 for ci in c) or sum(c) != 1:
         raise CertificateError("min-norm point is not a convex combination of its active set")
-    g0 = f(0)
     full = f.full_mask
     total = sum(x)
     for e in range(f.m):

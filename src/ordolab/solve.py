@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     CertificateError,
     Graph,
@@ -80,6 +78,8 @@ def _dp_tables(table: np.ndarray, m: int, costs: Sequence[int]):
     a real candidate minus a sentinel one is at most (|S| - 1) A C +
     A (C - 1) - s <= m A C - s < 0 for s = m A C + 1.  Every candidate lies
     within (2 s + 1) * 2^w, which picks the dtype."""
+    import numpy as np
+
     w = m.bit_length()
     s = m * max_abs(table) * max(costs, default=1) + 1
     dtype = int_dtype((2 * s + 1) << w)
@@ -152,26 +152,31 @@ def _chain_values(f: SetFunctionOracle, pp: PrincipalPartition) -> list:
     return values
 
 
-def pp_lower_bound(f: SetFunctionOracle, pp: PrincipalPartition) -> Fraction:
-    """Lower bound on every ordering's objective from the partition chain:
-    (m+1) f(E)/2 minus half the cross terms f(P_i)|P_{i-1}| - f(P_{i-1})|P_i|."""
-    values = _chain_values(f, pp)
-    total = Fraction(f.m + 1, 2) * values[-1]
+def _lower_bound(m: int, pp: PrincipalPartition, values: list) -> Fraction:
+    total = Fraction(m + 1, 2) * values[-1]
     for lo, hi, flo, fhi in zip(pp.sets, pp.sets[1:], values, values[1:]):
         total -= Fraction(fhi * lo.bit_count() - flo * hi.bit_count(), 2)
     return total
 
 
-def pp_upper_bound(f: SetFunctionOracle, pp: PrincipalPartition) -> Fraction:
-    """Upper bound on the objective of any linear extension of the chain."""
-    values = _chain_values(f, pp)
-    m, fE = f.m, Fraction(values[-1])
-    kappa = linearity_stats(f).kappa
+def _upper_bound(m: int, pp: PrincipalPartition, values: list, kappa: Fraction) -> Fraction:
+    fE = Fraction(values[-1])
     total = fE * m - fE * fE / (2 * kappa) + fE / 2
     for lo, hi, flo, fhi in zip(pp.sets, pp.sets[1:], values, values[1:]):
         total -= (fE - fhi) * (hi.bit_count() - lo.bit_count())
         total += Fraction(flo * (fhi - flo)) / kappa
     return total
+
+
+def pp_lower_bound(f: SetFunctionOracle, pp: PrincipalPartition) -> Fraction:
+    """Lower bound on every ordering's objective from the partition chain:
+    (m+1) f(E)/2 minus half the cross terms f(P_i)|P_{i-1}| - f(P_{i-1})|P_i|."""
+    return _lower_bound(f.m, pp, _chain_values(f, pp))
+
+
+def pp_upper_bound(f: SetFunctionOracle, pp: PrincipalPartition) -> Fraction:
+    """Upper bound on the objective of any linear extension of the chain."""
+    return _upper_bound(f.m, pp, _chain_values(f, pp), linearity_stats(f).kappa)
 
 
 def approx_monotone_mlop(f: SetFunctionOracle):
@@ -196,9 +201,10 @@ def approx_monotone_mlop(f: SetFunctionOracle):
     sigma = Ordering.from_sequence(sequence)
 
     achieved = Fraction(mlop_objective(f, sigma))
-    lower = pp_lower_bound(f, pp)
-    upper = pp_upper_bound(f, pp)
-    stats = linearity_stats(f)
+    # both bounds from one read of the chain and one of the linearity
+    values, stats = _chain_values(f, pp), linearity_stats(f)
+    lower = _lower_bound(m, pp, values)
+    upper = _upper_bound(m, pp, values, stats.kappa)
     guarantee = 2 - Fraction(1 + stats.linearity, 1 + m)
     return sigma, BoundCertificate(lower, upper, guarantee, achieved)
 
@@ -259,6 +265,8 @@ def _search_bases(bases: Sequence[int], every_basis: Sequence[int], m: int) -> t
     least sum over the prefixes from S on, is filled one popcount layer at a
     time from E down; each order takes at each step the least local index
     that keeps togo, and one lexsort picks the least (value, order)."""
+    import numpy as np
+
     k = bases[0].bit_count()
     # completes[I] holds every x that makes the (k-1)-set I + x a basis
     completes: dict[int, int] = {}

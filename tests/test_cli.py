@@ -1,12 +1,19 @@
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 import pytest
 
-from ordolab import CertificateError, CoverageFunction, GraphicMatroid, cli, mlvc, sfm, solve
-from ordolab.gomoryhu import GomoryHuTree
+import ordolab
+from ordolab import CertificateError, CoverageFunction, GraphicMatroid, VectorMatroid, cli, mlvc, sfm, solve
+from ordolab.core import format_graph
+from ordolab.gomoryhu import GH_UPPER_BOUND_CAP, GomoryHuTree
+from ordolab.instances import random_connected_graph
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 TB_TEXT = "4 4\n1 2\n2 3\n1 3\n3 4\n"
@@ -153,6 +160,23 @@ def test_a_matrix_base_beyond_the_cap_uses_no_floating_point(tmp_path, monkeypat
     report, code = run_cli(argv)
     assert code == 0
     assert report["results"] == expected["results"]
+
+
+def test_a_matrix_partition_beyond_the_cap_reads_f_empty_twice(tmp_path, monkeypatch):
+    # the incidence matrix of a (12, 24) graph, whose chain has 3 level
+    # sets: f(empty) for the normalization check and once for the Wolfe
+    # point, the 2m = 48 singleton and co-singleton bounds, and the 3 level
+    # sets, with each greedy vertex ranked by elimination, no evaluate call
+    G = random_connected_graph(12, 24, random.Random(24))
+    rows = [" ".join(str((u == i) - (v == i)) for u, v in G.edges) for i in range(G.n)]
+    path = write(tmp_path, "g24.matrix", f"{G.n} {G.m}\n" + "\n".join(rows) + "\n")
+    calls = []
+    evaluate = VectorMatroid.evaluate
+    monkeypatch.setattr(VectorMatroid, "evaluate", lambda f, S: calls.append(S) or evaluate(f, S))
+    report, code = run_cli(["partition", "--kind", "matrix", "--input", path])
+    assert code == 0
+    assert report["results"]["critical_values"] == ["8/19", "1/2", 1]
+    assert len(calls) == 53 and calls.count(0) == 2
 
 
 @pytest.mark.parametrize(
@@ -349,7 +373,7 @@ def test_certificate_failure_exit_code(tmp_path, monkeypatch):
 def test_upper_bound_below_the_achieved_value_exits_1(tmp_path, monkeypatch):
     # the triangle with a bridge reads lower 7, achieved 8 and upper 8;
     # an upper bound of 15/2 keeps lower <= upper and breaks achieved <= upper
-    monkeypatch.setattr(solve, "pp_upper_bound", lambda f, pp: Fraction(15, 2))
+    monkeypatch.setattr(solve, "_upper_bound", lambda m, pp, values, kappa: Fraction(15, 2))
     path = write(tmp_path, "tb.graph", TB_TEXT)
     report, code = run_cli(["approx", "--input", path])
     assert code == 1
@@ -419,3 +443,42 @@ def test_main_prints_json(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["results"]["value"] == 5
+
+
+NUMPY_FREE_CHILD = """
+import json, sys
+from ordolab import cli
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    report, code = cli.run(argv)
+    assert code == 0, report
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_graph_scale_commands_start_and_run_without_numpy(tmp_path):
+    # one fresh interpreter runs the commands in order; numpy must stay out
+    # of sys.modules until the control, the subset DP, loads it
+    big = write(tmp_path, "g60.graph", format_graph(random_connected_graph(30, 60, random.Random(60))))
+    n = GH_UPPER_BOUND_CAP + 1
+    cut = write(tmp_path, "gh.graph", format_graph(random_connected_graph(n, 2 * n, random.Random(n))))
+    small = write(tmp_path, "k3.graph", K3_TEXT)
+    commands = [
+        ["approx", "--input", big],
+        ["partition", "--input", big],
+        ["mlvc", "--lp", "--input", big],
+        ["reduce", "--from", "mlvc", "--to", "msvc", "--input", big],
+        ["ghtree", "--input", cut],
+        ["solve", "--exact", "cactus", "--input", small],
+        ["solve", "--input", small],
+    ]
+    src = os.path.dirname(os.path.dirname(ordolab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_CHILD, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    # after the import and after each command but the last
+    assert json.loads(out.stdout) == [False] * len(commands) + [True]

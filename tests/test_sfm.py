@@ -170,7 +170,7 @@ def test_a_wolfe_point_with_a_loose_level_set_fails_the_certificate(monkeypatch)
     # x = 1 < r = 2
     x = [Fraction(1, 2), Fraction(1, 2), Fraction(1)]
     f = UniformMatroid(3, 2)
-    assert sfm._finished_base(f, [Fraction(1)], x) == x
+    assert sfm._finished_base(f, [Fraction(1)], x, 0) == x
     monkeypatch.setattr(sfm, "EXACT_SOLVER_CAP", -1)
     monkeypatch.setattr(sfm, "_exact_min_norm_point", lambda m, greedy_vertex: ([Fraction(1)], x))
     with pytest.raises(CertificateError, match="not tight"):
