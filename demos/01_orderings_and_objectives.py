@@ -25,5 +25,5 @@ print(f"triangle+bridge, bridge first: {mlop_objective(tb, bad)}")
 
 # The subset dynamic program solves the problem exactly at desk scale.
 value, sigma = exact_mlop_dp(tb)
-print(f"\nexact optimum: {value}, achieved by {sigma.to_labels()}")
+print(f"\nexact optimum: {value}, achieved by {list(sigma.sequence())}")
 assert value == mlop_objective(tb, good)

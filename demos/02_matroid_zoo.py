@@ -8,9 +8,10 @@ from ordolab import (
     UniformMatroid,
     VectorMatroid,
     duplicate,
+    exact_mlop_dp,
     fundamental_circuit,
-    is_uniform_via_mlop,
     mask_of,
+    uniform_closed_form,
 )
 from ordolab.instances import bowtie, complete_graph
 
@@ -43,5 +44,9 @@ print("bowtie circuit closed by the left chord:",
 
 # Is a vector matroid uniform?  Compare the exact ordering optimum with the
 # closed form for the uniform matroid of the same rank.
-print("[[1,0,1],[0,1,1]] uniform?", is_uniform_via_mlop(VectorMatroid([[1, 0, 1], [0, 1, 1]])))
-print("[[1,0,1],[0,1,0]] uniform?", is_uniform_via_mlop(VectorMatroid([[1, 0, 1], [0, 1, 0]])))
+def is_uniform(M):
+    return exact_mlop_dp(M)[0] == uniform_closed_form(M.full_rank, M.m)
+
+
+print("[[1,0,1],[0,1,1]] uniform?", is_uniform(VectorMatroid([[1, 0, 1], [0, 1, 1]])))
+print("[[1,0,1],[0,1,0]] uniform?", is_uniform(VectorMatroid([[1, 0, 1], [0, 1, 0]])))

@@ -41,4 +41,4 @@ pi, value, red, cert = solve_mlvc_via_apex(k2)
 print(f"\napex reduction on a single edge: star cost k = {red.k}")
 print(f"weighted ordering optimum {cert.source_value} "
       f"= MLVC optimum {value} + offset {cert.shift}")
-print(f"recovered labeling: {pi.to_labels()}")
+print(f"recovered labeling: {list(pi.sequence())}")

@@ -15,7 +15,6 @@ from ordolab import (
     gh_upper_bound,
     gh_weight_invariance,
     matching_certificate,
-    tree_mlop,
 )
 from ordolab.instances import complete_graph, path_graph, star_graph
 
@@ -30,11 +29,11 @@ f = CutFunction(star_graph(3))
 tree = build_gh_tree(f)
 upper, sigma = gh_upper_bound(f, tree)
 print(f"\nstar: lower {gh_lower_bound(tree)}, optimum {exact_mlop_dp(f)[0]}, "
-      f"upper {upper} via layout {sigma.to_labels()}")
+      f"upper {upper} via layout {list(sigma.sequence())}")
 
 # Unit K4: every pairwise minimum cut is a singleton of value 3.
 f = CutFunction(complete_graph(4))
-tree, value = tree_mlop(f)
+value = build_gh_tree(f).total_weight()
 print(f"\nunit K4 tree objective: {value} (three tree edges, each cut value 3)")
 print("total weight invariant over 10 shuffled builds:",
       gh_weight_invariance(f, runs=10, seed=0))

@@ -28,7 +28,6 @@ from .gomoryhu import (
     gh_upper_bound,
     gh_weight_invariance,
     matching_certificate,
-    tree_mlop,
 )
 from .matroids import (
     CoverageFunction,
@@ -41,7 +40,6 @@ from .matroids import (
     VectorMatroid,
     duplicate,
     fundamental_circuit,
-    is_uniform_via_mlop,
     parse_matrix,
 )
 from .mlvc import (
@@ -91,7 +89,6 @@ from .solve import (
     fixed_basis_extension,
     has_flat_prefix_structure,
     pp_lower_bound,
-    pp_upper_bound,
     small_basis_exact,
     uniform_closed_form,
 )

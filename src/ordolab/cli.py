@@ -274,6 +274,8 @@ def _cmd_mlvc(args):
 
 
 def _cmd_ghtree(args):
+    if args.runs < 1:
+        raise ValueError("need at least one run")
     instance = parse_instance(args.input, "graph")
     cut = CutFunction(instance)
     tree = build_gh_tree(cut, seed=args.seed)
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exact solvers, certified approximations, reductions, and bounds.",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for sampling and basis search")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes for mlvc --balance and solve --exact fixed-basis")
     # accept --seed/--jobs after the subcommand as well; SUPPRESS keeps the
     # top-level value when the subcommand does not restate them
     common = argparse.ArgumentParser(add_help=False)

@@ -214,9 +214,6 @@ class Ordering:
             seq[p - 1] = e
         return tuple(seq)
 
-    def position(self, element: int) -> int:
-        return self.positions[element]
-
     def prefix_masks(self) -> Iterator[int]:
         """The m nested prefix sets, smallest first."""
         mask = 0
@@ -227,9 +224,6 @@ class Ordering:
     def reversed(self) -> "Ordering":
         m = self.m
         return Ordering(tuple(m + 1 - p for p in self.positions))
-
-    def to_labels(self) -> list[int]:
-        return list(self.sequence())
 
 
 class SetFunctionOracle:

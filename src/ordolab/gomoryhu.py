@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import CertificateError, Graph, Ordering, SetFunctionOracle, mask_of
+from .core import CertificateError, Graph, Ordering, SetFunctionOracle
 from .matroids import CutFunction
 from .sfm import st_min_cut
 from .solve import exact_mlop_dp
@@ -40,58 +41,59 @@ class GomoryHuTree:
     def __post_init__(self):
         if len(self.edges) != self.n - 1:
             raise ValueError("a tree on n vertices has n - 1 edges")
-        if self.n > 0 and len(self.component_of(0, None)) != self.n:
+        if -1 in self._rooted[1]:
             raise ValueError("edges do not form a spanning tree")
 
     def total_weight(self) -> Fraction:
         return sum((w for _, _, w in self.edges), Fraction(0))
 
-    def component_of(self, v: int, removed_edge: int | None) -> set[int]:
-        """Vertices reachable from v, optionally with one edge removed."""
-        adj: dict[int, list[tuple[int, int]]] = {u: [] for u in range(self.n)}
+    @cached_property
+    def _rooted(self) -> tuple[list[int], list[int], list[int]]:
+        """The parent edge, depth and subtree bitmask of each vertex, from
+        one search rooted at vertex 0.  A vertex the search does not reach
+        has depth -1."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for i, (a, b, _) in enumerate(self.edges):
-            if i == removed_edge:
-                continue
             adj[a].append((b, i))
             adj[b].append((a, i))
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w, _ in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+        parent, depth = [-1] * self.n, [-1] * self.n
+        depth[0] = 0
+        reached = [0]
+        for u in reached:
+            for w, i in adj[u]:
+                if depth[w] < 0:
+                    parent[w], depth[w] = i, depth[u] + 1
+                    reached.append(w)
+        subtree = [1 << v for v in range(self.n)]
+        for u in reversed(reached[1:]):
+            subtree[self._other_end(parent[u], u)] |= subtree[u]
+        return parent, depth, subtree
+
+    def _other_end(self, edge_index: int, v: int) -> int:
+        a, b, _ = self.edges[edge_index]
+        return b if a == v else a
 
     def path_edges(self, a: int, b: int) -> list[int]:
-        """Edge indices on the unique tree path from a to b."""
-        adj: dict[int, list[tuple[int, int]]] = {u: [] for u in range(self.n)}
-        for i, (x, y, _) in enumerate(self.edges):
-            adj[x].append((y, i))
-            adj[y].append((x, i))
-        parent: dict[int, tuple[int, int]] = {a: (-1, -1)}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u == b:
-                break
-            for w, i in adj[u]:
-                if w not in parent:
-                    parent[w] = (u, i)
-                    stack.append(w)
-        path = []
-        cur = b
-        while cur != a:
-            prev, i = parent[cur]
-            path.append(i)
-            cur = prev
-        return path
+        """Edge indices on the unique tree path, from b's end to a's."""
+        parent, depth, _ = self._rooted
+        from_b, from_a = [], []
+        while a != b:
+            if depth[b] >= depth[a]:
+                from_b.append(parent[b])
+                b = self._other_end(parent[b], b)
+            else:
+                from_a.append(parent[a])
+                a = self._other_end(parent[a], a)
+        return from_b + from_a[::-1]
 
     def cut_side(self, edge_index: int) -> int:
-        """Bitmask of the component of the edge's first endpoint."""
-        a = self.edges[edge_index][0]
-        return mask_of(self.component_of(a, edge_index))
+        """Bitmask of the component of the edge's first endpoint in the tree
+        minus that edge."""
+        parent, _, subtree = self._rooted
+        a, b, _ = self.edges[edge_index]
+        if parent[a] == edge_index:
+            return subtree[a]
+        return ((1 << self.n) - 1) & ~subtree[b]
 
 
 def _verify_cut_property(
@@ -201,14 +203,6 @@ def gh_upper_bound(f: SetFunctionOracle, tree: GomoryHuTree) -> tuple[Fraction, 
     )
     value, sigma = exact_mlop_dp(CutFunction(graph))
     return Fraction(value), sigma
-
-
-def tree_mlop(f: CutFunction, seed: int | None = None) -> tuple[GomoryHuTree, Fraction]:
-    """Minimize, over all trees T on the ground set, the sum over tree edges
-    of f evaluated at one side of the edge split.  Any Gomory-Hu tree is
-    optimal and its total weight is the optimal value."""
-    tree = build_gh_tree(f, seed=seed)
-    return tree, tree.total_weight()
 
 
 def matching_certificate(

@@ -562,15 +562,6 @@ def fundamental_circuit(M: Matroid, basis: int, e: int) -> int:
     return circuit
 
 
-def is_uniform_via_mlop(M: Matroid) -> bool:
-    """Decide whether M is the uniform matroid of its rank by comparing the
-    exact optimal ordering cost against the uniform closed form."""
-    from .solve import exact_mlop_dp, uniform_closed_form
-
-    value, _ = exact_mlop_dp(M)
-    return value == uniform_closed_form(M.full_rank, M.m)
-
-
 # matrix file format: "k m" header, then k rows of m integers
 def parse_matrix(text: str) -> VectorMatroid:
     lines = list(_nonblank_lines(text))

@@ -15,9 +15,9 @@ vertex order, each hyperedge scheduled as soon as its last vertex is, and
 ties between hyperedges completed by the same vertex shuffled.  Its draws
 are those of ``rng.shuffle`` on the vertex list and on each tie list,
 taken draw for draw from ``rng.getrandbits``, so a seed fixes every
-schedule and the state ``rng`` is left in.  ``_sample`` is its one-sample
-view.  ``best_of_n`` costs the sampled vertex orders in numpy blocks and
-``balance_check`` counts inversions one numpy pass per trial.
+schedule and the state ``rng`` is left in.  ``best_of_n`` costs the
+sampled vertex orders in numpy blocks and ``balance_check`` counts
+inversions one numpy pass per trial.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import Graph, Ordering, ParseError, _nonblank_lines, mlvc_objective
 from .matroids import CoverageFunction
@@ -106,18 +106,6 @@ class SchedulingPoset:
         keep = ~(a_in_b | b_in_a) | (a_in_b & b_in_a & (a >= n))
         return list(zip(a[keep].tolist(), b[keep].tolist()))
 
-    def is_linear_extension(self, schedule: Sequence[int]) -> bool:
-        if sorted(schedule) != list(range(self.n_jobs)):
-            return False
-        seen_vertices: set[int] = set()
-        n = self.hypergraph.n
-        for job in schedule:
-            if job < n:
-                seen_vertices.add(job)
-            elif not self.hypergraph.edges[job - n] <= seen_vertices:
-                return False
-        return True
-
 
 def _samples(poset: SchedulingPoset, rng: random.Random, count: int) -> Iterator[list[int]]:
     """``count`` sampled linear extensions, drawn lazily from ``rng``.
@@ -127,9 +115,8 @@ def _samples(poset: SchedulingPoset, rng: random.Random, count: int) -> Iterator
     put in random order.  The draws are exactly those of ``rng.shuffle`` on
     the vertex list and then on each tie list in schedule order (CPython's
     Fisher-Yates over ``_randbelow``, run inline on ``rng.getrandbits``;
-    lists of 0 or 1 items draw nothing), so the schedules and the state
-    ``rng`` is left in match ``count`` calls of ``_sample``.  Nothing is
-    drawn before a schedule is asked for.
+    lists of 0 or 1 items draw nothing).  Nothing is drawn before a
+    schedule is asked for.
     """
     H = poset.hypergraph
     n = H.n
@@ -167,11 +154,6 @@ def _samples(poset: SchedulingPoset, rng: random.Random, count: int) -> Iterator
                 shuffle(completed)  # ties between edges broken at random
             schedule += completed
         yield schedule
-
-
-def _sample(poset: SchedulingPoset, rng: random.Random) -> list[int]:
-    """One sampled linear extension: the one-sample view of ``_samples``."""
-    return next(_samples(poset, rng, 1))
 
 
 def exact_pair_probability(poset: SchedulingPoset, a: int, b: int) -> Fraction | None:
@@ -240,6 +222,8 @@ def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> B
 
     if trials < 1:
         raise ValueError("need at least one trial")
+    if jobs < 1:
+        raise ValueError("need at least one job")
     poset = SchedulingPoset(H)
     pairs = poset.incomparable_pairs()
     if jobs > 1:

@@ -51,10 +51,6 @@ class PrincipalPartition:
             if a >= b:
                 raise ValueError("critical values must be strictly increasing")
 
-    @property
-    def s(self) -> int:
-        return len(self.sets) - 1
-
     def cells(self) -> list[int]:
         """The difference masks P_i - P_{i-1}."""
         return [b & ~a for a, b in zip(self.sets, self.sets[1:])]

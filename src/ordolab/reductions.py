@@ -160,12 +160,9 @@ class ApexReduction:
         graph; isolated original vertices are appended at the end.  An
         ordering whose star ranks collide raises CertificateError: the
         reduction claims that every optimal ordering is good."""
-        matroid = GraphicMatroid(self.apex_graph)
-        prefix = 0
-        rank_at_edge = [0] * self.apex_graph.m
-        for e in sigma.sequence():
-            prefix |= 1 << e
-            rank_at_edge[e] = matroid.rank(prefix)
+        sequence = sigma.sequence()
+        ranks = GraphicMatroid(self.apex_graph)._prefix_values(sequence)[1:]
+        rank_at_edge = dict(zip(sequence, ranks))
         n = len(self.kept)
         labels = [rank_at_edge[self.star_edge_of[i]] for i in range(n)]
         if sorted(labels) != list(range(1, n + 1)):
@@ -173,9 +170,10 @@ class ApexReduction:
         positions = [0] * self.original.n
         for i, v in enumerate(self.kept):
             positions[v] = labels[i]
+        kept = set(self.kept)
         next_pos = n + 1
         for v in range(self.original.n):
-            if v not in set(self.kept):
+            if v not in kept:
                 positions[v] = next_pos
                 next_pos += 1
         return Ordering(tuple(positions))

@@ -174,11 +174,6 @@ def pp_lower_bound(f: SetFunctionOracle, pp: PrincipalPartition) -> Fraction:
     return _lower_bound(f.m, pp, _chain_values(f, pp))
 
 
-def pp_upper_bound(f: SetFunctionOracle, pp: PrincipalPartition) -> Fraction:
-    """Upper bound on the objective of any linear extension of the chain."""
-    return _upper_bound(f.m, pp, _chain_values(f, pp), linearity_stats(f).kappa)
-
-
 def approx_monotone_mlop(f: SetFunctionOracle):
     """Order the ground set along a linear extension of the principal
     partition of f (its zero set is the first cell), and certify the
@@ -327,6 +322,8 @@ def small_basis_exact(M: Matroid, jobs: int = 1):
     basis for the exchange lookups; the result is identical for any job
     count.
     """
+    if jobs < 1:
+        raise ValueError("need at least one job")
     k = M.full_rank
     if k > SMALL_BASIS_MAX_RANK:
         raise ValueError(f"rank {k} exceeds the basis-permutation cap ({SMALL_BASIS_MAX_RANK})")

@@ -36,7 +36,7 @@ from ordolab import (
 from ordolab import sfm
 from ordolab.core import int_dtype, max_abs
 from ordolab.flow import FlowNetwork
-from ordolab.mlvc import _sample
+from ordolab.mlvc import _samples
 
 
 class TableOracle(SetFunctionOracle):
@@ -474,10 +474,25 @@ def level_sets_tight_by_scan(f, x) -> bool:
     return True
 
 
+def is_linear_extension(poset, schedule) -> bool:
+    """Whether ``schedule`` lists every job once, each hyperedge job after
+    all of its vertices."""
+    if sorted(schedule) != list(range(poset.n_jobs)):
+        return False
+    n = poset.hypergraph.n
+    seen: set[int] = set()
+    for job in schedule:
+        if job < n:
+            seen.add(job)
+        elif not poset.hypergraph.edges[job - n] <= seen:
+            return False
+    return True
+
+
 def sample_extension(H, seed: int = 0) -> list[int]:
     """One random linear extension: vertices in a uniform random order, each
     edge scheduled immediately once complete, edge ties shuffled."""
-    return _sample(SchedulingPoset(H), random.Random(seed))
+    return next(_samples(SchedulingPoset(H), random.Random(seed), 1))
 
 
 @contextmanager

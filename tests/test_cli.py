@@ -337,6 +337,23 @@ def test_ghtree_runs(tmp_path):
     assert results["lower_bound"] == results["total_weight"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ghtree", "--runs", "0"], "at least one run"),
+        (["ghtree", "--runs", "-2"], "at least one run"),
+        (["mlvc", "--balance", "10", "--jobs", "0"], "at least one job"),
+        (["solve", "--exact", "fixed-basis", "--jobs", "0"], "at least one job"),
+    ],
+)
+def test_run_and_job_counts_below_one_exit_2(tmp_path, argv, message):
+    path = write(tmp_path, "tb.graph", TB_TEXT)
+    report, code = run_cli([*argv, "--input", path])
+    assert code == 2
+    assert message in report["error"]
+    assert "results" not in report
+
+
 def cycle_text(n):
     return f"{n} {n}\n" + "".join(f"{i} {i % n + 1}\n" for i in range(1, n + 1))
 

@@ -15,7 +15,6 @@ from ordolab import (
     gh_weight_invariance,
     matching_certificate,
     st_min_cut,
-    tree_mlop,
 )
 from ordolab import cli, flow, gomoryhu
 from ordolab.gomoryhu import GH_UPPER_BOUND_CAP, _verify_cut_property
@@ -149,9 +148,14 @@ def test_gh_upper_bound_rejects_beyond_cap():
         gh_upper_bound(f, tree)
 
 
+# The tree problem: minimize, over all trees on the ground set, the sum over
+# tree edges of f at one side of the edge's split.  Any Gomory-Hu tree is
+# optimal, with its total weight as the value.
+
+
 def test_tree_mlop_p3():
     f = CutFunction(path_graph(3))
-    tree, value = tree_mlop(f)
+    value = build_gh_tree(f).total_weight()
     assert value == 2
     # exhaustive check over all 3 labeled trees on 3 vertices
     best = min(
@@ -163,7 +167,7 @@ def test_tree_mlop_p3():
 
 def test_tree_mlop_unit_k4():
     f = CutFunction(complete_graph(4))
-    tree, value = tree_mlop(f)
+    value = build_gh_tree(f).total_weight()
     assert value == 9  # three edges, each a singleton min cut of value 3
 
 
@@ -172,7 +176,7 @@ def test_tree_mlop_optimal_vs_enumeration():
     for _ in range(4):
         G = random_weighted_graph(5, rng.randint(4, 8), rng)
         f = CutFunction(G)
-        _, value = tree_mlop(f)
+        value = build_gh_tree(f).total_weight()
         best = None
         for edges in all_trees(5):
             T = tree_of(5, edges)
@@ -283,6 +287,19 @@ def test_matching_random_pairs():
         for left, right in matching:
             a, b, _ = T1.edges[left]
             assert right in T2.path_edges(a, b)
+        # the path between two vertices holds exactly the edges whose cut
+        # sides separate them, walked from b to a
+        sides = [T2.cut_side(j) for j in range(n - 1)]
+        for a in range(n):
+            for b in range(n):
+                path = T2.path_edges(a, b)
+                assert set(path) == {j for j, side in enumerate(sides) if (side >> a & 1) != (side >> b & 1)}
+                at = b
+                for j in path:
+                    x, y, _ = T2.edges[j]
+                    assert at in (x, y)
+                    at = y if at == x else x
+                assert at == a
 
 
 def test_matching_failure_raises_certificate_error(monkeypatch):

@@ -15,7 +15,6 @@ from ordolab import (
     VectorMatroid,
     duplicate,
     fundamental_circuit,
-    is_uniform_via_mlop,
     mask_of,
     min_norm_base,
     parse_matrix,
@@ -270,18 +269,6 @@ def test_fundamental_circuit_rejects_non_basis():
     M = GraphicMatroid(K3)
     with pytest.raises(ValueError):
         fundamental_circuit(M, 0b111, 0)
-
-
-def test_is_uniform_via_mlop():
-    assert is_uniform_via_mlop(VectorMatroid([[1, 0], [0, 1]]))
-    assert is_uniform_via_mlop(VectorMatroid([[1, 0, 1], [0, 1, 1]]))
-    # parallel columns 0 and 2: optimum drops to 4 < 5
-    assert not is_uniform_via_mlop(VectorMatroid([[1, 0, 1], [0, 1, 0]]))
-
-
-def test_is_uniform_via_mlop_respects_cap():
-    with pytest.raises(ValueError, match=r"exceeds the exact cap \(20\)"):
-        is_uniform_via_mlop(VectorMatroid([[1] * 21, list(range(21))]))
 
 
 def test_matrix_parse():

@@ -23,10 +23,10 @@ from ordolab import (
 )
 from ordolab import cli, matroids, mlvc
 from ordolab.core import ParseError
-from ordolab.mlvc import _sample, largest_float_below
+from ordolab.mlvc import _samples, largest_float_below
 from ordolab.simplex import certify_relaxation
 
-from helpers import random_regular_graph, sample_extension
+from helpers import is_linear_extension, random_regular_graph, sample_extension
 
 from ordolab.instances import complete_bipartite, complete_graph, cycle_graph, path_graph
 
@@ -67,8 +67,8 @@ def test_sample_extensions_are_linear_extensions():
     H = Hypergraph.from_graph(complete_graph(4))
     poset = SchedulingPoset(H)
     for _ in range(200):
-        schedule = _sample(poset, rng)
-        assert poset.is_linear_extension(schedule)
+        schedule = next(_samples(poset, rng, 1))
+        assert is_linear_extension(poset, schedule)
 
 
 def test_sample_k2_edge_always_last():
@@ -84,7 +84,7 @@ def test_sample_vertex_marginal_uniform():
     first_counts = [0, 0, 0]
     trials = 30_000
     for _ in range(trials):
-        schedule = _sample(poset, rng)
+        schedule = next(_samples(poset, rng, 1))
         first_vertex = next(j for j in schedule if j < 3)
         first_counts[first_vertex] += 1
     for c in first_counts:

@@ -59,7 +59,6 @@ from ordolab.core import SetFunctionOracle, max_abs, solve_exact
 from ordolab.instances import random_connected_graph
 from ordolab.mlvc import (
     _count_inversions,
-    _sample,
     _samples,
     build_lp,
     mlvc_brute_optimum,
@@ -496,7 +495,7 @@ def test_inline_draws_match_random_shuffle(n, loops, seed):
     rng.shuffle(ties)
     at = order.index(0) + 1
     poset, sampled = SchedulingPoset(Hypergraph(n, (frozenset({0}),) * loops)), random.Random(seed)
-    assert _sample(poset, sampled) == order[:at] + ties + order[at:]
+    assert next(_samples(poset, sampled, 1)) == order[:at] + ties + order[at:]
     assert sampled.getstate() == rng.getstate()
 
 

@@ -225,7 +225,7 @@ def test_apex_strips_isolated_vertices():
     assert red.kept == (1, 2)
     assert value == 2
     # isolated vertices are appended after the kept ones
-    assert {pi.position(0), pi.position(3)} == {3, 4}
+    assert {pi.positions[0], pi.positions[3]} == {3, 4}
 
 
 def test_apex_rejects_edgeless():

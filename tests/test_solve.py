@@ -12,6 +12,7 @@ from ordolab import (
     Ordering,
     SetFunctionOracle,
     UniformMatroid,
+    VectorMatroid,
     approx_monotone_mlop,
     cactus_exact,
     compute_principal_partition,
@@ -23,7 +24,6 @@ from ordolab import (
     minimize_offset,
     mlop_objective,
     pp_lower_bound,
-    pp_upper_bound,
     small_basis_exact,
     uniform_closed_form,
     weighted_mlop_objective,
@@ -55,7 +55,7 @@ def test_dp_triangle_bridge():
     assert value == 8
     assert mlop_objective(TB, sigma) == 8
     # the bridge is a coloop and sits last in the optimal ordering
-    assert sigma.position(3) == 4
+    assert sigma.positions[3] == 4
 
 
 def test_dp_empty_ground():
@@ -89,6 +89,8 @@ def test_dp_below_random_orderings():
 def test_dp_cap():
     with pytest.raises(ValueError, match=r"exceeds the exact cap \(20\)"):
         exact_mlop_dp(ModularOracle(m=21))
+    with pytest.raises(ValueError, match=r"exceeds the exact cap \(20\)"):
+        exact_mlop_dp(VectorMatroid([[1] * 21, list(range(21))]))
 
 
 @pytest.mark.parametrize(
@@ -142,19 +144,29 @@ def test_four_cycle_is_uniform_u34():
     assert value == brute_mlop(f)[0] == uniform_closed_form(3, 4) == 9
 
 
+def test_dp_decides_uniformity_by_the_closed_form():
+    def is_uniform(M):
+        return exact_mlop_dp(M)[0] == uniform_closed_form(M.full_rank, M.m)
+
+    assert is_uniform(VectorMatroid([[1, 0], [0, 1]]))
+    assert is_uniform(VectorMatroid([[1, 0, 1], [0, 1, 1]]))
+    # parallel columns 0 and 2: optimum drops to 4 < 5
+    assert not is_uniform(VectorMatroid([[1, 0, 1], [0, 1, 0]]))
+
+
 def test_pp_bounds_modular_collapse():
     for m in (1, 3, 6):
         f = ModularOracle(m=m)
         pp = compute_principal_partition(f)
         expected = Fraction(m * (m + 1), 2)
         assert pp_lower_bound(f, pp) == expected
-        assert pp_upper_bound(f, pp) == expected
+        assert approx_monotone_mlop(f)[1].upper == expected
 
 
 def test_pp_bounds_triangle_bridge():
     pp = compute_principal_partition(TB)
     assert pp_lower_bound(TB, pp) == 7
-    assert pp_upper_bound(TB, pp) == 8
+    assert approx_monotone_mlop(TB)[1].upper == 8
     assert exact_mlop_dp(TB)[0] == 8  # sandwich is tight above
 
 
@@ -162,8 +174,8 @@ def test_pp_bounds_single_step_gap():
     # s = 1: the bound gap comes from the non-summation terms alone
     f = UniformMatroid(4, 4)  # free matroid, pp = (empty, E)
     pp = compute_principal_partition(f)
-    assert pp.s == 1
-    assert pp_lower_bound(f, pp) == pp_upper_bound(f, pp) == 10
+    assert len(pp.sets) - 1 == 1
+    assert pp_lower_bound(f, pp) == approx_monotone_mlop(f)[1].upper == 10
 
 
 def test_pp_bounds_reject_mismatched_partition():
@@ -171,9 +183,8 @@ def test_pp_bounds_reject_mismatched_partition():
     with pytest.raises(ValueError):
         pp_lower_bound(GraphicMatroid(complete_graph(3)), pp)
     # the same ground size, but the chain's values differ on the 4-cycle
-    for bound in (pp_lower_bound, pp_upper_bound):
-        with pytest.raises(ValueError):
-            bound(GraphicMatroid(cycle_graph(4)), pp)
+    with pytest.raises(ValueError):
+        pp_lower_bound(GraphicMatroid(cycle_graph(4)), pp)
 
 
 @pytest.mark.parametrize(
@@ -232,7 +243,7 @@ def test_approx_trivial_function():
 def test_approx_zero_set_goes_first():
     loopy = GraphicMatroid(Graph(3, ((0, 0), (0, 1), (1, 2))))
     sigma, cert = approx_monotone_mlop(loopy)
-    assert sigma.position(0) == 1  # the loop leads
+    assert sigma.positions[0] == 1  # the loop leads
     assert cert.achieved == exact_mlop_dp(loopy)[0] == 1 + 2
 
 
@@ -384,7 +395,7 @@ def test_cactus_all_bridges():
 def test_cactus_bridge_after_cycle():
     value, sigma = cactus_exact(triangle_with_bridge())
     assert value == 8
-    assert sigma.position(3) == 4
+    assert sigma.positions[3] == 4
 
 
 def test_cactus_rejects_non_cactus():
