@@ -14,10 +14,12 @@ from ordolab import (
     UniformMatroid,
     VectorMatroid,
     duplicate,
+    exact_mlop_dp,
     fundamental_circuit,
     mask_of,
     min_norm_base,
     parse_matrix,
+    uniform_closed_form,
 )
 from ordolab import flow
 from ordolab.core import ParseError
@@ -269,6 +271,15 @@ def test_fundamental_circuit_rejects_non_basis():
     M = GraphicMatroid(K3)
     with pytest.raises(ValueError):
         fundamental_circuit(M, 0b111, 0)
+
+
+def test_is_uniform_via_mlop_respects_cap():
+    # uniformity is read off the exact DP optimum against the closed form,
+    # so a matroid past the DP's cap is refused before any comparison
+    M = VectorMatroid([[1] * 21, list(range(21))])
+    assert uniform_closed_form(M.full_rank, M.m) == 41
+    with pytest.raises(ValueError, match=r"exceeds the exact cap \(20\)"):
+        exact_mlop_dp(M)
 
 
 def test_matrix_parse():
