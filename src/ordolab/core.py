@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import comb, gcd, lcm
-from typing import Iterator, Mapping, Sequence
+from math import comb, lcm
+from typing import Iterator, Sequence
 
 #: Largest ground set the exhaustive (2^m) solvers accept; enforced by
 #: ``SetFunctionOracle.dense_values`` alone.
@@ -92,7 +92,7 @@ def size_order(m: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# exact linear systems
+# exact integer vectors
 
 
 def integer_vector(v: Sequence) -> tuple[int, list[int]]:
@@ -100,59 +100,6 @@ def integer_vector(v: Sequence) -> tuple[int, list[int]]:
     Fractions)."""
     d = lcm(*(ve.denominator for ve in v))
     return d, [ve.numerator * (d // ve.denominator) for ve in v]
-
-
-_RHS = -1  # the key of the right-hand side in a row of ``solve_exact``
-
-
-def solve_exact(
-    rows: Sequence[Mapping[int, Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """A solution z of the square system M z = rhs, exact, with M given by
-    sparse rows (column -> value); None if the system is inconsistent.
-    Free variables of a singular M are set to 0.
-
-    Each row is scaled to integers.  Gauss-Jordan elimination pivots on the
-    lowest-index free row with a nonzero in the column, updates only the
-    rows with a nonzero there, and divides each updated row by the gcd of
-    its entries.
-    """
-    work = []
-    for row, b in zip(rows, rhs):
-        row = [(j, Fraction(v)) for j, v in (*row.items(), (_RHS, b))]
-        scale = lcm(*(v.denominator for _, v in row))
-        work.append(_primitive({j: v.numerator * (scale // v.denominator) for j, v in row}))
-    free = set(range(len(work)))
-    pivots = []
-    for col in range(len(work)):
-        p = min((i for i in free if col in work[i]), default=None)
-        if p is None:
-            continue
-        free.remove(p)
-        pivots.append((col, p))
-        prow, lead = work[p], work[p][col]
-        for i, row in enumerate(work):
-            if col in row and i != p:
-                g = gcd(lead, row[col])
-                s, t = lead // g, row[col] // g
-                new = {j: s * v for j, v in row.items()}
-                for j, v in prow.items():
-                    new[j] = new.get(j, 0) - t * v
-                work[i] = _primitive(new)
-    # a row left without a pivot has no nonzero coefficient: 0 = its rhs
-    if any(work[i] for i in free):
-        return None
-    z = [Fraction(0)] * len(work)
-    for col, p in pivots:
-        z[col] = Fraction(work[p].get(_RHS, 0), work[p][col])
-    return z
-
-
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """The nonzero entries of an integer row, divided by their gcd."""
-    row = {j: v for j, v in row.items() if v}
-    g = gcd(*row.values())
-    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 @dataclass(frozen=True)
@@ -263,13 +210,10 @@ class SetFunctionOracle:
     def full_mask(self) -> int:
         return self.ground.full_mask
 
-    @property
+    @cached_property
     def singleton_values(self) -> tuple:
         """f({e}) for every element e, read once and cached."""
-        cached = getattr(self, "_singletons", None)
-        if cached is None:
-            cached = self._singletons = tuple(self(1 << e) for e in range(self.m))
-        return cached
+        return tuple(self(1 << e) for e in range(self.m))
 
     def evaluate(self, subset: int):
         raise NotImplementedError

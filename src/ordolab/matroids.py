@@ -5,6 +5,7 @@ coverage function of a graph."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -31,13 +32,9 @@ class Matroid(SetFunctionOracle):
     def rank(self, subset: int) -> int:
         return self(subset)
 
-    @property
+    @cached_property
     def full_rank(self) -> int:
-        cached = getattr(self, "_full_rank", None)
-        if cached is None:
-            cached = self.rank(self.full_mask)
-            self._full_rank = cached
-        return cached
+        return self.rank(self.full_mask)
 
     def corank(self, subset: int) -> int:
         """r*(X) = |X| - r(E) + r(E - X)."""

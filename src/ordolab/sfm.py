@@ -24,10 +24,12 @@ f(X) checked on all 2^m subsets, x* is the minimum-norm point of
 exact for any oracle.  Beyond the cap, one Fujishige-Wolfe search runs in
 exact arithmetic from the greedy vertex of the identity order.  Each
 greedy vertex reads f on the m + 1 prefixes of its order through the
-oracle's ``_prefix_values``; each affine minimizer is solved from its
-bordered Gram system by ``core.solve_exact``, and each point is formed in
-integers over one common denominator.  The point passes Wolfe's optimality
-test exactly, is a convex combination of its active vertices, and
+oracle's ``_prefix_values``; the Gram products of the active vertices
+are kept as rows, one row and column added per vertex, and each affine
+minimizer is solved from its nonsingular bordered Gram system by one
+fraction-free elimination, ``_solve_nonsingular``.  Each point is formed
+in integers over one common denominator.  The point passes Wolfe's
+optimality test exactly, is a convex combination of its active vertices, and
 satisfies x*(X) <= f(X) on the 2m singletons and co-singletons.  Beyond
 those sets it is the minimum-norm base only if f is submodular.  A failed
 check raises ``CertificateError``.  No step of any base uses floating
@@ -63,7 +65,6 @@ from .core import (
     iter_bits,
     max_abs,
     size_order,
-    solve_exact,
 )
 from .matroids import CutFunction
 
@@ -198,9 +199,10 @@ def _exact_min_norm_point(m: int, greedy_vertex) -> tuple[list[Fraction], list[F
     with coefficient 1.  ``greedy_vertex(order)`` returns the exact vertex
     for an ordering of the ground set.  Returns the coefficients c and the
     point x = sum c_i V_i, with x.q >= x.x for the greedy vertex q at x."""
-    # each active vertex V_i kept as the integer vector U_i = d_i V_i
+    # each active vertex V_i kept as the integer vector U_i = d_i V_i, with
+    # the rows of the Gram products U_i.U_j
     d0, u0 = integer_vector(greedy_vertex(list(range(m))))
-    d, U, c = [d0], [u0], [Fraction(1)]
+    d, U, c, gram = [d0], [u0], [Fraction(1)], [[sum(map(mul, u0, u0))]]
     while True:
         # x = sum (c_i / d_i) U_i as the integer vector X = L x, L the least
         # common denominator of the c_i / d_i
@@ -210,25 +212,58 @@ def _exact_min_norm_point(m: int, greedy_vertex) -> tuple[list[Fraction], list[F
         # x.q >= x.x, that is L X.(d_q q) >= d_q X.X
         if L * sum(map(mul, X, uq)) >= dq * sum(map(mul, X, X)):
             return c, [Fraction(Xe, L) for Xe in X]
+        # x is the least-norm point of the affine hull of V, so x.v = x.x
+        # on that hull and x.q < x.x puts q outside it: V + q is affinely
+        # independent, and so is every subset the minor cycles keep
+        products = [sum(map(mul, uq, u)) for u in U]
+        for row, p in zip(gram, products):
+            row.append(p)
+        gram.append([*products, sum(map(mul, uq, uq))])
         d, U, c = d + [dq], U + [uq], c + [Fraction(0)]
         # minor cycles: toward the affine minimizer of V until it is convex
         while True:
             # the point of least norm in the affine hull of V is sum b_i V_i
-            # for a solution (mu, b) of [[0, 1^T], [1, V V^T]] (mu, b) = (1, 0),
-            # a system that is always consistent; in beta_j = b_j / d_j its
-            # rows are integer: sum d_j beta_j = 1, d_i mu + sum U_i.U_j beta_j = 0
-            bordered = [dict(enumerate(d, 1))] + [
-                {0: di, **{j: sum(map(mul, u, v)) for j, v in enumerate(U, 1)}} for di, u in zip(d, U)
-            ]
-            beta = solve_exact(bordered, [1] + [0] * len(U))[1:]
+            # for the solution (mu, b) of [[0, 1^T], [1, V V^T]] (mu, b) =
+            # (1, 0), nonsingular as V is affinely independent; in beta_j =
+            # b_j / d_j its rows are integer: sum d_j beta_j = 1,
+            # d_i mu + sum U_i.U_j beta_j = 0
+            bordered = [[0, *d]] + [[di, *row] for di, row in zip(d, gram)]
+            beta = _solve_nonsingular(bordered, [1] + [0] * len(d))[1:]
             b = [dj * bj for dj, bj in zip(d, beta)]
             if all(bi >= 0 for bi in b):
                 c = b
                 break
             theta = min(ci / (ci - bi) for ci, bi in zip(c, b) if bi < 0)
             c = [theta * bi + (1 - theta) * ci for ci, bi in zip(c, b)]
-            U, d = ([t for t, ci in zip(seq, c) if ci > 0] for seq in (U, d))
-            c = [ci for ci in c if ci > 0]
+            keep = [i for i, ci in enumerate(c) if ci > 0]
+            U, d, c = ([seq[i] for i in keep] for seq in (U, d, c))
+            gram = [[gram[i][j] for j in keep] for i in keep]
+
+
+def _solve_nonsingular(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """The solution z of the square integer system rows z = rhs, exact, by
+    one fraction-free elimination (Bareiss 1968) that swaps in the first
+    row with a nonzero in each column.  The system must be nonsingular: a
+    column with no such row raises CertificateError.  Every elimination
+    step's division is exact, and the last pivot is +-det, so det z is
+    integral and back substitution runs in integers too."""
+    n = len(rows)
+    a = [[*row, b] for row, b in zip(rows, rhs)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            raise CertificateError("bordered Gram system is singular: Wolfe's active set is affinely dependent")
+        a[k], a[p] = a[p], a[k]
+        pivot, top = a[k][k], a[k][k + 1 :]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            row[k + 1 :] = [(pivot * v - lead * t) // prev for v, t in zip(row[k + 1 :], top)]
+        prev = pivot
+    z = [0] * n
+    for k in reversed(range(n)):
+        z[k] = (prev * a[k][n] - sum(map(mul, a[k][k + 1 : n], z[k + 1 :]))) // a[k][k]
+    return [Fraction(zk, prev) for zk in z]
 
 
 def _wolfe_base(f: SetFunctionOracle, g0) -> list[Fraction]:

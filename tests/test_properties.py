@@ -1,9 +1,9 @@
 """Property tests: the table-based solvers, the constructed MLVC LP
-certificate, the exact linear solver and the exact max-flow against brute
-force.
+certificate, the Wolfe search's bordered solve and the exact max-flow
+against brute force.
 
 Random graphic (with loops and parallel edges), vector and
-Fraction-weighted cut oracles, and square linear systems, checked against the enumerations and the reference solver
+Fraction-weighted cut oracles, and square integer systems, checked against the enumerations and the reference solver
 in ``helpers``; the MLVC relaxation's structured check of its constructed
 pair against the plain Fraction check of the pair expanded into the model,
 its value against the coverage function's principal-partition bound and
@@ -55,7 +55,7 @@ from ordolab import (
 )
 
 from ordolab import flow, matroids, mlvc, sfm, solve
-from ordolab.core import SetFunctionOracle, max_abs, solve_exact
+from ordolab.core import SetFunctionOracle, max_abs
 from ordolab.instances import random_connected_graph
 from ordolab.mlvc import (
     _count_inversions,
@@ -132,25 +132,10 @@ fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 @st.composite
 def square_systems(draw):
-    """A square Fraction matrix of size 1-5 and a vector of that size."""
+    """A square integer matrix of size 1-5 and a vector of that size."""
     n = draw(st.integers(1, 5))
-    return [[draw(fractions) for _ in range(n)] for _ in range(n)], [draw(fractions) for _ in range(n)]
-
-
-@st.composite
-def singular_systems(draw):
-    """(M, j, z0) with row j of M replaced by a combination of the other
-    rows (a duplicate when one weight is 1 and the others 0; the zero row
-    when n = 1), so M is singular."""
-    M, z0 = draw(square_systems())
-    j = draw(st.integers(0, len(M) - 1))
-    weights = [draw(fractions) for _ in M]
-    M[j] = [sum(w * M[i][c] for i, w in enumerate(weights) if i != j) for c in range(len(M))]
-    return M, j, z0
-
-
-def times(M, z):
-    return [sum(a * b for a, b in zip(row, z)) for row in M]
+    entry = st.integers(-4, 4)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)], [draw(entry) for _ in range(n)]
 
 
 lambdas = st.builds(Fraction, st.integers(-3, 12), st.integers(1, 6))
@@ -649,30 +634,20 @@ def test_lp_value_is_a_certified_lower_bound(G):
 
 
 @PROPERTY
+@example(([[0]], [1]))
+@example(([[1, 2], [2, 4]], [1, 2]))
+@example(([[0, 1, 1], [1, 2, 3], [1, 3, 5]], [1, 0, 0]))
 @given(square_systems())
-def test_solve_exact_matches_the_square_reference(system):
+def test_bordered_solve_matches_the_square_reference(system):
+    # the unique solution where there is one, else CertificateError: the
+    # Wolfe search hands it only nonsingular bordered Gram systems
     M, rhs = system
     reference = _solve_square(M, rhs)
-    assume(reference is not None)
-    assert solve_exact([dict(enumerate(row)) for row in M], rhs) == reference
-
-
-@PROPERTY
-@given(singular_systems())
-def test_solve_exact_solves_a_singular_consistent_system(system):
-    M, _, z0 = system
-    rhs = times(M, z0)
-    z = solve_exact([dict(enumerate(row)) for row in M], rhs)
-    assert z is not None and times(M, z) == rhs
-
-
-@PROPERTY
-@given(singular_systems(), fractions.filter(bool))
-def test_solve_exact_rejects_an_inconsistent_system(system, delta):
-    M, j, z0 = system
-    rhs = times(M, z0)
-    rhs[j] += delta
-    assert solve_exact([dict(enumerate(row)) for row in M], rhs) is None
+    if reference is None:
+        with pytest.raises(CertificateError):
+            sfm._solve_nonsingular(M, rhs)
+    else:
+        assert sfm._solve_nonsingular(M, rhs) == reference
 
 
 @st.composite

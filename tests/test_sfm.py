@@ -10,6 +10,7 @@ from ordolab import (
     CertificateError,
     CoverageFunction,
     CutFunction,
+    DualMatroid,
     Graph,
     GraphicMatroid,
     GroundSet,
@@ -251,6 +252,18 @@ def test_wolfe_base_beyond_the_cap_uses_no_floating_point(monkeypatch):
         assert sfm.min_norm_base(incidence_matroid(G)) == sfm.min_norm_base(GraphicMatroid(G))
     assert len(searches) == 1
 
+
+
+@pytest.mark.parametrize("m", [21, 22, 24, 26])
+def test_wolfe_base_of_a_dual_graphic_matroid_is_one_minus_the_graphic_base(m):
+    # B(M*) = 1 - B(M), and on B(M) |1 - y|^2 = m - 2 r(E) + |y|^2, so the
+    # exact Wolfe search on the dual beyond the cap must land on 1 minus
+    # the graph's decomposed base
+    G = random_connected_graph(m // 2, m, random.Random(m))
+    with wolfe_path() as searches:
+        x = sfm.min_norm_base(DualMatroid(GraphicMatroid(G)))
+    assert len(searches) == 1
+    assert x == [1 - v for v in sfm.min_norm_base(GraphicMatroid(G))]
 
 @pytest.mark.parametrize("cls", [GraphicMatroid, CoverageFunction], ids=["graphic", "coverage"])
 def test_decomposed_base_takes_no_table_and_no_wolfe_search(cls, monkeypatch):
