@@ -14,7 +14,6 @@ from ordolab import (
     Graph,
     GraphicMatroid,
     compute_principal_partition,
-    linearity_stats,
     min_norm_base,
     minimize_offset,
 )
@@ -38,10 +37,11 @@ for lam in (Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(1), Fractio
     print(f"lambda = {lam}: maximal minimizer {bin(res.maximal_minimizer)}, "
           f"min value {res.min_value}")
 
-# Steepness and linearity: for a matroid rank, steepness is 1 and
+# Steepness (the largest singleton value) and linearity f(E)/steepness,
+# with f(E) the chain's last value: for a matroid rank, steepness is 1 and
 # linearity is the rank of the whole ground set.
-stats = linearity_stats(tb)
-print(f"\nsteepness = {stats.kappa}, linearity = {stats.linearity}, m = {stats.m}")
+kappa = max(tb.singleton_values)
+print(f"\nsteepness = {kappa}, linearity = {pp.values[-1] / kappa}, m = {tb.m}")
 
 # Elements of value zero (self-loops here) have x* = 0: they form the
 # chain's first step, at lambda = 0, and lead every ordering built on it.

@@ -62,7 +62,6 @@ from .partition import (
     LinearityStats,
     PrincipalPartition,
     compute_principal_partition,
-    linearity_stats,
 )
 from .reductions import (
     ApexReduction,

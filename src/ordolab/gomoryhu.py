@@ -189,18 +189,16 @@ def gh_upper_bound(f: SetFunctionOracle, tree: GomoryHuTree) -> tuple[Fraction, 
     """Optimal ordering cost of the tree itself, an upper bound for f.
 
     Equivalently the weighted linear arrangement of the tree: each tree
-    edge (x, y, w) pays w * |pi(x) - pi(y)|.  Solved exactly by the subset
-    DP; trees beyond GH_UPPER_BOUND_CAP vertices raise ValueError.
+    edge (x, y, w) pays w * |pi(x) - pi(y)|, so the weight-0 edges joining
+    a disconnected graph's components are left out.  Solved exactly by the
+    subset DP; trees beyond GH_UPPER_BOUND_CAP vertices raise ValueError.
     """
     if f.m != tree.n:
         raise ValueError("oracle and tree ground sets differ")
     if tree.n > GH_UPPER_BOUND_CAP:
         raise ValueError(f"tree of {tree.n} vertices exceeds the upper-bound cap ({GH_UPPER_BOUND_CAP})")
-    graph = Graph(
-        tree.n,
-        tuple((a, b) for a, b, _ in tree.edges),
-        tuple(w for _, _, w in tree.edges),
-    )
+    edges = [(a, b, w) for a, b, w in tree.edges if w]
+    graph = Graph(tree.n, tuple((a, b) for a, b, _ in edges), tuple(w for _, _, w in edges))
     value, sigma = exact_mlop_dp(CutFunction(graph))
     return Fraction(value), sigma
 

@@ -211,8 +211,9 @@ def _count_inversions(H: Hypergraph, pairs: list[tuple[int, int]], trials: int, 
 def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> BalanceReport:
     """Estimate, for every incomparable job pair, the probability of each
     relative order; flag a pair if its estimate plus three standard errors
-    still falls below the 1/(1 + max edge size) floor.  With no
-    incomparable pair, the worst pair and its probability are None.
+    still falls below the 1/(1 + max edge size) floor, which is 1/2, a
+    vertex pair's own, with no edge.  With no incomparable pair, the worst
+    pair and its probability are None.
 
     ``jobs`` splits the trials across worker processes with per-worker
     seeds derived from (seed, worker index); the aggregate is deterministic
@@ -238,7 +239,7 @@ def balance_check(H: Hypergraph, trials: int, seed: int = 0, jobs: int = 1) -> B
             counts = sum(pool.map(_count_inversions, [H] * len(share), [pairs] * len(share), share, seeds))
     else:
         counts = _count_inversions(H, pairs, trials, seed)
-    floor = Fraction(1, 1 + H.max_edge_size)
+    floor = Fraction(1, 1 + max(H.max_edge_size, 1))
     below = largest_float_below(floor)
     p = counts / trials
     probabilities = dict(zip(pairs, p.tolist()))

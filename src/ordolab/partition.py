@@ -8,7 +8,8 @@ assumption on f for graphic matroids and coverage functions at every size
 and for any oracle within the exact cap, relying on submodularity for
 other oracles beyond it): the critical values are the distinct values of
 x*, and the chain sets are its lower level sets {x* <= lambda}, which
-``min_norm_base`` has checked tight, f(S) = x*(S).  The maximal zero set
+``min_norm_base`` has checked tight, f(S) = x*(S), so f on the chain needs
+no oracle call (``PrincipalPartition.values``).  The maximal zero set
 {x* = 0} of f is the chain's first step, at lambda = 0.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import SetFunctionOracle
 
@@ -55,6 +57,14 @@ class PrincipalPartition:
         """The difference masks P_i - P_{i-1}."""
         return [b & ~a for a, b in zip(self.sets, self.sets[1:])]
 
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """0 and the running sums of lambda_i |P_i - P_{i-1}|: f(P_0), ...,
+        f(P_s) when the chain is f's, as each step's critical value is its
+        growth ratio."""
+        steps = (lam * cell.bit_count() for lam, cell in zip(self.critical_values, self.cells()))
+        return tuple(accumulate(steps, initial=Fraction(0)))
+
 
 @dataclass(frozen=True)
 class LinearityStats:
@@ -75,20 +85,9 @@ def compute_principal_partition(f: SetFunctionOracle) -> PrincipalPartition:
     """The maximal-minimizer chain of a normalized monotone f with its exact
     critical values, read off one certified minimum-norm base.  An
     identically-zero f yields the chain (empty, E) with the critical value 0."""
-    if f(0) != 0:
-        raise ValueError("oracle is not normalized: f(empty) != 0")
     x = min_norm_base(f)
     if min(x, default=0) < 0:
         raise ValueError("oracle takes negative values; not monotone normalized")
     lambdas = tuple(sorted(set(x)))
     sets = tuple(sum(1 << e for e, xe in enumerate(x) if xe <= lam) for lam in lambdas)
     return PrincipalPartition((0,) + sets, lambdas)
-
-
-def linearity_stats(f: SetFunctionOracle) -> LinearityStats:
-    """Exact steepness and linearity of a nontrivial normalized monotone f."""
-    total = f(f.full_mask)
-    if total == 0:
-        raise ValueError("trivial function: f(E) = 0")
-    kappa = max(map(Fraction, f.singleton_values))
-    return LinearityStats(kappa, Fraction(total) / kappa, f.m)

@@ -1,11 +1,11 @@
 """Submodular function minimization through the minimum-norm base.
 
-For a submodular f, the minimum-norm base x* of B(f - f(empty)) answers
-every minimization with a modular offset: min_X f(X) - lambda*|X| is
-f(empty) + sum_e min(x*_e - lambda, 0), attained by {x* < lambda} and
+For a normalized submodular f, f(empty) = 0, the minimum-norm base x* of
+B(f) answers every minimization with a modular offset: min_X f(X) -
+lambda*|X| is sum_e min(x*_e - lambda, 0), attained by {x* < lambda} and
 {x* <= lambda}, the minimal and maximal minimizers.  ``min_norm_base``
-computes x* exactly and certifies it, on every path with its lower level
-sets checked tight; ``minimize_offset`` reads both sets off it unevaluated.
+refuses any other oracle, computes x* exactly and certifies it, with its
+lower level sets checked tight; ``minimize_offset`` reads both off it.
 
 A graphic matroid or a coverage function builds x* exactly at every size,
 one cell of equal values at a time, each cell found by a parametric
@@ -86,38 +86,37 @@ class SfmResult:
 
 def minimize_offset(f: SetFunctionOracle, lam: Fraction) -> SfmResult:
     """Exact global minimum of f(X) - lam*|X| over all subsets, read off the
-    certified minimum-norm base x* with no oracle call but f(empty): lo =
+    certified minimum-norm base x* with no further oracle call: lo =
     {x* < lam} and hi = {x* <= lam} are level sets of x*, or empty, which
-    ``min_norm_base`` checked tight, so on both f(S) - lam*|S| = f(empty) +
+    ``min_norm_base`` checked tight, so on both f(S) - lam*|S| =
     sum_e min(x*_e - lam, 0), as S holds every e with x*_e < lam and none
     above."""
     lam = Fraction(lam)
     x = min_norm_base(f)
-    value = f(0) + sum(min(xe - lam, 0) for xe in x)
+    value = sum(min(xe - lam, 0) for xe in x)
     lo = sum(1 << e for e, xe in enumerate(x) if xe < lam)
     hi = sum(1 << e for e, xe in enumerate(x) if xe <= lam)
     return SfmResult(Fraction(value), lo, hi)
 
 
 def min_norm_base(f: SetFunctionOracle) -> list[Fraction]:
-    """The exact minimum-norm base x* of B(f - f(empty)), certified, else
-    CertificateError.  A graphic matroid or a coverage function builds it
-    by decomposition at every size (``_decomposed_base``), any other oracle
-    off the dense table up to EXACT_SOLVER_CAP and by the exact
-    Fujishige-Wolfe search beyond it.  Every path's point has its level
+    """The exact minimum-norm base x* of B(f), certified, else
+    CertificateError; ValueError unless f(empty) = 0.  A graphic matroid or
+    a coverage function builds it by decomposition at every size
+    (``_decomposed_base``), any other oracle off the dense table up to
+    EXACT_SOLVER_CAP and by the exact Fujishige-Wolfe search beyond it.  Every path's point has its level
     sets checked tight, and its base polytope membership decided exactly
     (``_certified``; on the table, all 2^m subsets), with no assumption on
     f, except beyond the cap, whose membership relies on submodularity."""
-    g0 = None
+    if f(0) != 0:
+        raise ValueError("oracle is not normalized: f(empty) != 0")
     if f._decomposed_base is not None:
         x = f._decomposed_base()
     elif f.m <= EXACT_SOLVER_CAP:
         x = _table_base(f)
     else:
-        # f(empty), read once for both checks of the Wolfe point
-        g0 = f(0)
-        x = _wolfe_base(f, g0)
-    if not _certified(f, x, g0):
+        x = _wolfe_base(f)
+    if not _certified(f, x):
         raise CertificateError(
             "min-norm base has a lower level set that is not tight, or lies outside the base polytope"
         )
@@ -266,9 +265,8 @@ def _solve_nonsingular(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
     return [Fraction(zk, prev) for zk in z]
 
 
-def _wolfe_base(f: SetFunctionOracle, g0) -> list[Fraction]:
-    """Wolfe's search on h = f - f(empty), g0 = f(empty), in exact
-    arithmetic, checked by ``_finished_base``."""
+def _wolfe_base(f: SetFunctionOracle) -> list[Fraction]:
+    """Wolfe's search on f in exact arithmetic, checked by ``_finished_base``."""
     m = f.m
     if m == 0:
         return []
@@ -280,24 +278,21 @@ def _wolfe_base(f: SetFunctionOracle, g0) -> list[Fraction]:
             out[e] = values[i + 1] - values[i]
         return out
 
-    return _finished_base(f, *_exact_min_norm_point(m, greedy_vertex), g0)
+    return _finished_base(f, *_exact_min_norm_point(m, greedy_vertex))
 
 
-def _certified(f: SetFunctionOracle, x: list[Fraction], g0=None) -> bool:
-    """Whether every lower level set L = {x <= lam} is tight, x(L) = h(L),
-    h = f - f(empty), and x lies in B(h) by the class's exact test
-    ``_base_membership``, if any.  Then for every y in B(h), summing over
+def _certified(f: SetFunctionOracle, x: list[Fraction]) -> bool:
+    """Whether every lower level set L = {x <= lam} of x is tight, x(L) =
+    f(L) for the normalized f, and x lies in B(f) by the class's exact test
+    ``_base_membership``, if any.  Then for every y in B(f), summing over
     the level sets L_1 < ... < L_k with values lam_1 < ... < lam_k, <x, y>
     = sum_i (lam_i - lam_{i+1}) y(L_i) + lam_k y(E) >= <x, x>, as y(L_i) <=
-    h(L_i) = x(L_i): x is the point of B(h) of least norm, whether or not f
+    f(L_i) = x(L_i): x is the point of B(f) of least norm, whether or not f
     is submodular (Fujishige 2005, lexicographically optimal base).  The
     level sets, prefixes of one stable sort of x that end before a larger
-    value, are compared in integers, d x against d h (h off the dense table
-    once built, else with g0 = f(empty), read here unless given), d the
-    least common denominator of x."""
+    value, are compared in integers, d x against d f (f off the dense table
+    once built), d the least common denominator of x."""
     table, D = f._dense, f.dense_denominator
-    if table is None and g0 is None:
-        g0 = f(0)
     d, scaled = integer_vector(x)
     order = sorted(range(len(x)), key=scaled.__getitem__)
     level, total = 0, 0
@@ -305,21 +300,22 @@ def _certified(f: SetFunctionOracle, x: list[Fraction], g0=None) -> bool:
         level |= 1 << e
         total += scaled[e]
         if (k + 1 == len(order) or scaled[order[k + 1]] != scaled[e]) and total != d * (
-            f(level) - g0 if table is None else Fraction(int(table[level]), D)
+            f(level) if table is None else Fraction(int(table[level]), D)
         ):
             return False
     return getattr(f, "_base_membership", lambda _: True)(x)
 
 
-def _finished_base(f: SetFunctionOracle, c: list[Fraction], x: list[Fraction], g0) -> list[Fraction]:
+def _finished_base(f: SetFunctionOracle, c: list[Fraction], x: list[Fraction]) -> list[Fraction]:
     """x, the exact Wolfe point with coefficients c, checked: a convex
-    combination, and x*(X) <= h(X) = f(X) - g0 on the 2m sets {e} and E - e
-    (a necessary condition of x* lying in the base polytope)."""
+    combination, and x*(X) <= f(X) on the 2m sets {e} and E - e (a
+    necessary condition of x* lying in the base polytope of the normalized
+    f)."""
     if any(ci < 0 for ci in c) or sum(c) != 1:
         raise CertificateError("min-norm point is not a convex combination of its active set")
     full = f.full_mask
     total = sum(x)
     for e in range(f.m):
-        if x[e] > f(1 << e) - g0 or total - x[e] > f(full ^ (1 << e)) - g0:
+        if x[e] > f(1 << e) or total - x[e] > f(full ^ (1 << e)):
             raise CertificateError(OUTSIDE_BASE_POLYTOPE)
     return x

@@ -28,7 +28,7 @@ from .core import (
     size_order,
 )
 from .matroids import GraphicMatroid, Matroid, fundamental_circuit
-from .partition import PrincipalPartition, compute_principal_partition, linearity_stats
+from .partition import LinearityStats, PrincipalPartition, compute_principal_partition
 
 
 @dataclass(frozen=True)
@@ -139,39 +139,32 @@ def exact_weighted_mlop_dp(f: SetFunctionOracle, costs: Sequence[int]):
 # principal-partition bounds and the approximation algorithm
 
 
-def _chain_values(f: SetFunctionOracle, pp: PrincipalPartition) -> list:
-    """f on each chain set P_0 = empty, ..., P_s = E, one oracle call each;
-    ValueError unless pp ends at f's ground set and each critical value is
-    the growth ratio of its step under these values."""
-    if pp.sets[-1] != f.full_mask:
-        raise ValueError("partition does not match the oracle's ground set")
-    values = [f(S) for S in pp.sets]
-    for lam, lo, hi, flo, fhi in zip(pp.critical_values, pp.sets, pp.sets[1:], values, values[1:]):
-        if lam * (hi.bit_count() - lo.bit_count()) != fhi - flo:
-            raise ValueError("partition critical values do not match the oracle")
-    return values
-
-
-def _lower_bound(m: int, pp: PrincipalPartition, values: list) -> Fraction:
+def _lower_bound(m: int, pp: PrincipalPartition) -> Fraction:
+    values = pp.values
     total = Fraction(m + 1, 2) * values[-1]
     for lo, hi, flo, fhi in zip(pp.sets, pp.sets[1:], values, values[1:]):
         total -= Fraction(fhi * lo.bit_count() - flo * hi.bit_count(), 2)
     return total
 
 
-def _upper_bound(m: int, pp: PrincipalPartition, values: list, kappa: Fraction) -> Fraction:
-    fE = Fraction(values[-1])
+def _upper_bound(m: int, pp: PrincipalPartition, kappa: Fraction) -> Fraction:
+    values = pp.values
+    fE = values[-1]
     total = fE * m - fE * fE / (2 * kappa) + fE / 2
     for lo, hi, flo, fhi in zip(pp.sets, pp.sets[1:], values, values[1:]):
         total -= (fE - fhi) * (hi.bit_count() - lo.bit_count())
-        total += Fraction(flo * (fhi - flo)) / kappa
+        total += flo * (fhi - flo) / kappa
     return total
 
 
 def pp_lower_bound(f: SetFunctionOracle, pp: PrincipalPartition) -> Fraction:
     """Lower bound on every ordering's objective from the partition chain:
-    (m+1) f(E)/2 minus half the cross terms f(P_i)|P_{i-1}| - f(P_{i-1})|P_i|."""
-    return _lower_bound(f.m, pp, _chain_values(f, pp))
+    (m+1) f(E)/2 minus half the cross terms f(P_i)|P_{i-1}| - f(P_{i-1})|P_i|.
+    The chain is the caller's, so f is read on each of its sets: ValueError
+    unless pp ends at f's ground set and f equals ``pp.values`` there."""
+    if pp.sets[-1] != f.full_mask or any(f(S) != v for S, v in zip(pp.sets, pp.values)):
+        raise ValueError("partition does not match the oracle")
+    return _lower_bound(f.m, pp)
 
 
 def approx_monotone_mlop(f: SetFunctionOracle):
@@ -196,10 +189,11 @@ def approx_monotone_mlop(f: SetFunctionOracle):
     sigma = Ordering.from_sequence(sequence)
 
     achieved = Fraction(mlop_objective(f, sigma))
-    # both bounds from one read of the chain and one of the linearity
-    values, stats = _chain_values(f, pp), linearity_stats(f)
-    lower = _lower_bound(m, pp, values)
-    upper = _upper_bound(m, pp, values, stats.kappa)
+    # f on the chain is pp.values, checked tight with the base: no call reads it again
+    kappa = max(map(Fraction, singles))
+    stats = LinearityStats(kappa, pp.values[-1] / kappa, m)
+    lower = _lower_bound(m, pp)
+    upper = _upper_bound(m, pp, kappa)
     guarantee = 2 - Fraction(1 + stats.linearity, 1 + m)
     return sigma, BoundCertificate(lower, upper, guarantee, achieved)
 

@@ -336,7 +336,7 @@ def balance_check_by_loop(H, trials: int, seed: int = 0, jobs: int = 1):
     seeds = [seed] if jobs == 1 else [seed * 1_000_003 + w for w in range(len(share))]
     partials = [count_inversions_by_pairs(H, s, w) for s, w in zip(share, seeds)]
     pairs = list(partials[0])
-    floor = Fraction(1, 1 + H.max_edge_size)
+    floor = Fraction(1, 1 + max(H.max_edge_size, 1))
     probabilities = {p: sum(c[p] for c in partials) / trials for p in pairs}
     flagged, worst = [], None
     for (a, b), p_ab in probabilities.items():

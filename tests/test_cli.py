@@ -162,11 +162,11 @@ def test_a_matrix_base_beyond_the_cap_uses_no_floating_point(tmp_path, monkeypat
     assert report["results"] == expected["results"]
 
 
-def test_a_matrix_partition_beyond_the_cap_reads_f_empty_twice(tmp_path, monkeypatch):
+def test_a_matrix_partition_beyond_the_cap_reads_f_empty_once(tmp_path, monkeypatch):
     # the incidence matrix of a (12, 24) graph, whose chain has 3 level
-    # sets: f(empty) for the normalization check and once for the Wolfe
-    # point, the 2m = 48 singleton and co-singleton bounds, and the 3 level
-    # sets, with each greedy vertex ranked by elimination, no evaluate call
+    # sets: f(empty) once, for the normalization check, the 2m = 48
+    # singleton and co-singleton bounds, and the 3 level sets, with each
+    # greedy vertex ranked by elimination, no evaluate call
     G = random_connected_graph(12, 24, random.Random(24))
     rows = [" ".join(str((u == i) - (v == i)) for u, v in G.edges) for i in range(G.n)]
     path = write(tmp_path, "g24.matrix", f"{G.n} {G.m}\n" + "\n".join(rows) + "\n")
@@ -176,7 +176,7 @@ def test_a_matrix_partition_beyond_the_cap_reads_f_empty_twice(tmp_path, monkeyp
     report, code = run_cli(["partition", "--kind", "matrix", "--input", path])
     assert code == 0
     assert report["results"]["critical_values"] == ["8/19", "1/2", 1]
-    assert len(calls) == 53 and calls.count(0) == 2
+    assert len(calls) == 52 and calls.count(0) == 1
 
 
 @pytest.mark.parametrize(
@@ -390,7 +390,7 @@ def test_certificate_failure_exit_code(tmp_path, monkeypatch):
 def test_upper_bound_below_the_achieved_value_exits_1(tmp_path, monkeypatch):
     # the triangle with a bridge reads lower 7, achieved 8 and upper 8;
     # an upper bound of 15/2 keeps lower <= upper and breaks achieved <= upper
-    monkeypatch.setattr(solve, "_upper_bound", lambda m, pp, values, kappa: Fraction(15, 2))
+    monkeypatch.setattr(solve, "_upper_bound", lambda m, pp, kappa: Fraction(15, 2))
     path = write(tmp_path, "tb.graph", TB_TEXT)
     report, code = run_cli(["approx", "--input", path])
     assert code == 1

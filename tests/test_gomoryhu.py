@@ -14,6 +14,7 @@ from ordolab import (
     gh_upper_bound,
     gh_weight_invariance,
     matching_certificate,
+    parse_graph,
     st_min_cut,
 )
 from ordolab import cli, flow, gomoryhu
@@ -139,6 +140,24 @@ def test_gh_sandwich_random():
         upper, _ = gh_upper_bound(f, tree)
         opt, _ = exact_mlop_dp(f)
         assert lower <= opt <= upper
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [("3 1\n1 2\n", 1), ("5 3\n1 2\n2 3\n4 5\n", 3), ("4 0\n", 0)],
+    ids=["edge-and-vertex", "path-and-edge", "no-edge"],
+)
+def test_ghtree_of_a_disconnected_graph_lays_out_the_weighted_edges(tmp_path, text, bound):
+    # the tree joins the components by weight-0 edges, which cost 0 in
+    # every ordering: the layout is the exact optimum of the cut function
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    report, code = cli.run(["ghtree", "--input", str(path)])
+    assert code == 0
+    results = report["results"]
+    assert results["lower_bound"] == results["upper_bound"] == bound
+    f = CutFunction(parse_graph(text))
+    assert gh_upper_bound(f, build_gh_tree(f))[0] == exact_mlop_dp(f)[0] == bound
 
 
 def test_gh_upper_bound_rejects_beyond_cap():

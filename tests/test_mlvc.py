@@ -133,6 +133,15 @@ def test_balance_check_k4():
         assert abs(emp - exact) <= 5 * sigma
 
 
+def test_balance_check_without_edges_flags_no_pair():
+    # three lone vertices: every order is equally likely, so each pair is
+    # a vertex pair with probability 1/2 each way, and the floor is 1/2
+    report = balance_check(Hypergraph(3, ()), 2000, seed=0)
+    assert report.floor == Fraction(1, 2)
+    assert len(report.probabilities) == 3
+    assert not report.flagged
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_float_threshold_matches_the_exact_floor(k):
     floor = Fraction(1, 1 + k)

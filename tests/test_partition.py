@@ -9,11 +9,11 @@ from ordolab import (
     GraphicMatroid,
     ModularOracle,
     UniformMatroid,
+    approx_monotone_mlop,
     compute_principal_partition,
-    linearity_stats,
     minimize_offset,
 )
-from ordolab.partition import PrincipalPartition
+from ordolab.partition import LinearityStats, PrincipalPartition
 
 from helpers import TableOracle
 
@@ -131,22 +131,37 @@ def test_partition_of_a_supermodular_oracle_fails_its_certificate():
         compute_principal_partition(TableOracle([0, 1, 1, 3]))
 
 
+def linearity(f):
+    """Steepness and linearity as ``approx_monotone_mlop`` takes them: the
+    largest singleton value, and over it f(E), the chain's last value."""
+    kappa = max(map(Fraction, f.singleton_values))
+    return LinearityStats(kappa, compute_principal_partition(f).values[-1] / kappa, f.m)
+
+
 def test_linearity_stats_uniform():
-    stats = linearity_stats(UniformMatroid(3, 2))
+    f = UniformMatroid(3, 2)
+    stats = linearity(f)
     assert stats.kappa == 1 and stats.linearity == 2
+    assert approx_monotone_mlop(f)[1].guarantee == 2 - Fraction(1 + 2, 1 + 3)
 
 
 def test_linearity_stats_modular():
-    stats = linearity_stats(ModularOracle(m=5))
+    f = ModularOracle(m=5)
+    stats = linearity(f)
     assert stats.kappa == 1 and stats.linearity == 5
+    assert approx_monotone_mlop(f)[1].guarantee == 1
 
 
 def test_linearity_stats_parallel_edges():
     M = GraphicMatroid(Graph(2, ((0, 1),) * 4))
-    stats = linearity_stats(M)
+    stats = linearity(M)
     assert stats.linearity == 1
+    assert approx_monotone_mlop(M)[1].guarantee == 2 - Fraction(1 + 1, 1 + 4)
 
 
 def test_linearity_stats_rejects_trivial():
+    # f = 0 has steepness 0: no stats, and approx certifies it as trivial
     with pytest.raises(ValueError):
-        linearity_stats(ModularOracle([0, 0]))
+        LinearityStats(Fraction(0), Fraction(1), 2)
+    cert = approx_monotone_mlop(ModularOracle([0, 0]))[1]
+    assert cert.trivial and cert.guarantee == 1

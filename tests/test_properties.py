@@ -8,7 +8,8 @@ in ``helpers``; the MLVC relaxation's structured check of its constructed
 pair against the plain Fraction check of the pair expanded into the model,
 its value against the coverage function's principal-partition bound and
 the brute-force MLVC optimum, and its orientation against every vertex
-set; graphic and coverage bases by decomposition against the table; the batched vector-matroid and cut
+set; graphic and coverage bases by decomposition against the table; the
+principal chain's values against f on its sets; the batched vector-matroid and cut
 tables against single evaluations; the keyed subset DP against its former
 layer loop on raw integer tables; the s-t cuts of the integer max-flow against
 every cut of weighted multigraphs; graphic base polytope membership by
@@ -18,6 +19,7 @@ reference per-sample loop, draw for draw, with its pair set, inversion
 counts, best-of-N and balance reports.
 """
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -187,6 +189,18 @@ def test_min_norm_base_is_the_same_exact_base_on_both_paths(f):
 def test_principal_partition_matches_the_brute_force_hull(f):
     pp = compute_principal_partition(f)
     assert (pp.sets, pp.critical_values) == brute_partition(f)
+
+
+@PROPERTY
+@given(st.one_of(oracles, multigraphs(max_vertices=8, max_edges=24).map(GraphicMatroid)), st.booleans())
+@example(GraphicMatroid(Graph(4, ((0, 0),) + ((0, 1), (1, 2), (0, 2)) * 7 + ((2, 3),))), False)
+def test_chain_values_are_f_on_the_chain(f, wolfe):
+    # on every path, also beyond the cap; cut functions other than 0 take
+    # negative values on their base, and have no partition
+    assume(min(min_norm_base(f), default=0) >= 0)
+    with wolfe_path() if wolfe else nullcontext():
+        pp = compute_principal_partition(f)
+    assert pp.values == tuple(f(S) for S in pp.sets)
 
 
 @PROPERTY

@@ -171,11 +171,33 @@ def test_a_wolfe_point_with_a_loose_level_set_fails_the_certificate(monkeypatch)
     # x = 1 < r = 2
     x = [Fraction(1, 2), Fraction(1, 2), Fraction(1)]
     f = UniformMatroid(3, 2)
-    assert sfm._finished_base(f, [Fraction(1)], x, 0) == x
+    assert sfm._finished_base(f, [Fraction(1)], x) == x
     monkeypatch.setattr(sfm, "EXACT_SOLVER_CAP", -1)
     monkeypatch.setattr(sfm, "_exact_min_norm_point", lambda m, greedy_vertex: ([Fraction(1)], x))
     with pytest.raises(CertificateError, match="not tight"):
         sfm.min_norm_base(f)
+
+
+class OnePlusSize(SetFunctionOracle):
+    """f(X) = 1 + |X|: submodular, but f(empty) = 1."""
+
+    def __init__(self, m):
+        super().__init__(GroundSet(m))
+
+    def evaluate(self, subset):
+        return 1 + subset.bit_count()
+
+
+@pytest.mark.parametrize("m", [3, sfm.EXACT_SOLVER_CAP + 1], ids=["within-cap", "beyond-cap"])
+def test_min_norm_base_refuses_an_oracle_that_is_not_normalized(monkeypatch, m):
+    # refused before a path is picked: no table, no Wolfe search
+    def no_path(f):
+        raise AssertionError("a base path ran")
+
+    for name in ("_table_base", "_wolfe_base"):
+        monkeypatch.setattr(sfm, name, no_path)
+    with pytest.raises(ValueError, match="not normalized"):
+        sfm.min_norm_base(OnePlusSize(m))
 
 
 @pytest.mark.parametrize("path", [nullcontext, wolfe_path], ids=["enumerate", "wolfe"])

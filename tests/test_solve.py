@@ -188,18 +188,18 @@ def test_pp_bounds_reject_mismatched_partition():
 @pytest.mark.parametrize(
     "make, counts",
     [
-        (lambda: GraphicMatroid(random_connected_graph(14, 22, random.Random(22))), (6, 6, 34)),
-        (lambda: incidence_matroid(random_connected_graph(8, 14, random.Random(14))), (1, 1, 21)),
+        (lambda: GraphicMatroid(random_connected_graph(14, 22, random.Random(22))), (5, 5, 28)),
+        (lambda: incidence_matroid(random_connected_graph(8, 14, random.Random(14))), (1, 1, 16)),
     ],
     ids=["decomposition", "table"],
 )
 def test_chain_facts_are_read_once(monkeypatch, make, counts):
-    # both chains have 3 steps.  The graphic base's certificate reads
-    # f(empty) and the 3 level sets, and the matroid its full rank; the
-    # table base's reads the table alone.  With f(empty), partition and
-    # minimize_offset make 6 and 1 calls; approx adds f(E) for the trivial
-    # case, the singletons (22 and 14), the 4 chain sets once for both
-    # bounds, and f(E) once for the steepness
+    # both chains have 3 steps.  min_norm_base reads f(empty) for its
+    # normalization check; the graphic base's certificate then reads the 3
+    # level sets, and the matroid its full rank, and the table base's reads
+    # the table alone.  So partition and minimize_offset make 5 and 1 calls;
+    # approx adds f(E) for the trivial case and the singletons (22 and 14),
+    # and takes both bounds and the linearity off the certified chain
     calls = []
     call = SetFunctionOracle.__call__
     monkeypatch.setattr(SetFunctionOracle, "__call__", lambda f, S: calls.append(S) or call(f, S))
