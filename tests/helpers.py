@@ -4,7 +4,9 @@ test-only generators (labelled trees, sampled linear extensions).
 These deliberately avoid the library's solver code paths: optima come from
 enumerating every permutation or subset directly, sampled schedules from
 ``reference_sample``, the sampler's plain per-sample loop, and subset-DP
-tables from ``layer_loop_dp_tables``, the DP's former numpy layer loop.
+tables from ``layer_loop_dp_tables``, the DP's former numpy layer loop,
+and the MLVC relaxation's check from ``certify_relaxation_by_fractions``,
+the check's former Fraction loop.
 ``wolfe_path`` sends ``min_norm_base`` down the Fujishige-Wolfe path on
 small grounds, to cross-check it against the table; graphic matroids and
 coverage functions build their bases by decomposition on every ground, so
@@ -23,6 +25,7 @@ import numpy as np
 
 from ordolab import (
     BalanceReport,
+    CertificateError,
     Graph,
     GroundSet,
     Hypergraph,
@@ -382,6 +385,42 @@ def is_optimal_by_fractions(objective, rows, x, y) -> bool:
     cx = sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0))
     by = sum((Fraction(b) * yi for (_, _, b), yi in zip(rows, y)), Fraction(0))
     return all(a <= c for a, c in zip(aty, objective)) and cx == by
+
+
+def certify_relaxation_by_fractions(G, X, theta, rho, y) -> Fraction:
+    """Reference ``simplex.certify_relaxation``: the same checks, in the
+    same order and with the same messages, in plain Fraction arithmetic."""
+    n = G.n
+    for row in X:
+        if row[0] or any(a > b for a, b in zip(row, row[1:])):
+            raise CertificateError("LP primal point has a negative entry")
+    for t in range(1, n + 1):
+        if sum(row[t] - row[t - 1] for row in X) > 1:
+            raise CertificateError("LP primal point violates a pack row")
+    if any(yt > 0 for yt in y):
+        raise CertificateError("LP dual has the wrong sign on a pack row")
+    value, load = Fraction(0), [Fraction(0)] * n
+    for (a, b), (on_a, on_b) in zip(G.edges, theta, strict=True):
+        load[a] += on_a
+        load[b] += on_b
+        for t in range(n):
+            z_a, z_b = on_a * rho[a][t], on_b * rho[b][t]
+            if z_a < 0 or z_b < 0:
+                raise CertificateError("LP dual has the wrong sign on a cover row")
+            if z_a + z_b > 1:
+                raise CertificateError("LP dual violates a u-column")
+            value += max(0, 1 - min(X[a][t], X[b][t]))
+    dual = sum(y, Fraction(0))
+    for v in range(n):
+        tail = 0  # sum of rho[v] over the steps after t
+        for t in range(n - 1, -1, -1):
+            if y[t] + load[v] * tail > 0:
+                raise CertificateError("LP dual violates an x-column")
+            tail += rho[v][t]
+        dual += load[v] * tail
+    if value != dual:
+        raise CertificateError("LP primal and dual values differ")
+    return value
 
 
 def expanded_relaxation_pair(G, X, theta, rho, y):

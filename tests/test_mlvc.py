@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ordolab import (
@@ -26,7 +27,7 @@ from ordolab.core import ParseError
 from ordolab.mlvc import _samples, largest_float_below
 from ordolab.simplex import certify_relaxation
 
-from helpers import is_linear_extension, random_regular_graph, sample_extension
+from helpers import certify_relaxation_by_fractions, is_linear_extension, random_regular_graph, sample_extension
 
 from ordolab.instances import complete_bipartite, complete_graph, cycle_graph, path_graph
 
@@ -117,8 +118,8 @@ def test_exact_pair_probability_comparable_is_none():
 
 def test_nested_hyperedges_treated_as_comparable():
     H = Hypergraph(3, (frozenset({0, 1}), frozenset({0, 1, 2})))
-    poset = SchedulingPoset(H)
-    assert (3, 4) not in poset.incomparable_pairs()
+    first, second = SchedulingPoset(H).incomparable_pairs()
+    assert (3, 4) not in zip(first.tolist(), second.tolist())
 
 
 def test_balance_check_k4():
@@ -153,6 +154,16 @@ def test_float_threshold_matches_the_exact_floor(k):
         assert (x <= below) == (x < floor)
 
 
+@pytest.mark.parametrize(("trials", "count", "flagged"), [(199520, 99090, ((0, 1),)), (72, 24, ())])
+def test_flag_rule_at_its_threshold(monkeypatch, trials, count, flagged):
+    # two lone vertices, floor 1/2: with count / trials the estimate of
+    # P(0 before 1), p + 3 sigma lies 9.3e-10 below the largest float below
+    # 1/2, or is 1/2 exactly; numpy's prefilter must admit both for the
+    # exact rule to decide
+    monkeypatch.setattr(mlvc, "_count_inversions", lambda *args: np.array([count]))
+    assert balance_check(Hypergraph(2, ()), trials).flagged == flagged
+
+
 def test_balance_check_parallel_jobs_deterministic():
     H = Hypergraph.from_graph(K3)
     a = balance_check(H, 2000, seed=1, jobs=2)
@@ -161,9 +172,10 @@ def test_balance_check_parallel_jobs_deterministic():
 
 
 def test_balance_check_memory_stays_per_trial():
-    # 4-regular, n = 40, 6980 pairs: about 1.2 MiB traced at the peak with
-    # the inversions counted per trial, about 47 MiB with a 400 x 6980
-    # matrix of every trial's slots at once
+    # 4-regular, n = 40, 6980 pairs: about 1.5 MiB traced at the peak with
+    # the inversions counted in blocks of 72 trials, each compared over its
+    # 120 x 120 job pairs in 1 MiB, about 47 MiB with a 400 x 6980 matrix
+    # of every trial's slots at once
     H = Hypergraph.from_graph(random_regular_graph(40, 4, random.Random(40)))
     tracemalloc.start()
     try:
@@ -325,6 +337,33 @@ def test_relaxation_check_fails_closed_on_unequal_values():
     y = [yt / 2 for yt in y]
     with pytest.raises(CertificateError, match="values differ"):
         certify_relaxation(C4, X, theta, rho, y)
+
+
+# one entry of the C4 pair moved (X[v][t] = t/4, rho = 1, y_t = t - 4, and
+# each edge's unit split over its endpoints), one case per check
+@pytest.mark.parametrize(
+    ("family", "row", "i", "delta", "message"),
+    [
+        ("X", 0, 2, Fraction(-1, 2), "negative entry"),
+        ("X", 0, 1, Fraction(1, 4), "violates a pack row"),
+        ("y", None, 3, Fraction(1, 2), "wrong sign on a pack row"),
+        ("rho", 0, 0, -2, "wrong sign on a cover row"),
+        ("theta", 0, 1, 1, "violates a u-column"),
+        ("y", None, 0, Fraction(1, 2), "violates an x-column"),
+        ("y", None, 3, -1, "values differ"),
+    ],
+)
+def test_integer_check_fails_as_the_fraction_check(family, row, i, delta, message):
+    X, theta, rho, y = c4_pair()
+    pair = {"X": X, "theta": [list(parts) for parts in theta], "rho": rho, "y": y}
+    entries = pair[family] if row is None else pair[family][row]
+    entries[i] += delta
+    messages = []
+    for check in (certify_relaxation, certify_relaxation_by_fractions):
+        with pytest.raises(CertificateError, match=message) as raised:
+            check(C4, *pair.values())
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 def test_mlvc_lp_exits_1_without_a_certificate(tmp_path, monkeypatch):

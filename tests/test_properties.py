@@ -4,8 +4,9 @@ against brute force.
 
 Random graphic (with loops and parallel edges), vector and
 Fraction-weighted cut oracles, and square integer systems, checked against the enumerations and the reference solver
-in ``helpers``; the MLVC relaxation's structured check of its constructed
-pair against the plain Fraction check of the pair expanded into the model,
+in ``helpers``; the MLVC relaxation's integer check of its constructed
+pair against the plain Fraction check of the pair expanded into the model
+and against its former Fraction loop,
 its value against the coverage function's principal-partition bound and
 the brute-force MLVC optimum, and its orientation against every vertex
 set; graphic and coverage bases by decomposition against the table; the
@@ -16,7 +17,7 @@ every cut of weighted multigraphs; graphic base polytope membership by
 load-bounded orientations against every vertex set and against the
 replaced min-cut sequence; and the latency-cover sampler against the
 reference per-sample loop, draw for draw, with its pair set, inversion
-counts, best-of-N and balance reports.
+counts, best-of-N and balance reports at several block budgets.
 """
 import random
 from contextlib import nullcontext
@@ -78,6 +79,7 @@ from helpers import (
     brute_mlop,
     brute_partition,
     brute_weighted_mlop,
+    certify_relaxation_by_fractions,
     count_inversions_by_pairs,
     cut_weight,
     expanded_relaxation_pair,
@@ -469,8 +471,9 @@ def hypergraphs(draw):
 @PROPERTY
 @given(hypergraphs(), st.integers(1, 30), st.integers(0, 2**32))
 def test_inversion_counts_match_the_pair_loop(H, trials, seed):
-    pairs = SchedulingPoset(H).incomparable_pairs()
-    hits = _count_inversions(H, pairs, trials, seed)
+    first, second = SchedulingPoset(H).incomparable_pairs()
+    hits = _count_inversions(H, first, second, trials, seed)
+    pairs = zip(first.tolist(), second.tolist())
     assert dict(zip(pairs, hits.tolist())) == count_inversions_by_pairs(H, trials, seed)
 
 
@@ -502,7 +505,9 @@ def test_inline_draws_match_random_shuffle(n, loops, seed):
 @given(hypergraphs())
 def test_incomparable_pairs_match_the_pair_loop(H):
     poset = SchedulingPoset(H)
-    assert poset.incomparable_pairs() == incomparable_pairs_by_loop(poset)
+    first, second = poset.incomparable_pairs()
+    assert first.dtype == second.dtype == np.intp
+    assert list(zip(first.tolist(), second.tolist())) == incomparable_pairs_by_loop(poset)
 
 
 @pytest.mark.parametrize("block", [mlvc.SAMPLE_BLOCK_ENTRIES, 1], ids=["one-block", "block-per-sample"])
@@ -514,11 +519,19 @@ def test_best_of_n_matches_the_reference(block, G, samples, seed):
         assert best_of_n(G, samples, seed) == best_of_n_by_loop(G, samples, seed)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+# a count budget of 100 entries puts 4 trials in a block on 5 jobs (the
+# example's 10 trials end on a block of 2), and a budget of 1 one trial
+@pytest.mark.parametrize(
+    ("jobs", "block"),
+    [(jobs, block) for block in (mlvc.COUNT_BLOCK_ENTRIES, 100, 1) for jobs in (1, 2)],
+    ids=["1", "2", "ragged-blocks-1", "ragged-blocks-2", "block-per-trial-1", "block-per-trial-2"],
+)
 @PROPERTY
+@example(Hypergraph(3, (frozenset({0, 1}), frozenset({1, 2}))), 10, 0)
 @given(hypergraphs(), st.integers(1, 30), st.integers(0, 2**32))
-def test_balance_check_matches_the_reference(jobs, H, trials, seed):
-    report = balance_check(H, trials, seed, jobs)
+def test_balance_check_matches_the_reference(jobs, block, H, trials, seed):
+    with mock.patch.object(mlvc, "COUNT_BLOCK_ENTRIES", block):
+        report = balance_check(H, trials, seed, jobs)
     expected = balance_check_by_loop(H, trials, seed, jobs)
     assert report == expected
     assert list(report.probabilities) == list(expected.probabilities)
@@ -539,12 +552,9 @@ def test_large_coprime_denominators_take_the_object_path():
     assert exact_weighted_mlop_dp(f, costs)[0] == brute_weighted_mlop(f, costs)
 
 
-@PROPERTY
-@given(multigraphs(max_vertices=5, max_edges=6), st.data())
-def test_structured_check_matches_the_fraction_check(G, data):
-    # the constructed pair of the MLVC relaxation with one entry of X (past
-    # its fixed X[v][0] = 0), theta, rho or y moved, against the plain check
-    # of the pair expanded into the materialized model
+def moved_pair(G, data):
+    """The constructed pair of the MLVC relaxation with one entry of X (past
+    its fixed X[v][0] = 0), theta, rho or y moved by 0, 1/3 or -1."""
     X, theta, rho, y = mlvc._sidney_pair(G)
     shares = [list(parts) for parts in theta]
     entries = [(row, t) for row in X for t in range(1, G.n + 1)]
@@ -552,7 +562,15 @@ def test_structured_check_matches_the_fraction_check(G, data):
     entries += [(parts, i) for parts in shares for i in (0, 1)]
     row, i = data.draw(st.sampled_from(entries))
     row[i] += data.draw(st.sampled_from((0, Fraction(1, 3), -1)))
-    theta = [tuple(parts) for parts in shares]
+    return X, [tuple(parts) for parts in shares], rho, y
+
+
+@PROPERTY
+@given(multigraphs(max_vertices=5, max_edges=6), st.data())
+def test_structured_check_matches_the_fraction_check(G, data):
+    # the moved pair against the plain check of the pair expanded into the
+    # materialized model
+    X, theta, rho, y = moved_pair(G, data)
     try:
         certify_relaxation(G, X, theta, rho, y)
         certified = True
@@ -561,6 +579,39 @@ def test_structured_check_matches_the_fraction_check(G, data):
     model = build_lp(G)
     x, duals = expanded_relaxation_pair(G, X, theta, rho, y)
     assert certified == is_optimal_by_fractions(model.objective, model.rows, x, duals)
+
+
+def certificate_outcome(check, G, pair):
+    try:
+        return check(G, *pair)
+    except CertificateError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(multigraphs(max_vertices=6, max_edges=9), st.data())
+def test_integer_certificate_matches_the_fraction_reference(G, data):
+    # the same value on the constructed pair, and on the moved pair the same
+    # value or the same failed check
+    pair = mlvc._sidney_pair(G)
+    assert certify_relaxation(G, *pair) == certify_relaxation_by_fractions(G, *pair)
+    moved = moved_pair(G, data)
+    assert certificate_outcome(certify_relaxation, G, moved) == certificate_outcome(
+        certify_relaxation_by_fractions, G, moved
+    )
+
+
+def test_integer_certificate_on_coprime_cycles():
+    # a cycle with one chord on each prime p below 30: x* = (p + 1)/p on
+    # the p-cycle, so the common denominators multiply the primes
+    edges, n = [], 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+        edges += [(n + i, n + (i + 1) % p) for i in range(p)] + [(n, n + p // 2)]
+        n += p
+    G = Graph(n, tuple(edges))
+    pair = mlvc._sidney_pair(G)
+    assert lcm(*(r.denominator for row in pair[2] for r in row)) > 10**9
+    assert certify_relaxation(G, *pair) == certify_relaxation_by_fractions(G, *pair)
 
 
 @PROPERTY
